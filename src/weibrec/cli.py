@@ -73,6 +73,8 @@ def _resolve_seed(seed: int | None) -> int:
         seed = secrets.randbits(63)
         print(f"seed: {seed} (generated; pass --seed to reproduce)",
               file=sys.stderr)
+    elif not 0 <= seed < 2 ** 64:
+        raise InvalidDataError(f"seed must be in [0, 2**64), got {seed}")
     return seed
 
 

@@ -97,15 +97,16 @@ class TestResult:
 
 
 def _prep_log_records(values: NDArray[np.float64]):
-    """Precompute the pieces of log W for a fixed record vector.
+    """Precompute the pieces of log W for record vectors on the last axis.
 
     Returns ``(d, gap)`` where ``d = log r - max log r`` and
     ``gap = max log r - mean log r``, so that
     ``log W(beta) = beta * gap - log k + log sum exp(beta * d)``.
+    ``gap`` drops the last axis; a 1-d input gives a scalar ``gap``.
     """
     log_r = np.log(values)
-    mx = np.max(log_r)
-    return log_r - mx, mx - np.mean(log_r)
+    mx = np.max(log_r, axis=-1, keepdims=True)
+    return log_r - mx, mx[..., 0] - np.mean(log_r, axis=-1)
 
 
 def _log_am_gm(values: NDArray[np.float64], beta) -> NDArray[np.float64]:
@@ -234,29 +235,34 @@ def _exp_log_am_gm(rows: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.log(np.mean(rows, axis=-1)) - np.mean(np.log(rows), axis=-1)
 
 
-def _solve_population(series: RecordSeries, seed: int,
-                      stream_ids: NDArray[np.uint64]) -> NDArray[np.float64]:
-    rows = exp_record_matrix(seed, stream_ids, len(series))
+def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
+    """``fn(start, stop)`` for each span of ``size`` covering ``[0, total)``,
+    in span order; spans run on ``threads`` threads but never depend on it.
+    """
+    spans = [(s, min(s + size, total)) for s in range(0, total, size)]
+    if threads is not None and threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda span: fn(*span), spans))
+    return [fn(s, e) for s, e in spans]
+
+
+def _solve_span(series: RecordSeries, seed: int, offset: int, start: int,
+                stop: int) -> NDArray[np.float64]:
+    """Pivot roots of one population for replicates ``[start, stop)``.
+
+    Replicate ``i`` reads stream ``2 i + offset`` of ``seed``.
+    """
+    ids = 2 * np.arange(start, stop, dtype=np.uint64) + np.uint64(offset)
+    target = _exp_log_am_gm(exp_record_matrix(seed, ids, len(series)))
     d, gap = _prep_log_records(series.values)
-    return _solve_roots(d, gap, len(series), _exp_log_am_gm(rows))
-
-
-def _pivot_chunk(series1: RecordSeries, series2: RecordSeries, kind: str,
-                 seed: int, start: int, stop: int,
-                 shared_streams: bool) -> NDArray[np.float64]:
-    reps = np.arange(start, stop, dtype=np.uint64)
-    ids1 = 2 * reps
-    ids2 = ids1 if shared_streams else ids1 + np.uint64(1)
     try:
-        t1 = _solve_population(series1, seed, ids1)
-        t2 = _solve_population(series2, seed, ids2)
+        return _solve_roots(d, gap, len(series), target)
     except BracketError as exc:
+        rep = start + (exc.replicate or 0)
         raise BracketError(
-            f"replicate {start + (exc.replicate or 0)}: {exc}",
-            replicate=start + (exc.replicate or 0),
+            f"replicate {rep}: {exc}", replicate=rep,
             lo=exc.lo, hi=exc.hi, g_lo=exc.g_lo, g_hi=exc.g_hi,
         ) from exc
-    return t1 / t2 if kind == "ratio" else t1 - t2
 
 
 def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
@@ -281,21 +287,13 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
         raise InvalidDataError("m must be at least 1")
     if series1.n < 1 or series2.n < 1:
         raise InvalidDataError("each series needs at least two record values")
-    spans = [(s, min(s + _CHUNK, m)) for s in range(0, m, _CHUNK)]
-    if threads is not None and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_pivot_chunk, series1, series2, kind, seed,
-                            s, e, shared_streams)
-                for s, e in spans
-            ]
-            parts = [fut.result() for fut in futures]
-    else:
-        parts = [
-            _pivot_chunk(series1, series2, kind, seed, s, e, shared_streams)
-            for s, e in spans
-        ]
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def chunk(start: int, stop: int) -> NDArray[np.float64]:
+        t1 = _solve_span(series1, seed, 0, start, stop)
+        t2 = _solve_span(series2, seed, 0 if shared_streams else 1, start, stop)
+        return t1 / t2 if kind == "ratio" else t1 - t2
+
+    values = np.concatenate(_map_spans(chunk, m, _CHUNK, threads))
     return PivotalDraws(values=values, kind=kind, m=m, seed=seed)
 
 
@@ -306,26 +304,9 @@ def sample_shape_pivot(series: RecordSeries, m: int, seed: int,
         raise InvalidDataError("m must be at least 1")
     if series.n < 1:
         raise InvalidDataError("need at least two record values")
-    spans = [(s, min(s + _CHUNK, m)) for s in range(0, m, _CHUNK)]
-
-    def chunk(start: int, stop: int) -> NDArray[np.float64]:
-        ids = 2 * np.arange(start, stop, dtype=np.uint64)
-        try:
-            return _solve_population(series, seed, ids)
-        except BracketError as exc:
-            raise BracketError(
-                f"replicate {start + (exc.replicate or 0)}: {exc}",
-                replicate=start + (exc.replicate or 0),
-                lo=exc.lo, hi=exc.hi, g_lo=exc.g_lo, g_hi=exc.g_hi,
-            ) from exc
-
-    if threads is not None and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(chunk, s, e) for s, e in spans]
-            parts = [fut.result() for fut in futures]
-    else:
-        parts = [chunk(s, e) for s, e in spans]
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    values = np.concatenate(_map_spans(
+        lambda start, stop: _solve_span(series, seed, 0, start, stop),
+        m, _CHUNK, threads))
     return PivotalDraws(values=values, kind="single-shape", m=m, seed=seed)
 
 

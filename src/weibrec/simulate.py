@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError
-from .gpq import _exp_log_am_gm, _prep_log_records, _solve_roots, percentile_ranks
+from .gpq import (_exp_log_am_gm, _map_spans, _prep_log_records, _solve_roots,
+                  percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
 _ELEMENT_BUDGET = 2_000_000
@@ -97,32 +97,25 @@ def cell_tag(config: SimConfig) -> int:
 def _batch_sums(config: SimConfig, base_seed: int, start: int,
                 stop: int) -> tuple[int, float]:
     """Coverage count and total interval width for replicates [start, stop)."""
-    count = stop - start
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
     pivot_seeds = derive_seed_array(rep_seeds, 2)
     lo_rank, hi_rank = percentile_ranks(config.m, config.gamma)
 
     roots = []
-    for pop, (n, alpha, beta) in enumerate(
-        [(config.n1, config.alpha1, config.beta1),
-         (config.n2, config.alpha2, config.beta2)]
-    ):
+    for pop, (n, beta) in enumerate([(config.n1, config.beta1),
+                                     (config.n2, config.beta2)]):
+        # log r = log alpha + log E / beta, and d and gap are free of
+        # log alpha, so records are never formed on the linear scale.
         k = n + 1
-        exp_obs = exp_record_matrix(data_seeds, pop, k)
-        observed = alpha * exp_obs ** (1.0 / beta)
-        log_r = np.log(observed)
-        mx = np.max(log_r, axis=1)
-        d = log_r - mx[:, None]
-        gap = mx - np.mean(log_r, axis=1)
+        d, gap = _prep_log_records(exp_record_matrix(data_seeds, pop, k))
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
         target = _exp_log_am_gm(
             exp_record_matrix(pivot_seeds[:, None], ids, k)
         )
         try:
-            roots.append(
-                _solve_roots(d[:, None, :], gap[:, None], k, target)
-            )
+            roots.append(_solve_roots(d[:, None, :] / beta,
+                                      gap[:, None] / beta, k, target))
         except BracketError as exc:
             rep, draw = divmod(exc.replicate or 0, config.m)
             raise BracketError(
@@ -145,15 +138,9 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
     batch = max(1, min(config.reps, _ELEMENT_BUDGET // (config.m * k_max)))
-    spans = [(s, min(s + batch, config.reps))
-             for s in range(0, config.reps, batch)]
-    if threads is not None and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_batch_sums, config, base_seed, s, e)
-                       for s, e in spans]
-            sums = [fut.result() for fut in futures]
-    else:
-        sums = [_batch_sums(config, base_seed, s, e) for s, e in spans]
+    sums = _map_spans(
+        lambda start, stop: _batch_sums(config, base_seed, start, stop),
+        config.reps, batch, threads)
     covered = sum(c for c, _ in sums)
     total_width = math.fsum(w for _, w in sums)
     coverage = covered / config.reps

@@ -6,13 +6,17 @@ the hazard, giving the log-likelihood
     l(alpha, beta) = (n+1) log beta - beta (n+1) log alpha
                      + (beta - 1) sum_j log r_j - (r_n / alpha)**beta
 
-which admits closed-form maximum likelihood estimates.  Standard errors
-come from the observed information (negative Hessian) at the optimum,
-computed by central finite differences.
+which admits closed-form maximum likelihood estimates.  Because
+(r_n / alpha)**beta = k = n + 1 at the MLE, the inverse observed
+information is closed-form too: se_beta = beta / sqrt(k) and
+se_alpha = alpha sqrt((1 + ln(k)**2) / k) / beta.  Under a common shape,
+with K = k1 + k2, se_beta = beta / sqrt(K) and
+se_alpha_i = alpha_i sqrt(1 / k_i + ln(k_i)**2 / K) / beta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -108,26 +112,22 @@ def mle_records(series: RecordSeries) -> WeibullFit:
     """Closed-form maximum likelihood fit from one record series.
 
     ``beta_hat = (n+1) / sum_j log(r_n / r_j)`` and
-    ``alpha_hat = r_n / (n+1)**(1/beta_hat)``.  Standard errors come
-    from the inverse observed information at the optimum.
+    ``alpha_hat = r_n / (n+1)**(1/beta_hat)``.  Standard errors are the
+    closed-form inverse observed information at the optimum.
     """
     n = series.n
     if n == 0:
         raise DegenerateDataError(
             "at least two record values are needed to estimate the shape"
         )
+    k = n + 1
     beta = shape_mle(series)
-    alpha = float(series.values[-1]) / (n + 1) ** (1.0 / beta)
+    alpha = float(series.values[-1]) / k ** (1.0 / beta)
     params = WeibullParams(alpha=alpha, beta=beta)
-
-    def surface(theta: NDArray[np.float64]) -> float:
-        return record_loglik(series, WeibullParams(alpha=theta[0], beta=theta[1]))
-
-    se = se_from_hessian(surface, np.array([alpha, beta]))
     return WeibullFit(
         params=params,
-        se_alpha=float(se[0]),
-        se_beta=float(se[1]),
+        se_alpha=alpha * math.sqrt((1.0 + math.log(k) ** 2) / k) / beta,
+        se_beta=beta / math.sqrt(k),
         loglik=record_loglik(series, params),
     )
 
@@ -153,21 +153,17 @@ def pooled_mle(series1: RecordSeries, series2: RecordSeries) -> PooledFit:
     s = _log_ratio_sum(series1) + _log_ratio_sum(series2)
     if s <= 0.0:
         raise DegenerateDataError("pooled log-ratio sum must be positive")
-    beta = (series1.n + series2.n + 2) / s
-    alpha1 = float(series1.values[-1]) / (series1.n + 1) ** (1.0 / beta)
-    alpha2 = float(series2.values[-1]) / (series2.n + 1) ** (1.0 / beta)
-
-    def surface(theta: NDArray[np.float64]) -> float:
-        return pooled_loglik(series1, series2, theta[0], theta[1], theta[2])
-
-    se = se_from_hessian(surface, np.array([beta, alpha1, alpha2]))
+    k1, k2 = series1.n + 1, series2.n + 1
+    beta = (k1 + k2) / s
+    alpha1 = float(series1.values[-1]) / k1 ** (1.0 / beta)
+    alpha2 = float(series2.values[-1]) / k2 ** (1.0 / beta)
     return PooledFit(
         beta=beta,
         alpha1=alpha1,
         alpha2=alpha2,
-        se_beta=float(se[0]),
-        se_alpha1=float(se[1]),
-        se_alpha2=float(se[2]),
+        se_beta=beta / math.sqrt(k1 + k2),
+        se_alpha1=alpha1 * math.sqrt(1.0 / k1 + math.log(k1) ** 2 / (k1 + k2)) / beta,
+        se_alpha2=alpha2 * math.sqrt(1.0 / k2 + math.log(k2) ** 2 / (k1 + k2)) / beta,
         loglik=pooled_loglik(series1, series2, beta, alpha1, alpha2),
     )
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -92,6 +93,17 @@ class TestMle:
         assert code == 0
         assert json.loads(out)["populations"][0]["beta"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("records", [
+        "a:1,1.0000001;b:1,2",                 # near-tied records
+        "a:0.001,0.002,0.0035;b:0.001,0.003",  # scale 1e-3
+    ])
+    def test_near_tied_and_small_scale_records(self, records, capsys):
+        code, out, err = run_cli(["mle", "--records", records], capsys)
+        assert code == 0, err
+        for pop in json.loads(out)["populations"]:
+            for key in ("se_alpha", "se_beta"):
+                assert math.isfinite(pop[key]) and pop[key] > 0.0
+
     def test_single_record_population_fails_cleanly(self, capsys):
         code, _, err = run_cli(["mle", "--records", "a:5.0"], capsys)
         assert code == 2
@@ -106,6 +118,14 @@ class TestPooledMle:
         assert f"{report['beta']:.4f}" == "0.5857"
         assert f"{report['alpha1']:.4f}" == "2.6297"
         assert f"{report['alpha2']:.4f}" == "2.3916"
+
+    def test_near_tied_records(self, capsys):
+        code, out, err = run_cli(
+            ["pooled-mle", "--records", "a:1,1.0000001;b:1,1.0000002"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        for key in ("se_beta", "se_alpha1", "se_alpha2"):
+            assert math.isfinite(report[key]) and report[key] > 0.0
 
     def test_needs_exactly_two_populations(self, capsys):
         code, _, err = run_cli(
@@ -180,6 +200,25 @@ class TestCiAndTest:
              "--M", "10", "--seed", "1"], capsys)
         assert code == 2
         assert "draw" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_is_rejected(self, seed, capsys):
+        for command in (
+            ["ci-ratio", "--records", "a:1,2,5;b:1,3", "--gamma", "0.1",
+             "--M", "100"],
+            ["simulate", "--cell", "3,3,1.0,2.0", "--M", "100", "--N", "2"],
+        ):
+            code, _, err = run_cli(command + ["--seed", seed], capsys)
+            assert code == 2
+            assert "seed must be in [0, 2**64)" in err
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_edges_are_accepted(self, seed, capsys):
+        code, out, _ = run_cli(
+            ["ci-ratio", "--records", "a:1,2,5;b:1,3", "--gamma", "0.1",
+             "--M", "100", "--seed", str(seed)], capsys)
+        assert code == 0
+        assert json.loads(out)["seed"] == seed
 
     def test_bracket_failure_exits_3(self, capsys):
         code, _, err = run_cli(

@@ -71,6 +71,14 @@ class TestRunCell:
         report = run_cell(SimConfig(n1=7, n2=7, beta1=2.0, beta2=2.0, **TINY))
         assert 0.8 <= report.coverage <= 1.0
 
+    def test_tiny_first_shape_does_not_overflow(self):
+        # Forming records as E**(1/beta1) overflows at beta1 = 1e-3.
+        report = run_cell(SimConfig(n1=3, n2=3, beta1=1e-3, beta2=2.0,
+                                    m=200, reps=40, seed=1))
+        assert isinstance(report, SimReport)
+        assert 0.0 <= report.coverage <= 1.0
+        assert math.isfinite(report.expected_length)
+
     def test_deterministic_rerun(self):
         config = SimConfig(n1=3, n2=5, beta1=1.5, beta2=2.0, **TINY)
         a = run_cell(config)

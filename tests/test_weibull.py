@@ -19,6 +19,7 @@ from weibrec import (
     se_from_hessian,
     weibull_cdf,
 )
+from weibrec.records import weibull_records
 
 
 class TestWeibullParams:
@@ -180,6 +181,40 @@ class TestInformation:
         assert abs(pooled.se_beta - 0.1766) < 0.005
         assert abs(pooled.se_alpha1 - 3.1333) < 0.005
         assert abs(pooled.se_alpha2 - 2.6609) < 0.005
+
+    def test_closed_form_se_match_finite_differences(self, records34,
+                                                     records36):
+        # Worked example plus 30 seeded series whose fits are well
+        # conditioned for the finite-difference oracle.
+        rng = np.random.default_rng(2024)
+        series = [records34, records36]
+        while len(series) < 32:
+            s = weibull_records(int(rng.integers(1, 15)),
+                                alpha=float(rng.uniform(1.0, 20.0)),
+                                beta=float(rng.uniform(0.3, 5.0)),
+                                seed=int(rng.integers(2 ** 32)))
+            fit = mle_records(s)
+            if fit.params.alpha >= 1.0 and 0.3 <= fit.params.beta <= 5.0:
+                series.append(s)
+        for s in series:
+            fit = mle_records(s)
+
+            def surface(theta, s=s):
+                return record_loglik(
+                    s, WeibullParams(alpha=theta[0], beta=theta[1]))
+
+            want = se_from_hessian(surface, [fit.params.alpha, fit.params.beta])
+            np.testing.assert_allclose([fit.se_alpha, fit.se_beta], want,
+                                       rtol=1e-5)
+        for s1, s2 in zip(series[::2], series[1::2]):
+            fit = pooled_mle(s1, s2)
+
+            def surface(theta, s1=s1, s2=s2):
+                return pooled_loglik(s1, s2, theta[0], theta[1], theta[2])
+
+            want = se_from_hessian(surface, [fit.beta, fit.alpha1, fit.alpha2])
+            np.testing.assert_allclose(
+                [fit.se_beta, fit.se_alpha1, fit.se_alpha2], want, rtol=1e-5)
 
     def test_rejects_non_stationary_point(self, records34):
         def surface(theta):
