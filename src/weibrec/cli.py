@@ -7,7 +7,7 @@ JSON output is byte-identical for identical seed and inputs regardless
 of thread count.
 
 Exit codes: 0 success, 2 invalid input or request, 3 numerical failure
-(for example a pivotal-equation bracketing failure).
+(for example a pivotal equation without a positive root).
 """
 
 from __future__ import annotations

@@ -32,21 +32,17 @@ class SingularInformationError(WeibullRecordsError):
 
 
 class BracketError(WeibullRecordsError):
-    """A root of the pivotal equation could not be bracketed.
+    """The pivotal equation has no finite positive root.
 
-    Carries enough context to identify the offending Monte Carlo
-    replicate and the sign of the equation at both bracket endpoints.
+    That happens only when the exponential target log W_exp(1) is not
+    positive in float arithmetic, e.g. for nearly tied exponential
+    records.  ``replicate`` identifies the offending Monte Carlo
+    replicate when there is one.
     """
 
-    def __init__(self, message: str, *, replicate: int | None = None,
-                 lo: float | None = None, hi: float | None = None,
-                 g_lo: float | None = None, g_hi: float | None = None):
+    def __init__(self, message: str, *, replicate: int | None = None):
         super().__init__(message)
         self.replicate = replicate
-        self.lo = lo
-        self.hi = hi
-        self.g_lo = g_lo
-        self.g_hi = g_hi
 
 
 class InsufficientDrawsError(InvalidDataError):

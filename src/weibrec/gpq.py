@@ -16,8 +16,9 @@ form confidence intervals and whose tail frequencies form p-values.
 
 Everything is evaluated in log space.  Writing D_j = log r_j - max_j
 log r_j <= 0, the summands exp(beta * D_j) stay in (0, 1], so the
-evaluation cannot overflow even while the bracketing phase probes
-beta = 10**6.
+evaluation cannot overflow at any beta.  log W is convex in beta, and
+the root solve is a Newton iteration that descends onto the root from
+a starting point that is always to its right.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .errors import BracketError, InsufficientDrawsError, InvalidDataError
 from .records import RecordSeries
 from .rng import exp_record_matrix
 
-_BETA_LO = 1e-8
-_BETA_HI_CAP = 1e6
-_BISECT_ITERS = 60
 _CHUNK = 8192
 
 _KINDS = ("ratio", "difference", "single-shape")
@@ -152,66 +150,43 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
     and ``target`` broadcast against its leading axes.  Returns the
     roots with the broadcast leading shape.
 
-    Bracketing doubles upward from 1 (capped), then bisects on log beta
-    for a fixed iteration count, which is deterministic and reaches
-    relative accuracy far below 1e-10.
+    With ``s = sum expm1(beta d)``, ``g(beta) = beta gap + log1p(s / k)
+    - target`` is convex and increasing, and ``g >= 0`` at ``beta0 =
+    (target + log k) / gap`` because ``max d = 0``.  Newton's method
+    from ``beta0`` therefore descends monotonically onto the unique
+    root.  Each entry stops once ``g <= 0`` or a step no longer lowers
+    its beta, so a root never depends on the other entries in a batch.
     """
-    log_obs_d = np.asarray(log_obs_d, dtype=np.float64)
+    d = np.asarray(log_obs_d, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     gap = np.asarray(log_obs_gap, dtype=np.float64)
-
-    def f(beta):
-        beta = np.asarray(beta, dtype=np.float64)
-        s = np.sum(np.exp(beta[..., None] * log_obs_d), axis=-1)
-        return beta * gap - math.log(k) + np.log(s) - target
-
-    shape = np.broadcast_shapes(log_obs_d.shape[:-1], gap.shape, target.shape)
-    f_lo = np.broadcast_to(f(np.asarray(_BETA_LO)), shape)
-    bad = f_lo >= 0.0
-    if np.any(bad):
-        idx = int(np.argmax(bad.ravel()))
-        g_lo = float(np.exp((f_lo + target).ravel()[idx]) -
-                     np.exp(target.ravel()[idx]))
+    shape = np.broadcast_shapes(d.shape[:-1], gap.shape, target.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        beta = np.broadcast_to((target + math.log(k)) / gap, shape).copy()
+    solvable = (target > 0.0) & (beta < np.inf)
+    if not np.all(solvable):
+        idx = int(np.argmin(solvable.ravel()))
         raise BracketError(
-            f"pivotal equation is non-negative at the lower bracket "
-            f"endpoint {_BETA_LO:g}",
-            replicate=idx, lo=_BETA_LO, hi=_BETA_HI_CAP, g_lo=g_lo,
+            "pivotal equation has no finite positive root: log W_exp(1) = "
+            f"{np.broadcast_to(target, shape).ravel()[idx]:.17g}, observed "
+            f"log gap = {np.broadcast_to(gap, shape).ravel()[idx]:.17g}",
+            replicate=idx,
         )
-
-    # Doubling sweep: hi candidates 1, 2, 4, ..., 2**19, then the cap.
-    candidates = [2.0 ** j for j in range(20)] + [_BETA_HI_CAP]
-    hi_log = np.full(shape, np.nan)
-    lo_log = np.full(shape, math.log(_BETA_LO))
-    prev_log = None
-    unresolved = np.ones(shape, dtype=bool)
-    for cand in candidates:
-        f_c = np.broadcast_to(f(np.asarray(cand)), shape)
-        newly = unresolved & (f_c > 0.0)
-        hi_log[newly] = math.log(cand)
-        if prev_log is not None:
-            lo_log[newly] = prev_log
-        unresolved &= ~newly
-        prev_log = math.log(cand)
-        if not np.any(unresolved):
-            break
-    if np.any(unresolved):
-        idx = int(np.argmax(unresolved.ravel()))
-        f_hi = float(np.broadcast_to(f(np.asarray(_BETA_HI_CAP)),
-                                     shape).ravel()[idx])
-        t = float(target.ravel()[idx])
-        raise BracketError(
-            f"no sign change up to the bracket cap {_BETA_HI_CAP:g}",
-            replicate=idx, lo=_BETA_LO, hi=_BETA_HI_CAP,
-            g_lo=float(np.exp(f_lo.ravel()[idx] + t) - np.exp(t)),
-            g_hi=f_hi,
-        )
-
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo_log + hi_log)
-        pos = f(np.exp(mid)) > 0.0
-        hi_log = np.where(pos, mid, hi_log)
-        lo_log = np.where(pos, lo_log, mid)
-    return np.exp(0.5 * (lo_log + hi_log))
+    active = np.ones(shape, dtype=bool)
+    buf = np.empty(shape + (k,))
+    while True:
+        np.multiply(beta[..., None], d, out=buf)
+        np.expm1(buf, out=buf)
+        s = buf.sum(axis=-1)
+        g = beta * gap + np.log1p(s / k) - target
+        buf *= d
+        # g'(beta) = (sum expm1(beta d) d + gap s) / (k + s)
+        step = g * (k + s) / (buf.sum(axis=-1) + gap * s)
+        nxt = beta - step
+        active &= (g > 0.0) & (nxt < beta)
+        if not np.any(active):
+            return beta
+        np.copyto(beta, nxt, where=active)
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
@@ -224,9 +199,8 @@ def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> floa
     if observed.n < 1:
         raise InvalidDataError("need at least two record values")
     d, gap = _prep_log_records(observed.values)
-    target = _log_am_gm(exp_records.values, 1.0)
-    root = _solve_roots(d[None, :], gap, observed.values.size,
-                        np.asarray([target]))
+    target = _exp_log_am_gm(exp_records.values[None, :])
+    root = _solve_roots(d[None, :], gap, observed.values.size, target)
     return float(root[0])
 
 
@@ -259,10 +233,7 @@ def _solve_span(series: RecordSeries, seed: int, offset: int, start: int,
         return _solve_roots(d, gap, len(series), target)
     except BracketError as exc:
         rep = start + (exc.replicate or 0)
-        raise BracketError(
-            f"replicate {rep}: {exc}", replicate=rep,
-            lo=exc.lo, hi=exc.hi, g_lo=exc.g_lo, g_hi=exc.g_hi,
-        ) from exc
+        raise BracketError(f"replicate {rep}: {exc}", replicate=rep) from exc
 
 
 def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
@@ -273,9 +244,10 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
     Replicate ``i`` of population ``p`` (1-based) reads the dedicated
     stream ``2 i + (p - 1)`` of ``seed``, so the draw vector is a pure
     function of the inputs: any ``threads`` value, including None for
-    serial execution, yields bitwise-identical output.  A bracketing
-    failure in any replicate aborts the whole sample, because silently
-    dropping replicates would bias the pivotal distribution.
+    serial execution, yields bitwise-identical output.  A replicate
+    whose pivotal equation has no positive root aborts the whole sample
+    with ``BracketError``, because silently dropping replicates would
+    bias the pivotal distribution.
 
     ``shared_streams`` makes population 2 reuse population 1's
     exponential records; it exists for diagnostics (identical series

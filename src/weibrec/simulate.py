@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import BracketError, InvalidDataError
+from .errors import BracketError, InvalidDataError, WeibullRecordsError
 from .gpq import (_exp_log_am_gm, _map_spans, _prep_log_records, _solve_roots,
                   percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
@@ -57,6 +57,8 @@ class SimConfig:
                 raise InvalidDataError(f"{name} must be positive and finite")
         if self.reps < 1:
             raise InvalidDataError("reps must be at least 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise InvalidDataError(f"seed must be in [0, 2**64), got {self.seed}")
         percentile_ranks(self.m, self.gamma)
 
 
@@ -120,9 +122,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
             rep, draw = divmod(exc.replicate or 0, config.m)
             raise BracketError(
                 f"outer replicate {start + rep}, pivotal draw {draw}, "
-                f"population {pop + 1}: {exc}",
-                replicate=start + rep, lo=exc.lo, hi=exc.hi,
-                g_lo=exc.g_lo, g_hi=exc.g_hi,
+                f"population {pop + 1}: {exc}", replicate=start + rep,
             ) from exc
 
     ratio = np.sort(roots[0] / roots[1], axis=1)
@@ -161,7 +161,7 @@ def run_grid(grid: list[SimConfig],
     for config in grid:
         try:
             out.append(run_cell(config, threads=threads))
-        except Exception as exc:
+        except WeibullRecordsError as exc:
             out.append(CellError(config=config, error=str(exc)))
     return out
 

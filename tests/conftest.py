@@ -48,3 +48,27 @@ def records36(raw36) -> RecordSeries:
 @pytest.fixture()
 def tiny_series() -> RecordSeries:
     return RecordSeries(np.array([1.0, np.e]))
+
+
+@pytest.fixture()
+def tie_stream(monkeypatch):
+    """Make one exponential stream the nearly tied pair [1, nextafter(1, 2)].
+
+    ``tie_stream(module, stream)`` patches ``module.exp_record_matrix``
+    so that two-record rows drawn for stream id ``stream`` come back
+    tied; their target log W_exp(1) rounds below zero, which leaves the
+    pivotal equation without a positive root.
+    """
+    def apply(module, stream: int) -> None:
+        real = module.exp_record_matrix
+
+        def patched(seed, stream_ids, n_values):
+            rows = real(seed, stream_ids, n_values)
+            if np.ndim(stream_ids) and n_values == 2:
+                rows[..., np.asarray(stream_ids) == stream, :] = [
+                    1.0, np.nextafter(1.0, 2.0)]
+            return rows
+
+        monkeypatch.setattr(module, "exp_record_matrix", patched)
+
+    return apply

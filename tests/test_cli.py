@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weibrec import cli
+from weibrec import cli, gpq
 from weibrec.datasets import INSULATING_FLUID
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv"
@@ -221,11 +221,23 @@ class TestCiAndTest:
         assert json.loads(out)["seed"] == seed
 
     def test_bracket_failure_exits_3(self, capsys):
-        code, _, err = run_cli(
+        # Regression: this valid input used to exit 3 at the bracket cap.
+        code, out, _ = run_cli(
             ["ci-ratio", "--records", "a:1,1.000000001;b:1,3,7",
              "--gamma", "0.1", "--M", "100", "--seed", "5"], capsys)
+        assert code == 0
+        interval = json.loads(out)["interval"]
+        assert math.isfinite(interval["lower"])
+        assert math.isfinite(interval["upper"])
+        assert 0.0 < interval["lower"] <= interval["upper"]
+
+    def test_rootless_replicate_exits_3(self, tie_stream, capsys):
+        tie_stream(gpq, 2 * 3)
+        code, _, err = run_cli(
+            ["ci-ratio", "--records", "a:1,3;b:1,3,7",
+             "--gamma", "0.1", "--M", "100", "--seed", "5"], capsys)
         assert code == 3
-        assert "replicate" in err
+        assert "replicate 3" in err
 
 
 class TestDeterminismAndRoundTrip:
@@ -377,6 +389,17 @@ class TestSimulateCommand:
         rows = json.loads(out)["cells"]
         assert rows[0]["reps"] == 20
         assert rows[1]["reps"] == 10
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_config_seed_out_of_range(self, seed, tmp_path, capsys):
+        cfg = tmp_path / "cells.json"
+        cfg.write_text(json.dumps(
+            [{"n1": 3, "n2": 3, "beta1": 1.0, "beta2": 2.0, "seed": seed}]))
+        code, _, err = run_cli(
+            ["simulate", "--config", str(cfg), "--M", "200", "--N", "20",
+             "--seed", "2"], capsys)
+        assert code == 2
+        assert "seed must be in [0, 2**64)" in err
 
     def test_malformed_cell(self, capsys):
         code, _, err = run_cli(

@@ -24,7 +24,22 @@ from weibrec import (
     solve_shape_pivot,
     weibull_records,
 )
+from weibrec import gpq
 from weibrec.rng import exp_record_matrix
+
+
+def k2_root(values, exp_rows):
+    """Closed-form pivot root for two records.
+
+    With two records log W(beta) = log cosh(beta gap), so the root of
+    log W(beta) = t is acosh(exp(t)) / gap, written here without
+    cancellation for small t.
+    """
+    log_r = np.log(values)
+    gap = log_r.max() - log_r.mean()
+    t = np.log(np.mean(exp_rows, axis=-1)) - np.mean(np.log(exp_rows), axis=-1)
+    x = np.expm1(t)
+    return np.log1p(x + np.sqrt(x * (x + 2.0))) / gap
 
 
 def make_paired(exp_series: RecordSeries, alpha: float, beta0: float) -> RecordSeries:
@@ -152,19 +167,36 @@ class TestSolveShapePivot:
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_upper_bracket_failure(self):
+        # Regression: the root (about 2.3e9) lay above the old bracket cap.
         observed = RecordSeries(np.array([1.0, 1.0 + 1e-9]))
         exp_s = RecordSeries(np.array([1.0, 10.0]))
-        with pytest.raises(BracketError) as err:
-            solve_shape_pivot(observed, exp_s)
-        assert err.value.hi == 1e6
-        assert err.value.g_lo is not None
+        got = solve_shape_pivot(observed, exp_s)
+        want = float(k2_root(observed.values, exp_s.values))
+        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(2.302585e9, rel=1e-6)
 
     def test_lower_bracket_failure(self):
+        # Regression: the root (about 7.2e-13) lay below the old lower
+        # bracket endpoint 1e-8.
         observed = RecordSeries(np.array([1e-300, 1e300]))
         exp_s = RecordSeries(np.array([1.0, 1.0 + 1e-9]))
-        with pytest.raises(BracketError) as err:
-            solve_shape_pivot(observed, exp_s)
-        assert err.value.lo == 1e-8
+        got = solve_shape_pivot(observed, exp_s)
+        want = float(k2_root(observed.values, exp_s.values))
+        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(7.238240e-13, rel=1e-6)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 3.0], [1e-300, 1e300], [1.0, 1.0 + 1e-9],
+        [2.0, 2.0 * (1.0 + 1e-12)], [5.0, 5.000001],
+    ])
+    def test_two_record_closed_form(self, values):
+        m, seed = 20_000, 5
+        series = RecordSeries(np.array(values))
+        got = sample_shape_pivot(series, m, seed=seed).values
+        exp_rows = exp_record_matrix(seed, 2 * np.arange(m, dtype=np.uint64), 2)
+        want = k2_root(series.values, exp_rows)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 class TestSamplePivotal:
@@ -253,13 +285,15 @@ class TestSamplePivotal:
         with pytest.raises(InvalidDataError):
             sample_pivotal(records34, one, "ratio", 10, seed=0)
 
-    def test_bracket_failure_reports_replicate(self):
-        bad = RecordSeries(np.array([1.0, 1.0 + 1e-9]))
+    def test_bracket_failure_reports_replicate(self, tie_stream):
+        # replicate 17 of population 2 reads stream 2 * 17 + 1
+        tie_stream(gpq, 35)
+        bad = RecordSeries(np.array([1.0, 3.0]))
         other = RecordSeries(np.array([1.0, 3.0, 7.0]))
         with pytest.raises(BracketError) as err:
-            sample_pivotal(bad, other, "ratio", 50, seed=8)
-        assert err.value.replicate is not None
-        assert "replicate" in str(err.value)
+            sample_pivotal(other, bad, "ratio", 50, seed=8)
+        assert err.value.replicate == 17
+        assert "replicate 17" in str(err.value)
 
     def test_single_shape_pivot(self, records34):
         draws = sample_shape_pivot(records34, 600, seed=44)

@@ -7,6 +7,7 @@ import pytest
 
 import weibrec.simulate as simulate
 from weibrec import (
+    BracketError,
     CellError,
     InvalidDataError,
     SimConfig,
@@ -33,6 +34,15 @@ class TestSimConfig:
         # m * gamma / 2 < 1 leaves no draws for the lower rank
         with pytest.raises(InvalidDataError):
             SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, m=10, gamma=0.1)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_edges_are_accepted(self, seed):
+        assert SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, seed=seed).seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_seed_is_rejected(self, seed):
+        with pytest.raises(InvalidDataError, match=r"seed must be in \[0, 2\*\*64\)"):
+            SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, seed=seed)
 
     def test_defaults(self):
         c = SimConfig(n1=3, n2=7, beta1=1.0, beta2=2.0)
@@ -119,7 +129,7 @@ class TestRunGrid:
 
         def flaky(config, base_seed, start, stop):
             if config.n1 == 5:
-                raise RuntimeError("forced failure")
+                raise BracketError("forced failure")
             return real(config, base_seed, start, stop)
 
         monkeypatch.setattr(simulate, "_batch_sums", flaky)
@@ -128,6 +138,23 @@ class TestRunGrid:
         assert isinstance(results[1], CellError)
         assert "forced failure" in results[1].error
         assert isinstance(results[2], SimReport)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(config, base_seed, start, stop):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(simulate, "_batch_sums", broken)
+        config = SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, **TINY)
+        with pytest.raises(RuntimeError, match="bug"):
+            run_grid([config])
+
+    def test_rootless_pivot_draw_is_a_cell_error(self, tie_stream):
+        # pivotal draw 7 of population 1 reads stream 2 * 7
+        tie_stream(simulate, 2 * 7)
+        config = SimConfig(n1=1, n2=3, beta1=1.0, beta2=2.0, **TINY)
+        [result] = run_grid([config])
+        assert isinstance(result, CellError)
+        assert "outer replicate 0, pivotal draw 7, population 1" in result.error
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidDataError):
