@@ -94,6 +94,21 @@ class TestResult:
             raise InvalidDataError("p-value must lie in [0, 1]")
 
 
+def _record_sum(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sum over the leading (record) axis, adding rows in index order.
+
+    numpy picks its summation algorithm from the array's layout: a sum
+    over axis 0 of a (k, n) array adds rows in order, but the same sum
+    of a (k, 1) array is pairwise once k >= 8.  Spelling the order out
+    makes each entry's sum independent of how many entries share its
+    batch, which the draws' prefix and thread-count contract needs.
+    """
+    total = a[0] + a[1]
+    for row in a[2:]:
+        total += row
+    return total
+
+
 def _prep_log_records(values: NDArray[np.float64]):
     """Precompute the pieces of log W for record vectors on the last axis.
 
@@ -101,10 +116,11 @@ def _prep_log_records(values: NDArray[np.float64]):
     ``gap = max log r - mean log r``, so that
     ``log W(beta) = beta * gap - log k + log sum exp(beta * d)``.
     ``gap`` drops the last axis; a 1-d input gives a scalar ``gap``.
+    ``d`` keeps the shape of ``values`` but is record-major in memory.
     """
-    log_r = np.log(values)
-    mx = np.max(log_r, axis=-1, keepdims=True)
-    return log_r - mx, mx[..., 0] - np.mean(log_r, axis=-1)
+    log_r = np.log(np.moveaxis(values, -1, 0))
+    mx = np.max(log_r, axis=0)
+    return np.moveaxis(log_r - mx, 0, -1), mx - _record_sum(log_r) / len(log_r)
 
 
 def _log_am_gm(values: NDArray[np.float64], beta) -> NDArray[np.float64]:
@@ -113,7 +129,7 @@ def _log_am_gm(values: NDArray[np.float64], beta) -> NDArray[np.float64]:
     beta = np.asarray(beta, dtype=np.float64)
     k = values.size
     return beta * gap - math.log(k) + np.log(
-        np.sum(np.exp(beta[..., None] * d), axis=-1)
+        _record_sum(np.exp(np.multiply.outer(d, beta)))
     )
 
 
@@ -156,11 +172,18 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
     from ``beta0`` therefore descends monotonically onto the unique
     root.  Each entry stops once ``g <= 0`` or a step no longer lowers
     its beta, so a root never depends on the other entries in a batch.
+
+    The work buffer is record-major, ``(k,) + shape``, so each pass
+    sums records with ``k - 1`` adds over the whole batch; the sums run
+    in the fixed order of :func:`_record_sum`, so the roots are the
+    same as from a row-by-row solve.
     """
-    d = np.asarray(log_obs_d, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     gap = np.asarray(log_obs_gap, dtype=np.float64)
-    shape = np.broadcast_shapes(d.shape[:-1], gap.shape, target.shape)
+    shape = np.broadcast_shapes(np.shape(log_obs_d)[:-1], gap.shape,
+                                target.shape)
+    d = np.moveaxis(np.broadcast_to(
+        np.asarray(log_obs_d, dtype=np.float64), shape + (k,)), -1, 0)
     with np.errstate(divide="ignore", over="ignore"):
         beta = np.broadcast_to((target + math.log(k)) / gap, shape).copy()
     solvable = (target > 0.0) & (beta < np.inf)
@@ -173,15 +196,15 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
             replicate=idx,
         )
     active = np.ones(shape, dtype=bool)
-    buf = np.empty(shape + (k,))
+    buf = np.empty((k,) + shape)
     while True:
-        np.multiply(beta[..., None], d, out=buf)
+        np.multiply(beta, d, out=buf)
         np.expm1(buf, out=buf)
-        s = buf.sum(axis=-1)
+        s = _record_sum(buf)
         g = beta * gap + np.log1p(s / k) - target
         buf *= d
         # g'(beta) = (sum expm1(beta d) d + gap s) / (k + s)
-        step = g * (k + s) / (buf.sum(axis=-1) + gap * s)
+        step = g * (k + s) / (_record_sum(buf) + gap * s)
         nxt = beta - step
         active &= (g > 0.0) & (nxt < beta)
         if not np.any(active):
@@ -205,8 +228,13 @@ def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> floa
 
 
 def _exp_log_am_gm(rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    """log W at beta = 1 for each row of exponential record values."""
-    return np.log(np.mean(rows, axis=-1)) - np.mean(np.log(rows), axis=-1)
+    """log W at beta = 1 for each row of exponential record values.
+
+    The means run over the record axis in :func:`_record_sum` order, so
+    a row's value does not depend on the batch it is computed in.
+    """
+    r = np.moveaxis(rows, -1, 0)
+    return np.log(_record_sum(r) / len(r)) - _record_sum(np.log(r)) / len(r)
 
 
 def _map_spans(fn, total: int, size: int, threads: int | None) -> list:

@@ -90,12 +90,20 @@ def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
     seed and stream arguments broadcast against each other; the result
     appends an axis of length ``n_values`` to the broadcast shape, e.g.
     scalar seed with ``k`` stream ids gives shape ``(k, n_values)``.
+
+    The result is record-major in memory: it is a view of a C-ordered
+    ``(n_values, ...)`` array, so ``np.moveaxis(result, -1, 0)`` is
+    contiguous and a sum over records is ``n_values - 1`` vector adds.
+    Only the memory order follows from this; every value is the same as
+    from a stream-major layout, because the mixing is elementwise and
+    the cumulative sum adds each stream's draws in sequence either way.
     """
     base = stream_base(seed, stream_ids)
     counters = np.arange(1, n_values + 1, dtype=np.uint64)
-    words = mix64(base[..., None] + counters * _GOLDEN)
+    words = mix64(base + counters.reshape((n_values,) + (1,) * base.ndim)
+                  * _GOLDEN)
     increments = -np.log1p(-words_to_uniforms(words))
-    return np.cumsum(increments, axis=-1)
+    return np.moveaxis(np.cumsum(increments, axis=0), 0, -1)
 
 
 def derive_seed(seed: int, *tags: int) -> int:

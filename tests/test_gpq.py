@@ -199,6 +199,53 @@ class TestSolveShapePivot:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
+class TestRecordOrderDeterminism:
+    """Sums over records must not depend on how many entries share a batch.
+
+    numpy sums a (k, 1) array pairwise once k >= 8 but a (k, n) array row
+    by row, so these cases straddle that threshold.
+    """
+
+    KS = (2, 4, 7, 8, 9, 15, 16)
+
+    @staticmethod
+    def _series(k, count, seed):
+        rng = np.random.default_rng(seed)
+        return np.cumsum(rng.uniform(0.01, 3.0, size=(count, k)), axis=-1)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_batch_solve_equals_single_solves(self, k):
+        d, gap = gpq._prep_log_records(self._series(k, 6, k))
+        target = gpq._exp_log_am_gm(
+            exp_record_matrix(3, np.arange(50, dtype=np.uint64), k))
+        batch = gpq._solve_roots(d[:, None, :], gap[:, None], k, target)
+        assert batch.shape == (6, 50)
+        for i in range(6):
+            for j in range(50):
+                single = gpq._solve_roots(d[i], gap[i], k, target[j])
+                assert single == batch[i, j], (i, j)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_row_statistics_do_not_depend_on_batch(self, k):
+        rows = exp_record_matrix(4, np.arange(40, dtype=np.uint64), k)
+        target = gpq._exp_log_am_gm(rows)
+        _, gap = gpq._prep_log_records(rows)
+        for i in range(rows.shape[0]):
+            assert gpq._exp_log_am_gm(rows[i]) == target[i]
+            assert gpq._exp_log_am_gm(rows[i:i + 1])[0] == target[i]
+            assert gpq._prep_log_records(rows[i])[1] == gap[i]
+
+    @pytest.mark.parametrize("k", (4, 7, 9, 15))
+    def test_draws_are_prefixes_across_chunk_edges(self, k):
+        series = RecordSeries(self._series(k, 1, 100 + k)[0])
+        full = sample_shape_pivot(series, 20_000, seed=12).values
+        for m in (1, 100, 8191, 8192, 8193):
+            part = sample_shape_pivot(series, m, seed=12).values
+            np.testing.assert_array_equal(part, full[:m])
+        threaded = sample_shape_pivot(series, 20_000, seed=12, threads=3)
+        np.testing.assert_array_equal(threaded.values, full)
+
+
 class TestSamplePivotal:
     def test_shared_streams_identity(self, records34):
         draws = sample_pivotal(records34, records34, "ratio", 64, seed=5,

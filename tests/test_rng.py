@@ -7,6 +7,7 @@ from weibrec.rng import (
     derive_seed_array,
     exp_record_matrix,
     mix64,
+    stream_exponentials,
     stream_uniforms,
     stream_words,
 )
@@ -82,3 +83,13 @@ def test_rows_are_positive_increasing():
     rows = exp_record_matrix(11, np.arange(100), 8)
     assert np.all(rows[:, 0] > 0)
     assert np.all(np.diff(rows, axis=1) > 0)
+
+
+def test_exp_record_rows_are_stream_partial_sums():
+    for k in (2, 7, 9, 16):
+        rows = exp_record_matrix(21, np.arange(30), k)
+        for s in range(30):
+            np.testing.assert_array_equal(
+                rows[s], np.cumsum(stream_exponentials(21, s, 0, k)))
+        # record-major memory: the record axis is outermost
+        assert np.moveaxis(rows, -1, 0).flags.c_contiguous
