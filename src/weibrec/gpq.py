@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InsufficientDrawsError, InvalidDataError
-from .records import RecordSeries
+from .records import RecordSeries, log_to_max
 from .rng import exp_record_matrix
 
 _CHUNK = 8192
@@ -112,15 +112,14 @@ def _record_sum(a: NDArray[np.float64]) -> NDArray[np.float64]:
 def _prep_log_records(values: NDArray[np.float64]):
     """Precompute the pieces of log W for record vectors on the last axis.
 
-    Returns ``(d, gap)`` where ``d = log r - max log r`` and
-    ``gap = max log r - mean log r``, so that
+    Returns ``(d, gap)`` where ``d = log(r / max r)`` and
+    ``gap = -mean d = max log r - mean log r``, so that
     ``log W(beta) = beta * gap - log k + log sum exp(beta * d)``.
     ``gap`` drops the last axis; a 1-d input gives a scalar ``gap``.
     ``d`` keeps the shape of ``values`` but is record-major in memory.
     """
-    log_r = np.log(np.moveaxis(values, -1, 0))
-    mx = np.max(log_r, axis=0)
-    return np.moveaxis(log_r - mx, 0, -1), mx - _record_sum(log_r) / len(log_r)
+    d = log_to_max(np.moveaxis(values, -1, 0))
+    return np.moveaxis(d, 0, -1), -_record_sum(d) / len(d)
 
 
 def _log_am_gm(values: NDArray[np.float64], beta) -> NDArray[np.float64]:

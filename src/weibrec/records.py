@@ -44,6 +44,20 @@ class RecordSeries:
         return self.values.size
 
 
+def log_to_max(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``log(r / max r)`` over the leading axis of positive values.
+
+    Where ``r >= max r / 2`` the difference ``r - max r`` is exact, so
+    ``log1p`` of its quotient keeps the spread of records whose float
+    logarithms tie; elsewhere ``log r - log max r`` is below log(1/2)
+    and accurate to a few ulps.  The maximum maps to exactly 0.
+    """
+    top = np.max(values, axis=0)
+    out = np.log(values) - np.log(top)
+    np.log1p((values - top) / top, out=out, where=values >= 0.5 * top)
+    return out
+
+
 def extract_upper_records(data: ArrayLike, label: str = "") -> RecordSeries:
     """Extract the upper record values from a raw observation sequence.
 

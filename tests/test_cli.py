@@ -96,6 +96,7 @@ class TestMle:
     @pytest.mark.parametrize("records", [
         "a:1,1.0000001;b:1,2",                 # near-tied records
         "a:0.001,0.002,0.0035;b:0.001,0.003",  # scale 1e-3
+        "a:3,3.0000000000000004;b:1,2",        # float logarithms tie
     ])
     def test_near_tied_and_small_scale_records(self, records, capsys):
         code, out, err = run_cli(["mle", "--records", records], capsys)
@@ -126,6 +127,14 @@ class TestPooledMle:
         report = json.loads(out)
         for key in ("se_beta", "se_alpha1", "se_alpha2"):
             assert math.isfinite(report[key]) and report[key] > 0.0
+
+    def test_records_with_tied_logarithms(self, capsys):
+        code, out, err = run_cli(
+            ["pooled-mle", "--records",
+             "a:3,3.0000000000000004;b:1e300,1.0000000000000002e300"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        assert math.isfinite(report["beta"]) and report["beta"] > 0.0
 
     def test_needs_exactly_two_populations(self, capsys):
         code, _, err = run_cli(
@@ -230,6 +239,15 @@ class TestCiAndTest:
         assert math.isfinite(interval["lower"])
         assert math.isfinite(interval["upper"])
         assert 0.0 < interval["lower"] <= interval["upper"]
+
+    def test_records_with_tied_logarithms_get_an_answer(self, capsys):
+        # 3 and nextafter(3, inf) have the same float logarithm.
+        code, out, _ = run_cli(
+            ["ci-ratio", "--records", "a:3,3.0000000000000004;b:1,3,7",
+             "--gamma", "0.1", "--M", "100", "--seed", "5"], capsys)
+        assert code == 0
+        interval = json.loads(out)["interval"]
+        assert 0.0 < interval["lower"] <= interval["upper"] < math.inf
 
     def test_rootless_replicate_exits_3(self, tie_stream, capsys):
         tie_stream(gpq, 2 * 3)

@@ -33,10 +33,15 @@ def k2_root(values, exp_rows):
 
     With two records log W(beta) = log cosh(beta gap), so the root of
     log W(beta) = t is acosh(exp(t)) / gap, written here without
-    cancellation for small t.
+    cancellation for small t.  The gap is half of log(r1 / r0), taken
+    as log1p of the exact difference r1 - r0 when r1 < 2 r0, so records
+    whose float logarithms tie keep their spread.
     """
-    log_r = np.log(values)
-    gap = log_r.max() - log_r.mean()
+    r0, r1 = values
+    if r1 < 2.0 * r0:
+        gap = 0.5 * math.log1p((r1 - r0) / r0)
+    else:
+        gap = 0.5 * (math.log(r1) - math.log(r0))
     t = np.log(np.mean(exp_rows, axis=-1)) - np.mean(np.log(exp_rows), axis=-1)
     x = np.expm1(t)
     return np.log1p(x + np.sqrt(x * (x + 2.0))) / gap
@@ -188,6 +193,9 @@ class TestSolveShapePivot:
     @pytest.mark.parametrize("values", [
         [1.0, 3.0], [1e-300, 1e300], [1.0, 1.0 + 1e-9],
         [2.0, 2.0 * (1.0 + 1e-12)], [5.0, 5.000001],
+        [3.0, np.nextafter(3.0, np.inf)],
+        [math.exp(5.0), np.nextafter(math.exp(5.0), np.inf)],
+        [1e300, np.nextafter(1e300, np.inf)],
     ])
     def test_two_record_closed_form(self, values):
         m, seed = 20_000, 5
