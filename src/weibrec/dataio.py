@@ -208,7 +208,12 @@ def load_populations(source: str, kind: str = "raw") -> Populations:
             return _parse_json(text)
         return _parse_csv(text, kind)
     if any(ch in source for ch in ":;,"):
-        return _parse_inline(source)
+        try:
+            return _parse_inline(source)
+        except InvalidDataError as exc:
+            raise InvalidDataError(
+                f"{source!r} is not an existing file, and as inline data: {exc}"
+            ) from None
     raise InvalidDataError(
         f"{source!r} is neither an existing file nor inline data "
         f"(label:v1,v2,...;...)"

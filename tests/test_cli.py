@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +339,13 @@ class TestInputFormats:
         assert code == 2
         assert "nosuchfile" in err
 
+    def test_mistyped_path_is_reported_as_one(self, capsys):
+        code, _, err = run_cli(["mle", "--data", "data/nosuch,file.csv"],
+                               capsys)
+        assert code == 2
+        assert "'data/nosuch,file.csv' is not an existing file" in err
+        assert "as inline data: inline population 'pop1'" in err
+
     def test_csv_kv_format_for_analysis(self, fluid_csv, capsys):
         code, out, _ = run_cli(
             ["mle", "--data", fluid_csv, "--format", "csv"], capsys)
@@ -447,3 +456,14 @@ class TestArgumentErrors:
             cli.main(["--version"])
         assert err.value.code == 0
         assert "weibrec" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "weibrec", "--version"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "weibrec" in done.stdout
