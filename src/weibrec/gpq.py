@@ -14,11 +14,23 @@ role of a pivotal quantity for the shape: ratios and differences of
 roots from two populations give Monte Carlo draws whose percentiles
 form confidence intervals and whose tail frequencies form p-values.
 
-Everything is evaluated in log space.  Writing D_j = log r_j - max_j
-log r_j <= 0, the summands exp(beta * D_j) stay in (0, 1], so the
-evaluation cannot overflow at any beta.  log W is convex in beta, and
-the root solve is a Newton iteration that descends onto the root from
-a starting point that is always to its right.
+Everything is evaluated in log space.  Writing D_j = log(r_j / max_j
+r_j) <= 0, the summands exp(beta * D_j) stay in (0, 1], so the
+evaluation cannot overflow at any beta.  D_j is formed from the exact
+difference r_j - max r_j where that is at most half of max r_j, so
+records whose float logarithms tie still have a positive log gap.
+log W is convex in beta, and the root solve is a Newton iteration that
+descends onto the root from a starting point that is always to its
+right.
+
+Record arrays keep their records on the last axis in every signature
+here, but are record-major in memory from the generator through the
+solver: the records are the outermost axis, so a sum over them is
+``k - 1`` vector adds across the whole batch instead of one short row
+sum per entry.  Every such sum adds the records in index order (see
+``_record_sum``), so each value is independent of the batch it is
+computed in; for up to seven records that order is also the one a
+row-by-row numpy sum uses, so the values are unchanged by the layout.
 """
 
 from __future__ import annotations
@@ -161,7 +173,7 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
     """Vectorized root solve of log W_obs(beta) = target.
 
     ``log_obs_d`` has shape (..., k) with the last axis holding
-    ``log r - max log r`` for each observed series; ``log_obs_gap``
+    ``log(r / max r)`` for each observed series; ``log_obs_gap``
     and ``target`` broadcast against its leading axes.  Returns the
     roots with the broadcast leading shape.
 
@@ -174,8 +186,8 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
 
     The work buffer is record-major, ``(k,) + shape``, so each pass
     sums records with ``k - 1`` adds over the whole batch; the sums run
-    in the fixed order of :func:`_record_sum`, so the roots are the
-    same as from a row-by-row solve.
+    in the fixed order of :func:`_record_sum`, so a root is the same
+    whether it is solved alone or in a batch of any shape.
     """
     target = np.asarray(target, dtype=np.float64)
     gap = np.asarray(log_obs_gap, dtype=np.float64)
