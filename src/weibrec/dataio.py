@@ -136,20 +136,30 @@ def _values_from_json(label: str, values) -> tuple[str, NDArray[np.float64]]:
             raise InvalidDataError(
                 f"population {label!r}, index {i}: not a number: {v!r}"
             )
-        if not np.isfinite(v) or v <= 0.0:
+        try:
+            x = float(v)
+        except OverflowError:
+            raise InvalidDataError(
+                f"population {label!r}, index {i}: integer is outside "
+                f"the float range"
+            ) from None
+        if not np.isfinite(x) or x <= 0.0:
             raise InvalidDataError(
                 f"population {label!r}, index {i}: value must be "
                 f"positive and finite, got {v!r}"
             )
-        out.append(float(v))
+        out.append(x)
     return label, np.asarray(out, dtype=np.float64)
 
 
 def _parse_json(text: str) -> Populations:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
         raise InvalidDataError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidDataError(
+            "invalid JSON: arrays or objects are nested too deeply") from None
     if isinstance(doc, dict) and "populations" in doc:
         doc = doc["populations"]
     pops: Populations = []
@@ -199,8 +209,16 @@ def load_populations(source: str, kind: str = "raw") -> Populations:
     if kind not in ("raw", "records"):
         raise InvalidDataError(f"unknown data kind {kind!r}")
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidDataError(
+                f"{source!r} is not UTF-8 text: byte {exc.start} "
+                f"({exc.object[exc.start:exc.start + 1]!r}) cannot be decoded"
+            ) from None
+        except OSError as exc:
+            raise InvalidDataError(f"cannot read {source!r}: {exc}") from None
         if source.lower().endswith(".json"):
             return _parse_json(text)
         stripped = text.lstrip()

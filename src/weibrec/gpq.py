@@ -21,7 +21,12 @@ difference r_j - max r_j where that is at most half of max r_j, so
 records whose float logarithms tie still have a positive log gap.
 log W is convex in beta, and the root solve is a Newton iteration that
 descends onto the root from a starting point that is always to its
-right.
+right.  The start is read from a small table of log W for each
+observed series at fixed multiples of 1 / (its log gap), so it lies
+within one table step (9.5%) of a root inside the table's range, and
+a root stops once its Newton step falls to 2**-26 of its value, after
+which the error is below rounding.  A batch of roots then takes about
+four passes.
 
 Record arrays keep their records on the last axis in every signature
 here, but are record-major in memory from the generator through the
@@ -47,6 +52,11 @@ from .records import RecordSeries, log_to_max
 from .rng import exp_record_matrix
 
 _CHUNK = 8192
+
+# Start nodes of the root solve in units of 1 / gap, where h >= u.
+_START_NODES = np.geomspace(1e-3, 1e2, 128)
+# A Newton step at most this fraction of beta leaves an error below rounding.
+_CONVERGED = 2.0 ** -26
 
 _KINDS = ("ratio", "difference", "single-shape")
 _ESTIMAND_FOR_KIND = {"ratio": "pi", "difference": "delta", "single-shape": "beta"}
@@ -169,6 +179,24 @@ def pivotal_equation(observed: RecordSeries, exp_records: RecordSeries,
     return am_gm_ratio(observed, beta) - am_gm_ratio(exp_records, 1.0)
 
 
+def _start_table(d, gap, k: int):
+    """Start nodes ``beta = u / gap`` of each series and log W_obs at them.
+
+    ``d`` is record-major, ``(k,) + series``.  Returns ``(nodes, h)``,
+    both ``series + (len(_START_NODES),)``, where ``h = beta gap +
+    log1p(s / k)`` is spelled as in :func:`_solve_roots`'s loop, so an
+    entry whose target is at most ``h`` has ``g >= 0`` exactly there.
+    """
+    series = d.shape[1:]
+    # A node past the float range (log gap below 6e-307) is inf, its h is
+    # nan, and searchsorted orders nan last, so such entries keep beta0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = np.broadcast_to(_START_NODES / gap[..., None],
+                                series + _START_NODES.shape)
+        buf = np.expm1(nodes * d[..., None])
+        return nodes, nodes * gap[..., None] + np.log1p(_record_sum(buf) / k)
+
+
 def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
     """Vectorized root solve of log W_obs(beta) = target.
 
@@ -179,10 +207,20 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
 
     With ``s = sum expm1(beta d)``, ``g(beta) = beta gap + log1p(s / k)
     - target`` is convex and increasing, and ``g >= 0`` at ``beta0 =
-    (target + log k) / gap`` because ``max d = 0``.  Newton's method
-    from ``beta0`` therefore descends monotonically onto the unique
-    root.  Each entry stops once ``g <= 0`` or a step no longer lowers
-    its beta, so a root never depends on the other entries in a batch.
+    (target + log k) / gap`` because ``max d = 0``.  A closer start
+    comes from a table per observed series: ``h = g + target`` at the
+    fixed nodes ``u / gap``, ``u`` geometric over [1e-3, 1e2].  Each
+    entry starts at the smaller of ``beta0`` and the first node whose
+    ``h`` reaches its target, found by ``searchsorted``; ``h`` is
+    evaluated exactly as the loop evaluates it, so ``g >= 0`` holds
+    there in float arithmetic too.  Newton's method from the right of
+    the root descends monotonically onto it.  An entry stops once ``g
+    <= 0``, a step no longer lowers its beta, or a step was at most
+    2**-26 of beta: Newton's error after a step of relative size delta
+    is of order delta**2, so the next step would be rounding noise.
+    The start depends only on the entry's series and target and each
+    entry stops on its own values, so a root never depends on the
+    other entries in a batch.
 
     The work buffer is record-major, ``(k,) + shape``, so each pass
     sums records with ``k - 1`` adds over the whole batch; the sums run
@@ -191,10 +229,9 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
     """
     target = np.asarray(target, dtype=np.float64)
     gap = np.asarray(log_obs_gap, dtype=np.float64)
-    shape = np.broadcast_shapes(np.shape(log_obs_d)[:-1], gap.shape,
-                                target.shape)
-    d = np.moveaxis(np.broadcast_to(
-        np.asarray(log_obs_d, dtype=np.float64), shape + (k,)), -1, 0)
+    log_obs_d = np.asarray(log_obs_d, dtype=np.float64)
+    series = np.broadcast_shapes(log_obs_d.shape[:-1], gap.shape)
+    shape = np.broadcast_shapes(series, target.shape)
     with np.errstate(divide="ignore", over="ignore"):
         beta = np.broadcast_to((target + math.log(k)) / gap, shape).copy()
     solvable = (target > 0.0) & (beta < np.inf)
@@ -206,6 +243,21 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
             f"log gap = {np.broadcast_to(gap, shape).ravel()[idx]:.17g}",
             replicate=idx,
         )
+    d = np.moveaxis(np.broadcast_to(log_obs_d, series + (k,)), -1, 0)
+    nodes, h = _start_table(d, gap, k)
+    # One lookup per series, over the entries that share it; a target
+    # above every node's h keeps beta0 through the inf column.
+    lead = (1,) * (len(shape) - len(series)) + series
+    nodes = np.concatenate([nodes, np.full(series + (1,), np.inf)], axis=-1)
+    nodes, h = nodes.reshape(lead + (-1,)), h.reshape(lead + h.shape[-1:])
+    targets = np.broadcast_to(target, shape)
+    for idx in np.ndindex(lead):
+        sel = tuple(i if n > 1 else slice(None) for i, n in zip(idx, lead))
+        start = beta[sel + (Ellipsis,)]
+        np.minimum(start, nodes[idx][np.searchsorted(h[idx], targets[sel])],
+                   out=start)
+
+    d = np.broadcast_to(d.reshape(d.shape[:1] + lead), (k,) + shape)
     active = np.ones(shape, dtype=bool)
     buf = np.empty((k,) + shape)
     while True:
@@ -218,9 +270,10 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
         step = g * (k + s) / (_record_sum(buf) + gap * s)
         nxt = beta - step
         active &= (g > 0.0) & (nxt < beta)
+        np.copyto(beta, nxt, where=active)
+        active &= step > _CONVERGED * beta
         if not np.any(active):
             return beta
-        np.copyto(beta, nxt, where=active)
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:

@@ -334,6 +334,20 @@ class TestInputFormats:
         pops = {p["label"]: p["records"] for p in json.loads(out)["populations"]}
         assert pops["a"] == [1.0, 4.0]
 
+    def test_json_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"a": [1, 1' + "0" * 400 + '], "b": [1, 2]}')
+        code, _, err = run_cli(["mle", "--records", str(path)], capsys)
+        assert code == 2
+        assert "population 'a', index 1" in err
+
+    def test_data_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n1,\xff\n")
+        code, _, err = run_cli(["extract", "--data", str(path)], capsys)
+        assert code == 2
+        assert str(path) in err and "byte 6" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["mle", "--records", "nosuchfile.csv"], capsys)
         assert code == 2

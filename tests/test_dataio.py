@@ -1,0 +1,90 @@
+"""Input parsing: every text gives populations or a typed error."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from weibrec import InvalidDataError
+from weibrec.dataio import load_populations
+
+
+def _check(source: str) -> None:
+    try:
+        pops = load_populations(source)
+    except InvalidDataError:
+        return
+    assert pops
+    for label, values in pops:
+        assert isinstance(label, str)
+        assert values.dtype == np.float64 and values.size > 0
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+
+
+class TestTypedErrors:
+    def test_integer_past_the_conversion_limit(self, tmp_path):
+        path = tmp_path / "huger.json"
+        path.write_text('{"a": [1, 1' + "0" * 5000 + '], "b": [1, 2]}')
+        with pytest.raises(InvalidDataError, match="invalid JSON"):
+            load_populations(str(path))
+
+    def test_bad_byte_deep_in_a_file_gets_its_file_offset(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"1,\xff\n")
+        with pytest.raises(InvalidDataError, match="byte 20006 "):
+            load_populations(str(path))
+
+    def test_directory_is_not_data(self, tmp_path):
+        with pytest.raises(InvalidDataError, match="cannot read"):
+            load_populations(str(tmp_path))
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(InvalidDataError):
+            load_populations(str(path))
+
+
+# Text built from the characters the parsers split on, after a wide or
+# long CSV header, so that examples reach the CSV, JSON and inline
+# grammars rather than stopping at the first character.
+_GRAMMAR = st.builds(
+    str.__add__,
+    st.sampled_from(["", "a,b\n", "population,value\n",
+                     "population,value,order\n"]),
+    st.text(alphabet=st.sampled_from(list('0123456789.eE+-,:;{}[]"\n \tabnlt')),
+            max_size=60),
+)
+_NUMBERS = st.lists(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+              st.integers(min_value=-10 ** 400, max_value=10 ** 400)),
+    max_size=5,
+)
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestAnyTextParses:
+    @_PROPERTY
+    @given(text=st.one_of(st.text(max_size=60), _GRAMMAR))
+    def test_inline_text(self, text):
+        _check(text)
+
+    @_PROPERTY
+    @given(data=st.one_of(st.binary(max_size=80),
+                          _GRAMMAR.map(str.encode),
+                          st.text(max_size=60).map(str.encode)),
+           suffix=st.sampled_from([".csv", ".json", ".txt"]))
+    def test_file_bytes(self, tmp_path, data, suffix):
+        path = tmp_path / f"input{suffix}"
+        path.write_bytes(data)
+        _check(str(path))
+
+    @_PROPERTY
+    @given(pops=st.dictionaries(st.text(max_size=5), _NUMBERS, max_size=3))
+    def test_json_documents(self, tmp_path, pops):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(pops))
+        _check(str(path))

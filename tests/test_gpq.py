@@ -254,6 +254,80 @@ class TestRecordOrderDeterminism:
         np.testing.assert_array_equal(threaded.values, full)
 
 
+class TestNewtonStart:
+    """The per-series start table and the quadratic-convergence stop."""
+
+    @staticmethod
+    def _k2_root(gap, target):
+        x = np.expm1(target)
+        return np.log1p(x + x * np.sqrt(1.0 + 2.0 / x)) / gap
+
+    @pytest.mark.parametrize("values", [[1.0, 3.0], [2.0, 2.0 * (1.0 + 1e-12)],
+                                        [1e-300, 1e300]])
+    def test_k2_closed_form_outside_the_table(self, values):
+        d, gap = gpq._prep_log_records(np.array(values))
+        _, h = gpq._start_table(d, np.asarray(gap), 2)
+        # Below node 0's h the start is node 0 or beta0; above the last
+        # node's h no node reaches the target and the start is beta0.
+        target = np.array([h[0] * 1e-3, h[0] * 0.5, h[-1] * 1.5, h[-1] + 300.0])
+        assert target[1] < h[0] < h[-1] < target[2]
+        got = gpq._solve_roots(d, gap, 2, target)
+        np.testing.assert_allclose(got, self._k2_root(gap, target),
+                                   rtol=1e-10, atol=0.0)
+
+    def test_nodes_past_the_float_range(self):
+        # A log gap near 1e-307 (run_cell at beta1 = 1e307) makes the
+        # upper nodes u / gap overflow to inf with a nan h, which must
+        # raise no warning and leave the roots scaling with the gap.
+        k, scale = 4, 1e307
+        d, gap = gpq._prep_log_records(
+            exp_record_matrix(31, np.arange(5, dtype=np.uint64), k))
+        target = gpq._exp_log_am_gm(
+            exp_record_matrix(32, np.arange(200, dtype=np.uint64), k))
+        nodes, _ = gpq._start_table(np.moveaxis(d, -1, 0) / scale, gap / scale, k)
+        assert np.any(np.isinf(nodes))
+        got = gpq._solve_roots(d[:, None, :] / scale, gap[:, None] / scale, k,
+                               target)
+        want = gpq._solve_roots(d[:, None, :], gap[:, None], k, target)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got / scale, want, rtol=1e-12, atol=0.0)
+
+    def test_table_is_increasing(self):
+        for k in (2, 4, 8, 15):
+            rows = exp_record_matrix(9, np.arange(20, dtype=np.uint64), k)
+            d, gap = gpq._prep_log_records(rows)
+            _, h = gpq._start_table(np.moveaxis(d, -1, 0), gap, k)
+            assert np.all(np.diff(h, axis=-1) > 0.0)
+
+    @pytest.mark.parametrize("k", (2, 4, 8, 15))
+    def test_run_cell_shaped_batch_equals_row_solves(self, k):
+        reps, m, beta = 7, 300, 0.7
+        d, gap = gpq._prep_log_records(
+            exp_record_matrix(21, np.arange(reps, dtype=np.uint64), k))
+        target = gpq._exp_log_am_gm(exp_record_matrix(
+            22, np.arange(reps * m, dtype=np.uint64), k)).reshape(reps, m)
+        batch = gpq._solve_roots(d[:, None, :] / beta, gap[:, None] / beta,
+                                 k, target)
+        assert batch.shape == (reps, m)
+        for i in range(reps):
+            row = gpq._solve_roots(d[i] / beta, gap[i] / beta, k, target[i])
+            np.testing.assert_array_equal(row, batch[i])
+
+    def test_chunk_takes_at_most_five_passes(self, records34, monkeypatch):
+        real, calls = gpq._record_sum, []
+        monkeypatch.setattr(gpq, "_record_sum",
+                            lambda a: calls.append(a.shape) or real(a))
+        d, gap = gpq._prep_log_records(records34.values)
+        k = len(records34)
+        target = gpq._exp_log_am_gm(
+            exp_record_matrix(42, 2 * np.arange(8192, dtype=np.uint64), k))
+        calls.clear()
+        gpq._solve_roots(d, gap, k, target)
+        # One sum builds the start table; each Newton pass takes two.
+        passes = (len(calls) - 1) // 2
+        assert 1 <= passes <= 5, passes
+
+
 class TestSamplePivotal:
     def test_shared_streams_identity(self, records34):
         draws = sample_pivotal(records34, records34, "ratio", 64, seed=5,
