@@ -442,6 +442,16 @@ class TestSimulateCommand:
         assert code == 2
         assert "seed must be in [0, 2**64)" in err
 
+    def test_huge_first_shape_gives_finite_length(self, capsys):
+        # Roots scaled by beta1 = 1e307 overflow in their ratio; the
+        # simulator divides unit-shape roots instead.
+        code, out, _ = run_cli(
+            ["simulate", "--cell", "3,3,1e307,2.0", "--M", "200", "--N", "4",
+             "--seed", "1"], capsys)
+        assert code == 0
+        [row] = json.loads(out)["cells"]
+        assert math.isfinite(row["expected_length"])
+
     def test_malformed_cell(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--cell", "3,3,fast,2.0", "--seed", "1"], capsys)

@@ -1,6 +1,7 @@
 """Coverage study harness: seeding, determinism, grid plumbing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,56 @@ class TestRunCell:
         threaded = run_cell(config, threads=4)
         assert serial.coverage == threaded.coverage
         assert serial.expected_length == threaded.expected_length
+
+    @pytest.mark.parametrize("cell", [(3, 5, 1.5), (9, 7, 0.7)])
+    def test_batch_size_and_threads_do_not_change_report(self, cell,
+                                                         monkeypatch):
+        # At (9, 7), k = 10 and m = 200 give one batch of 300 at 2e6
+        # elements, three at 2**18 and 38 at 16_000; k >= 8 is where
+        # record sums need their fixed order.
+        n1, n2, beta1 = cell
+        config = SimConfig(n1=n1, n2=n2, beta1=beta1, beta2=2.0, m=200,
+                           reps=300, seed=4)
+        reports = []
+        for budget in sorted({2_000_000, 2 ** 18, simulate._ELEMENT_BUDGET,
+                              16_000}):
+            monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", budget)
+            for threads in (None, 2, 3):
+                r = run_cell(config, threads=threads)
+                reports.append((budget, threads, r.coverage, r.expected_length))
+        first = reports[0][2:]
+        assert [r for r in reports if r[2:] != first] == []
+
+    def test_coverage_is_free_of_shapes_and_scales(self, monkeypatch):
+        # Records are alpha * E**(1 / beta): on one stream, cells that
+        # differ only in (alpha, beta) see the same pivotal intervals up to
+        # the factor beta1 / beta2.
+        monkeypatch.setattr(simulate, "cell_tag", lambda config: 0x5EED)
+        reports = [
+            run_cell(SimConfig(n1=4, n2=6, beta1=b1, beta2=b2, alpha1=a1,
+                               m=200, reps=200, seed=3))
+            for b1, b2, a1 in [(0.5, 2.0, 1.0), (5.0, 2.0, 7.0),
+                               (1e-3, 1e3, 1e-5)]
+        ]
+        assert len({r.coverage for r in reports}) == 1
+        assert 0.0 < reports[0].coverage < 1.0
+        unit = [r.expected_length / (r.config.beta1 / r.config.beta2)
+                for r in reports]
+        assert max(unit) - min(unit) <= 1e-15 * unit[0]
+
+    def test_batch_footprint(self):
+        # 250 replicates at m = 2000, k = 4 were one 2e6-element batch,
+        # which peaked at 57.3 MiB; 2**18-element batches peak at 7.4 MiB.
+        # The bound leaves a margin of about twice that.
+        config = SimConfig(n1=3, n2=3, beta1=0.5, beta2=2.0, m=2000,
+                           reps=250, seed=1)
+        tracemalloc.start()
+        try:
+            run_cell(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_seed_matters(self):
         base = dict(n1=3, n2=5, beta1=1.5, beta2=2.0, m=200, reps=40,
