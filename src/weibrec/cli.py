@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import secrets
 import sys
@@ -121,6 +122,13 @@ def cmd_extract(request: AnalysisRequest) -> dict:
 
 def cmd_analyze(request: AnalysisRequest) -> dict:
     """Run one of: mle, pooled-mle, ci-ratio, ci-diff, test."""
+    if request.operation == "test":
+        if not 0.0 < request.pi0 < math.inf:
+            raise InvalidDataError(
+                f"--pi0 must be a positive, finite shape ratio, got {request.pi0}")
+        if not 0.0 < request.gamma < 1.0:
+            raise InvalidDataError(
+                f"--gamma must be in (0, 1), got {request.gamma}")
     populations, series = _load(request)
     report = _base_report(request.operation, populations)
     report["data_kind"] = request.data_kind
@@ -179,6 +187,7 @@ def cmd_analyze(request: AnalysisRequest) -> dict:
         gamma=request.gamma,
         sidedness=result.sidedness,
         p_value=result.p_value,
+        mc_se_p_value=result.mc_se,
         point_estimate=beta1 / beta2,
         conclusion=f"{decision} at {request.gamma:g}",
     )

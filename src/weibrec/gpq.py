@@ -29,13 +29,16 @@ which the error is below rounding.  A batch of roots then takes about
 four passes.
 
 Record arrays keep their records on the last axis in every signature
-here, but are record-major in memory from the generator through the
-solver: the records are the outermost axis, so a sum over them is
-``k - 1`` vector adds across the whole batch instead of one short row
-sum per entry.  Every such sum adds the records in index order (see
-``_record_sum``), so each value is independent of the batch it is
-computed in; for up to seven records that order is also the one a
-row-by-row numpy sum uses, so the values are unchanged by the layout.
+here, but are record-major in memory through the solver: the records
+are the outermost axis, so a sum over them is ``k - 1`` vector adds
+across the whole batch instead of one short row sum per entry.  Every
+such sum adds the records in index order (see ``_record_sum``), so each
+value is independent of the batch it is computed in; for up to seven
+records that order is also the one a row-by-row numpy sum uses, so the
+values are unchanged by the layout.  Such record arrays exist only for
+observed and simulated data series.  The simulated targets log W_exp(1)
+are drawn one record at a time (see ``_exp_targets``), in the same
+order, so no array of them has a record axis.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from numpy.typing import NDArray
 
 from .errors import BracketError, InsufficientDrawsError, InvalidDataError
 from .records import RecordSeries, log_to_max
-from .rng import exp_record_matrix
+# exp_record_matrix is not called here, but perfbench/tracer.py wraps it
+# at this import site.
+from .rng import exp_record_matrix, exp_records  # noqa: F401
 
 _CHUNK = 8192
 
@@ -104,12 +109,17 @@ class IntervalEstimate:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Generalized p-value for a hypothesized ratio or difference."""
+    """Generalized p-value for a hypothesized ratio or difference.
+
+    ``mc_se`` is the Monte Carlo standard error of ``p_value`` over the
+    ``m`` draws.
+    """
 
     p_value: float
     pi0: float
     sidedness: str
     m: int
+    mc_se: float
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
@@ -301,6 +311,21 @@ def _exp_log_am_gm(rows: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.log(_record_sum(r) / len(r)) - _record_sum(np.log(r)) / len(r)
 
 
+def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
+    """log W at beta = 1 of the exponential records of each stream.
+
+    Bit for bit ``_exp_log_am_gm(exp_record_matrix(seed, stream_ids, k))``:
+    the same records, added in :func:`_record_sum` order, but drawn one
+    record at a time, so the only arrays alive are the size of one
+    record of every stream, whatever ``k`` is.
+    """
+    total = log_total = 0.0
+    for r in exp_records(seed, stream_ids, k):
+        total += r
+        log_total += np.log(r)
+    return np.log(total / k) - log_total / k
+
+
 def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
     """``fn(start, stop)`` for each span of ``size`` covering ``[0, total)``,
     in span order; spans run on ``threads`` threads but never depend on it.
@@ -319,7 +344,7 @@ def _solve_span(series: RecordSeries, seed: int, offset: int, start: int,
     Replicate ``i`` reads stream ``2 i + offset`` of ``seed``.
     """
     ids = 2 * np.arange(start, stop, dtype=np.uint64) + np.uint64(offset)
-    target = _exp_log_am_gm(exp_record_matrix(seed, ids, len(series)))
+    target = _exp_targets(seed, ids, len(series))
     d, gap = _prep_log_records(series.values)
     try:
         return _solve_roots(d, gap, len(series), target)
@@ -427,12 +452,17 @@ def p_value_one_sided(draws: PivotalDraws, pi0: float) -> TestResult:
     """
     p = float(np.count_nonzero(draws.values < pi0)) / draws.m
     return TestResult(p_value=p, pi0=pi0, sidedness="one-sided-greater",
-                      m=draws.m)
+                      m=draws.m, mc_se=math.sqrt(p * (1.0 - p) / draws.m))
 
 
 def p_value_two_sided(draws: PivotalDraws, pi0: float) -> TestResult:
-    """Twice the smaller tail frequency around ``pi0``, capped at 1."""
+    """Twice the smaller tail frequency q around ``pi0``, capped at 1.
+
+    Its Monte Carlo standard error is that of 2 q, not of a frequency p.
+    """
     below = float(np.count_nonzero(draws.values < pi0))
     above = float(np.count_nonzero(draws.values > pi0))
-    p = min(1.0, 2.0 * min(below, above) / draws.m)
-    return TestResult(p_value=p, pi0=pi0, sidedness="two-sided", m=draws.m)
+    q = min(below, above) / draws.m
+    return TestResult(p_value=min(1.0, 2.0 * q), pi0=pi0,
+                      sidedness="two-sided", m=draws.m,
+                      mc_se=2.0 * math.sqrt(q * (1.0 - q) / draws.m))

@@ -15,6 +15,8 @@ scalars are promoted to 1-element arrays internally).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -81,29 +83,37 @@ def stream_exponentials(seed, stream_id: int, start: int, count: int) -> NDArray
     return -np.log1p(-u)
 
 
-def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
-    """Unit-rate exponential record values along a new trailing axis.
+def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]]:
+    """Unit-rate exponential record values, one record at a time.
 
     Record values of a unit exponential are partial sums of independent
-    standard exponentials, so each (seed, stream) pair yields the
-    cumulative sum of its first ``n_values`` exponential draws.  The
-    seed and stream arguments broadcast against each other; the result
-    appends an axis of length ``n_values`` to the broadcast shape, e.g.
-    scalar seed with ``k`` stream ids gives shape ``(k, n_values)``.
+    standard exponentials, so each (seed, stream) pair yields the running
+    sum of its first ``n_values`` exponential draws.  The seed and stream
+    arguments broadcast against each other, and record ``j`` (from 1)
+    of every stream is yielded as one array of the broadcast shape.
+    The generator keeps only the current record, and each yielded array
+    is new, so a consumer may keep it.
+    """
+    base = stream_base(seed, stream_ids)
+    record = 0.0
+    for step in np.arange(1, n_values + 1, dtype=np.uint64) * _GOLDEN:
+        record = record - np.log1p(-words_to_uniforms(mix64(base + step)))
+        yield record
 
+
+def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
+    """The records of :func:`exp_records` along a new trailing axis.
+
+    E.g. a scalar seed with ``k`` stream ids gives shape ``(k, n_values)``.
     The result is record-major in memory: it is a view of a C-ordered
     ``(n_values, ...)`` array, so ``np.moveaxis(result, -1, 0)`` is
     contiguous and a sum over records is ``n_values - 1`` vector adds.
-    Only the memory order follows from this; every value is the same as
-    from a stream-major layout, because the mixing is elementwise and
-    the cumulative sum adds each stream's draws in sequence either way.
+    Each stream's values are those of the cumulative sum of its
+    :func:`stream_exponentials`, whatever the layout.  The pivot targets
+    do not use this matrix: they reduce :func:`exp_records` as it runs.
     """
-    base = stream_base(seed, stream_ids)
-    counters = np.arange(1, n_values + 1, dtype=np.uint64)
-    words = mix64(base + counters.reshape((n_values,) + (1,) * base.ndim)
-                  * _GOLDEN)
-    increments = -np.log1p(-words_to_uniforms(words))
-    return np.moveaxis(np.cumsum(increments, axis=0), 0, -1)
+    return np.moveaxis(np.stack(list(exp_records(seed, stream_ids, n_values))),
+                       0, -1)
 
 
 def derive_seed(seed: int, *tags: int) -> int:

@@ -13,9 +13,11 @@ outer replicate derives its own seed from (master seed, cell tag,
 replicate index), and data and pivotal draws use separate child seeds.
 A replicate's roots, sort and interval width depend on that replicate
 alone, and the widths are summed once, exactly rounded, so neither the
-batch size nor the thread count can move a cell's report.  Batches hold
-about 2**18 elements per float temporary (2 MiB), so that the working
-set of each thread stays near the cache.
+batch size nor the thread count can move a cell's report.  A batch's
+largest temporary, the solver's (k, replicates, m) buffer, holds about
+2**18 elements (2 MiB), so that the working set of each thread stays
+near the cache.  The pivot targets are drawn one record at a time, so
+their temporaries are k times smaller.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -36,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_exp_log_am_gm, _map_spans, _prep_log_records, _solve_roots,
+from .gpq import (_exp_targets, _map_spans, _prep_log_records, _solve_roots,
                   percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
@@ -129,9 +131,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
         k = n + 1
         d, gap = _prep_log_records(exp_record_matrix(data_seeds, pop, k))
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
-        target = _exp_log_am_gm(
-            exp_record_matrix(pivot_seeds[:, None], ids, k)
-        )
+        target = _exp_targets(pivot_seeds[:, None], ids, k)
         try:
             roots.append(_solve_roots(d[:, None, :], gap[:, None], k, target))
         except BracketError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from weibrec import RecordSeries, extract_upper_records
+from weibrec import RecordSeries, extract_upper_records, gpq
 from weibrec.datasets import INSULATING_FLUID
 
 _criteria: list[tuple[str, bool, str]] = []
@@ -54,21 +54,22 @@ def tiny_series() -> RecordSeries:
 def tie_stream(monkeypatch):
     """Make one exponential stream the nearly tied pair [1, nextafter(1, 2)].
 
-    ``tie_stream(module, stream)`` patches ``module.exp_record_matrix``
-    so that two-record rows drawn for stream id ``stream`` come back
-    tied; their target log W_exp(1) rounds below zero, which leaves the
-    pivotal equation without a positive root.
+    ``tie_stream(module, stream)`` patches ``module._exp_targets`` so
+    that two-record targets drawn for stream id ``stream`` are those of
+    the tied pair; that target log W_exp(1) rounds below zero, which
+    leaves the pivotal equation without a positive root.
     """
+    tied = gpq._exp_log_am_gm(np.array([1.0, np.nextafter(1.0, 2.0)]))
+
     def apply(module, stream: int) -> None:
-        real = module.exp_record_matrix
+        real = module._exp_targets
 
-        def patched(seed, stream_ids, n_values):
-            rows = real(seed, stream_ids, n_values)
-            if np.ndim(stream_ids) and n_values == 2:
-                rows[..., np.asarray(stream_ids) == stream, :] = [
-                    1.0, np.nextafter(1.0, 2.0)]
-            return rows
+        def patched(seed, stream_ids, k):
+            target = real(seed, stream_ids, k)
+            if k == 2:
+                target[..., np.asarray(stream_ids) == stream] = tied
+            return target
 
-        monkeypatch.setattr(module, "exp_record_matrix", patched)
+        monkeypatch.setattr(module, "_exp_targets", patched)
 
     return apply

@@ -196,6 +196,42 @@ class TestCiAndTest:
         assert report["sidedness"] == "one-sided-greater"
         assert 0.0 <= report["p_value"] <= 1.0
 
+    @pytest.mark.parametrize("option", [
+        "--pi0=nan", "--pi0=inf", "--pi0=-inf", "--pi0=0", "--pi0=-1",
+        "--gamma=nan", "--gamma=0", "--gamma=1", "--gamma=-0.1",
+        "--gamma=1.5", "--gamma=inf",
+    ])
+    def test_test_rejects_invalid_pi0_and_gamma(self, option, capsys,
+                                                monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("draws were made")
+
+        monkeypatch.setattr(cli, "sample_pivotal", no_draws)
+        defaults = {"--pi0": "--pi0=1", "--gamma": "--gamma=0.05"}
+        defaults[option.split("=")[0]] = option
+        code, out, err = run_cli(
+            ["test", "--records", "a:1,2,5;b:1,3", *defaults.values(),
+             "--M", "100", "--seed", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert option.split("=")[0] in err
+
+    def test_test_reports_monte_carlo_error(self, capsys):
+        args = ["test", "--records", "a:1,2,5,9;b:1,3,4", "--pi0", "1.2",
+                "--M", "400", "--seed", "8"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        two = json.loads(out)
+        code, out, _ = run_cli(args + ["--sided", "greater"], capsys)
+        assert code == 0
+        one = json.loads(out)
+        # The two-sided p-value is 2 q for the smaller tail fraction q.
+        q = two["p_value"] / 2.0
+        assert two["mc_se_p_value"] == 2.0 * math.sqrt(q * (1.0 - q) / 400)
+        p = one["p_value"]
+        assert one["mc_se_p_value"] == math.sqrt(p * (1.0 - p) / 400)
+        assert 0.0 < p < 1.0 and 0.0 < q < 0.5
+
     def test_generated_seed_is_printed_and_embedded(self, fluid_csv, capsys):
         code, out, err = run_cli(
             ["test", "--data", fluid_csv, "--pi0", "1", "--M", "2000"],

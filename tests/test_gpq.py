@@ -1,6 +1,7 @@
 """Pivotal statistic, root solving, sampling, intervals, p-values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from weibrec import (
     solve_shape_pivot,
     weibull_records,
 )
-from weibrec import gpq
-from weibrec.rng import exp_record_matrix
+from weibrec import gpq, rng
+from weibrec.rng import derive_seed_array, exp_record_matrix
 
 
 def k2_root(values, exp_rows):
@@ -252,6 +253,43 @@ class TestRecordOrderDeterminism:
             np.testing.assert_array_equal(part, full[:m])
         threaded = sample_shape_pivot(series, 20_000, seed=12, threads=3)
         np.testing.assert_array_equal(threaded.values, full)
+
+
+class TestStreamedTargets:
+    """Targets drawn one record at a time are those of the record matrix."""
+
+    @pytest.mark.parametrize("k", (2, 4, 7, 8, 9, 15, 16, 40))
+    def test_equals_matrix_route_bit_for_bit(self, k):
+        ids = 2 * np.arange(300, dtype=np.uint64) + np.uint64(1)
+        seeds = derive_seed_array(k, np.arange(5, dtype=np.uint64))[:, None]
+        for seed, stream_ids in ((k, ids), (seeds, ids[:200])):
+            got = gpq._exp_targets(seed, stream_ids, k)
+            want = gpq._exp_log_am_gm(exp_record_matrix(seed, stream_ids, k))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_footprint_does_not_grow_with_k(self):
+        # Measured at 7 float64 rows of the 8192 streams; the record
+        # matrix route took 46 at k = 15.
+        ids = 2 * np.arange(8192, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            gpq._exp_targets(42, ids, 15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * ids.size * 8, peak
+
+    def test_sampling_never_builds_the_record_matrix(self, records34,
+                                                     records36, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("pivot draws built the record matrix")
+
+        for module in (rng, gpq):
+            monkeypatch.setattr(module, "exp_record_matrix", no_matrix)
+        draws = sample_pivotal(records34, records36, "ratio", 9000, seed=2,
+                               threads=2)
+        assert draws.m == 9000
 
 
 class TestNewtonStart:
@@ -525,6 +563,17 @@ class TestPValues:
         draws = self._draws([1.0, 2.0, 2.0, 3.0])
         assert p_value_one_sided(draws, 2.0).p_value == 0.25
         assert p_value_two_sided(draws, 2.0).p_value == 0.5
+
+    def test_monte_carlo_error(self):
+        draws = self._draws([1.0, 2.0, 3.0, 4.0])
+        # p = 1/2 of 4 draws: sqrt(1/2 * 1/2 / 4) = 1/4.
+        assert p_value_one_sided(draws, 2.5).mc_se == 0.25
+        # One draw of 4 below 1.5, so q = 1/4 and p = 1/2; the error is
+        # that of 2 q: 2 sqrt(1/4 * 3/4 / 4) = sqrt(3) / 4.
+        two = p_value_two_sided(draws, 1.5)
+        assert two.p_value == 0.5
+        assert two.mc_se == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-15)
+        assert p_value_two_sided(draws, 9.0).mc_se == 0.0
 
     def test_metadata(self):
         draws = self._draws([1.0, 2.0])

@@ -155,6 +155,19 @@ class TestRunCell:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_pivot_draws_never_build_the_record_matrix(self, monkeypatch):
+        real, streams = simulate.exp_record_matrix, []
+
+        def data_only(seed, stream_ids, n_values):
+            streams.append(stream_ids)
+            return real(seed, stream_ids, n_values)
+
+        monkeypatch.setattr(simulate, "exp_record_matrix", data_only)
+        run_cell(SimConfig(n1=3, n2=7, beta1=1.0, beta2=2.0, **TINY),
+                 threads=2)
+        # Only the observed series: one stream id, the population, per call.
+        assert streams and all(np.ndim(ids) == 0 for ids in streams)
+
     def test_seed_matters(self):
         base = dict(n1=3, n2=5, beta1=1.5, beta2=2.0, m=200, reps=40,
                     gamma=0.05)
