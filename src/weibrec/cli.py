@@ -1,7 +1,11 @@
 """Command line interface.
 
 Subcommands: extract, mle, pooled-mle, ci-ratio, ci-diff, test,
-simulate.  Reports embed the request (seed, draw count, data digest and
+simulate.  Each subparser names its handler (``run``) and CSV writer
+(``write_csv``) as parser defaults.  A handler returns the JSON report
+and its text rendering side by side; :func:`main` alone dispatches,
+maps errors to exit codes and writes the payload ``--format`` picks.
+Reports embed the request (seed, draw count, data digest and
 the record values themselves), so any run can be reproduced exactly;
 JSON output is byte-identical for identical seed and inputs regardless
 of thread count.
@@ -20,15 +24,13 @@ import math
 import os
 import secrets
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .dataio import (Populations, load_populations, populations_digest,
                      records_from_populations)
-from .errors import (BracketError, InsufficientDrawsError, InvalidDataError,
-                     SingularInformationError)
+from .errors import BracketError, InvalidDataError, SingularInformationError
 from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
-                  sample_pivotal)
+                  percentile_ranks, sample_pivotal)
 from .records import RecordSeries
 from .simulate import (SimConfig, default_table_grid, render_table,
                        report_row, run_grid)
@@ -36,21 +38,6 @@ from .weibull import mle_records, pooled_mle, shape_mle
 
 SCHEMA = "weibrec-report/1"
 THREADS_ENV = "WEIBREC_THREADS"
-
-
-@dataclass(frozen=True)
-class AnalysisRequest:
-    """A fully resolved analysis invocation."""
-
-    source: str
-    data_kind: str
-    operation: str
-    gamma: float | None = None
-    pi0: float | None = None
-    m: int | None = None
-    seed: int | None = None
-    sided: str = "two-sided"
-    threads: int | None = None
 
 
 def _resolve_threads(value: int | None) -> int | None:
@@ -79,22 +66,8 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _load(request: AnalysisRequest) -> tuple[Populations, list[RecordSeries]]:
-    populations = load_populations(request.source, kind=request.data_kind)
-    series = records_from_populations(populations, request.data_kind)
-    return populations, series
-
-
-def _two_series(series: list[RecordSeries], operation: str) -> None:
-    if len(series) != 2:
-        raise InvalidDataError(
-            f"{operation} needs exactly 2 populations, got {len(series)}"
-        )
-
-
-def _series_entry(series: RecordSeries) -> dict:
-    return {"label": series.label, "n": series.n,
-            "records": [float(v) for v in series.values]}
+def _fmt(x: float) -> str:
+    return f"{x:.6g}"
 
 
 def _base_report(command: str, populations: Populations) -> dict:
@@ -106,145 +79,149 @@ def _base_report(command: str, populations: Populations) -> dict:
     }
 
 
-def cmd_extract(request: AnalysisRequest) -> dict:
+def _series_entry(series: RecordSeries) -> dict:
+    return {"label": series.label, "n": series.n,
+            "records": [float(v) for v in series.values]}
+
+
+def _load(ns: argparse.Namespace,
+          pair: bool = False) -> tuple[dict, list[RecordSeries]]:
+    """Load --data or --records; start the report with every series."""
+    kind = "raw" if ns.data is not None else "records"
+    populations = load_populations(ns.data if ns.data is not None
+                                   else ns.records, kind=kind)
+    series = records_from_populations(populations, kind)
+    report = _base_report(ns.command, populations)
+    report["data_kind"] = kind
+    if pair and len(series) != 2:
+        raise InvalidDataError(
+            f"{ns.command} needs exactly 2 populations, got {len(series)}"
+        )
+    report["populations"] = [_series_entry(s) for s in series]
+    return report, series
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < 1.0:
+        raise InvalidDataError(f"--gamma must be in (0, 1), got {gamma}")
+
+
+def _draw(ns: argparse.Namespace, kind: str):
+    """Load two series and draw their pivotal sample.
+
+    Returns the report (with ``m`` and ``seed``), the draws and the two
+    shape MLEs.
+    """
+    report, series = _load(ns, pair=True)
+    seed = _resolve_seed(ns.seed)
+    threads = _resolve_threads(ns.threads)
+    betas = shape_mle(series[0]), shape_mle(series[1])
+    draws = sample_pivotal(series[0], series[1], kind, ns.m, seed,
+                           threads=threads)
+    report.update(m=ns.m, seed=seed)
+    return report, draws, betas
+
+
+def cmd_extract(ns: argparse.Namespace) -> tuple[dict, str]:
     """Extract upper record values from raw observation sequences."""
-    populations = load_populations(request.source, kind="raw")
-    report = _base_report("extract", populations)
+    populations = load_populations(ns.data, kind="raw")
+    report = _base_report(ns.command, populations)
     report["populations"] = []
+    lines = []
     for (label, values), series in zip(
         populations, records_from_populations(populations, "raw")
     ):
         entry = _series_entry(series)
         entry["raw_count"] = int(values.size)
         report["populations"].append(entry)
-    return report
+        lines.append(f"{entry['label']}: "
+                     + " ".join(_fmt(v) for v in entry["records"]))
+    return report, "\n".join(lines)
 
 
-def cmd_analyze(request: AnalysisRequest) -> dict:
-    """Run one of: mle, pooled-mle, ci-ratio, ci-diff, test."""
-    if request.operation == "test":
-        if not 0.0 < request.pi0 < math.inf:
-            raise InvalidDataError(
-                f"--pi0 must be a positive, finite shape ratio, got {request.pi0}")
-        if not 0.0 < request.gamma < 1.0:
-            raise InvalidDataError(
-                f"--gamma must be in (0, 1), got {request.gamma}")
-    populations, series = _load(request)
-    report = _base_report(request.operation, populations)
-    report["data_kind"] = request.data_kind
-
-    if request.operation == "mle":
-        report["populations"] = []
-        for s in series:
-            fit = mle_records(s)
-            entry = _series_entry(s)
-            entry.update(alpha=fit.params.alpha, beta=fit.params.beta,
-                         se_alpha=fit.se_alpha, se_beta=fit.se_beta,
-                         loglik=fit.loglik)
-            report["populations"].append(entry)
-        return report
-
-    if request.operation == "pooled-mle":
-        _two_series(series, request.operation)
-        fit = pooled_mle(series[0], series[1])
-        report["populations"] = [_series_entry(s) for s in series]
-        report.update(beta=fit.beta, se_beta=fit.se_beta,
-                      alpha1=fit.alpha1, se_alpha1=fit.se_alpha1,
-                      alpha2=fit.alpha2, se_alpha2=fit.se_alpha2,
-                      loglik=fit.loglik)
-        return report
-
-    _two_series(series, request.operation)
-    seed = _resolve_seed(request.seed)
-    threads = _resolve_threads(request.threads)
-    beta1, beta2 = shape_mle(series[0]), shape_mle(series[1])
-    kind = "difference" if request.operation == "ci-diff" else "ratio"
-    draws = sample_pivotal(series[0], series[1], kind, request.m, seed,
-                           threads=threads)
-    report["populations"] = [_series_entry(s) for s in series]
-    report.update(m=request.m, seed=seed)
-
-    if request.operation in ("ci-ratio", "ci-diff"):
-        interval = percentile_interval(draws, request.gamma)
-        report.update(
-            gamma=request.gamma,
-            level=interval.level,
-            estimand=interval.estimand,
-            interval={"lower": interval.lower, "upper": interval.upper},
-            point_estimate=(beta1 / beta2 if kind == "ratio"
-                            else beta1 - beta2),
+def cmd_mle(ns: argparse.Namespace) -> tuple[dict, str]:
+    """Fit each population's Weibull parameters from its records."""
+    report, series = _load(ns)
+    lines = []
+    for entry, s in zip(report["populations"], series):
+        fit = mle_records(s)
+        entry.update(alpha=fit.params.alpha, beta=fit.params.beta,
+                     se_alpha=fit.se_alpha, se_beta=fit.se_beta,
+                     loglik=fit.loglik)
+        lines.append(
+            f"{entry['label']}: alpha = {_fmt(fit.params.alpha)} "
+            f"(se {_fmt(fit.se_alpha)}), beta = {_fmt(fit.params.beta)} "
+            f"(se {_fmt(fit.se_beta)}), loglik = {_fmt(fit.loglik)}"
         )
-        return report
+    return report, "\n".join(lines)
 
-    # test
-    if request.sided == "greater":
-        result = p_value_one_sided(draws, request.pi0)
-    else:
-        result = p_value_two_sided(draws, request.pi0)
-    decision = "reject" if result.p_value <= request.gamma else "fail to reject"
+
+def cmd_pooled_mle(ns: argparse.Namespace) -> tuple[dict, str]:
+    """Fit two populations with a common shape."""
+    report, series = _load(ns, pair=True)
+    fit = pooled_mle(series[0], series[1])
+    report.update(beta=fit.beta, se_beta=fit.se_beta,
+                  alpha1=fit.alpha1, se_alpha1=fit.se_alpha1,
+                  alpha2=fit.alpha2, se_alpha2=fit.se_alpha2,
+                  loglik=fit.loglik)
+    return report, (
+        f"pooled: beta = {_fmt(fit.beta)} (se {_fmt(fit.se_beta)}), "
+        f"alpha1 = {_fmt(fit.alpha1)} (se {_fmt(fit.se_alpha1)}), "
+        f"alpha2 = {_fmt(fit.alpha2)} (se {_fmt(fit.se_alpha2)}), "
+        f"loglik = {_fmt(fit.loglik)}"
+    )
+
+
+def cmd_interval(ns: argparse.Namespace) -> tuple[dict, str]:
+    """Percentile interval for the shape ratio or difference (``ns.kind``)."""
+    _check_gamma(ns.gamma)
+    percentile_ranks(ns.m, ns.gamma)  # too few draws: fail before drawing
+    report, draws, (beta1, beta2) = _draw(ns, ns.kind)
+    interval = percentile_interval(draws, ns.gamma)
+    point = beta1 / beta2 if ns.kind == "ratio" else beta1 - beta2
     report.update(
-        pi0=request.pi0,
-        gamma=request.gamma,
+        gamma=ns.gamma,
+        level=interval.level,
+        estimand=interval.estimand,
+        interval={"lower": interval.lower, "upper": interval.upper},
+        point_estimate=point,
+    )
+    name = "shape ratio" if interval.estimand == "pi" else "shape difference"
+    return report, (
+        f"{_fmt(100 * interval.level)}% interval for {name}: "
+        f"({_fmt(interval.lower)}, {_fmt(interval.upper)})\n"
+        f"point estimate {_fmt(point)}, m = {ns.m}, seed = {report['seed']}"
+    )
+
+
+def cmd_test(ns: argparse.Namespace) -> tuple[dict, str]:
+    """Generalized p-value for H0: shape ratio = pi0."""
+    if not 0.0 < ns.pi0 < math.inf:
+        raise InvalidDataError(
+            f"--pi0 must be a positive, finite shape ratio, got {ns.pi0}")
+    _check_gamma(ns.gamma)
+    report, draws, (beta1, beta2) = _draw(ns, "ratio")
+    if ns.sided == "greater":
+        result = p_value_one_sided(draws, ns.pi0)
+    else:
+        result = p_value_two_sided(draws, ns.pi0)
+    decision = "reject" if result.p_value <= ns.gamma else "fail to reject"
+    report.update(
+        pi0=ns.pi0,
+        gamma=ns.gamma,
         sidedness=result.sidedness,
         p_value=result.p_value,
         mc_se_p_value=result.mc_se,
         point_estimate=beta1 / beta2,
-        conclusion=f"{decision} at {request.gamma:g}",
+        conclusion=f"{decision} at {ns.gamma:g}",
     )
-    return report
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _text_report(report: dict) -> str:
-    """Render any analysis report as aligned text, 6 significant digits."""
-    command = report["command"]
-    lines = []
-    if command == "extract":
-        for pop in report["populations"]:
-            values = " ".join(_fmt(v) for v in pop["records"])
-            lines.append(f"{pop['label']}: {values}")
-    elif command == "mle":
-        for pop in report["populations"]:
-            lines.append(
-                f"{pop['label']}: alpha = {_fmt(pop['alpha'])} "
-                f"(se {_fmt(pop['se_alpha'])}), beta = {_fmt(pop['beta'])} "
-                f"(se {_fmt(pop['se_beta'])}), loglik = {_fmt(pop['loglik'])}"
-            )
-    elif command == "pooled-mle":
-        lines.append(
-            f"pooled: beta = {_fmt(report['beta'])} "
-            f"(se {_fmt(report['se_beta'])}), "
-            f"alpha1 = {_fmt(report['alpha1'])} "
-            f"(se {_fmt(report['se_alpha1'])}), "
-            f"alpha2 = {_fmt(report['alpha2'])} "
-            f"(se {_fmt(report['se_alpha2'])}), "
-            f"loglik = {_fmt(report['loglik'])}"
-        )
-    elif command in ("ci-ratio", "ci-diff"):
-        name = "shape ratio" if report["estimand"] == "pi" else "shape difference"
-        lines.append(
-            f"{_fmt(100 * report['level'])}% interval for {name}: "
-            f"({_fmt(report['interval']['lower'])}, "
-            f"{_fmt(report['interval']['upper'])})"
-        )
-        lines.append(
-            f"point estimate {_fmt(report['point_estimate'])}, "
-            f"m = {report['m']}, seed = {report['seed']}"
-        )
-    elif command == "test":
-        lines.append(
-            f"p-value = {_fmt(report['p_value'])} ({report['sidedness']}, "
-            f"pi0 = {_fmt(report['pi0'])})"
-        )
-        lines.append(
-            f"conclusion: {report['conclusion']} "
-            f"(point estimate {_fmt(report['point_estimate'])}, "
-            f"m = {report['m']}, seed = {report['seed']})"
-        )
-    return "\n".join(lines)
+    return report, (
+        f"p-value = {_fmt(result.p_value)} ({result.sidedness}, "
+        f"pi0 = {_fmt(ns.pi0)})\n"
+        f"conclusion: {report['conclusion']} "
+        f"(point estimate {_fmt(beta1 / beta2)}, "
+        f"m = {ns.m}, seed = {report['seed']})"
+    )
 
 
 def _flatten(prefix: str, node, rows: list[tuple[str, object]]) -> None:
@@ -266,24 +243,6 @@ def _kv_csv(report: dict) -> str:
     writer.writerow(["key", "value"])
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _write_out(payload: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _emit(report: dict, text: str, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        payload = _kv_csv(report)
-    else:
-        payload = text + "\n"
-    _write_out(payload, out)
 
 
 def _parse_cell(text: str, defaults: dict) -> SimConfig:
@@ -336,8 +295,8 @@ def _cells_from_config(path: str, defaults: dict) -> list[SimConfig]:
     return cells
 
 
-def cmd_simulate(ns: argparse.Namespace) -> tuple[dict, str, bool]:
-    """Build the grid, run it, and return (report, table text, all_ok)."""
+def cmd_simulate(ns: argparse.Namespace) -> tuple[dict, str]:
+    """Build the grid and run it; the text is the two-block table."""
     seed = _resolve_seed(ns.seed)
     threads = _resolve_threads(ns.threads)
     defaults = dict(m=ns.m, reps=ns.reps, gamma=ns.gamma, seed=seed)
@@ -348,16 +307,14 @@ def cmd_simulate(ns: argparse.Namespace) -> tuple[dict, str, bool]:
     else:
         cells = _cells_from_config(ns.config, defaults)
     results = run_grid(cells, threads=threads)
-    rows = [report_row(item) for item in results]
     report = {
         "schema": SCHEMA,
         "version": __version__,
-        "command": "simulate",
+        "command": ns.command,
         "seed": seed,
-        "cells": rows,
+        "cells": [report_row(item) for item in results],
     }
-    all_ok = all(row["error"] == "" for row in rows)
-    return report, render_table(results), all_ok
+    return report, render_table(results)
 
 
 def _simulate_csv(report: dict) -> str:
@@ -370,24 +327,12 @@ def _simulate_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _run_simulate(ns: argparse.Namespace) -> int:
-    report, table, all_ok = cmd_simulate(ns)
-    if ns.fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif ns.fmt == "csv":
-        payload = _simulate_csv(report)
-    else:
-        payload = table + "\n"
-    _write_out(payload, ns.out)
-    if ns.table and (ns.fmt != "text" or ns.out):
-        print(table)
-    return 0 if all_ok else 3
-
-
-def _add_output_options(sp: argparse.ArgumentParser) -> None:
+def _add_output_options(sp: argparse.ArgumentParser,
+                        write_csv=_kv_csv) -> None:
     sp.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                     default="json", help="report format (default json)")
     sp.add_argument("--out", help="write the report to this file")
+    sp.set_defaults(write_csv=write_csv)
 
 
 def _add_data_options(sp: argparse.ArgumentParser) -> None:
@@ -398,9 +343,10 @@ def _add_data_options(sp: argparse.ArgumentParser) -> None:
                        help="pre-extracted record values (file path or inline)")
 
 
-def _add_mc_options(sp: argparse.ArgumentParser, default_m: int) -> None:
+def _add_mc_options(sp: argparse.ArgumentParser, default_m: int,
+                    m_help: str = "Monte Carlo pivotal draws") -> None:
     sp.add_argument("--M", dest="m", type=int, default=default_m,
-                    help=f"Monte Carlo pivotal draws (default {default_m})")
+                    help=f"{m_help} (default {default_m})")
     sp.add_argument("--seed", type=int,
                     help="master seed (default: generated and printed)")
     sp.add_argument("--threads", type=int,
@@ -416,26 +362,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    parser.set_defaults(table=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("extract",
                         help="extract upper record values from raw sequences")
+    sp.set_defaults(run=cmd_extract)
     sp.add_argument("--data", required=True,
                     help="raw observation sequences (file path or inline)")
     _add_output_options(sp)
 
     sp = sub.add_parser("mle", help="per-population Weibull fit from records")
+    sp.set_defaults(run=cmd_mle)
     _add_data_options(sp)
     _add_output_options(sp)
 
     sp = sub.add_parser("pooled-mle",
                         help="two-population fit with a common shape")
+    sp.set_defaults(run=cmd_pooled_mle)
     _add_data_options(sp)
     _add_output_options(sp)
 
-    for name, blurb in (("ci-ratio", "confidence interval for the shape ratio"),
-                        ("ci-diff", "confidence interval for the shape difference")):
-        sp = sub.add_parser(name, help=blurb)
+    for name, kind in (("ci-ratio", "ratio"), ("ci-diff", "difference")):
+        sp = sub.add_parser(
+            name, help=f"confidence interval for the shape {kind}")
+        sp.set_defaults(run=cmd_interval, kind=kind)
         _add_data_options(sp)
         sp.add_argument("--gamma", type=float, required=True,
                         help="miscoverage, e.g. 0.05 for a 95%% interval")
@@ -443,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output_options(sp)
 
     sp = sub.add_parser("test", help="generalized p-value for the shape ratio")
+    sp.set_defaults(run=cmd_test)
     _add_data_options(sp)
     sp.add_argument("--pi0", type=float, required=True,
                     help="hypothesized shape ratio")
@@ -455,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(sp)
 
     sp = sub.add_parser("simulate", help="coverage study for the ratio interval")
+    sp.set_defaults(run=cmd_simulate)
     which = sp.add_mutually_exclusive_group(required=True)
     which.add_argument("--grid", action="store_true",
                        help="run the full 9 x 7 study grid")
@@ -462,63 +415,44 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one cell n1,n2,beta1,beta2[,alpha1,alpha2]; "
                             "repeatable")
     which.add_argument("--config", help="JSON file with an array of cells")
-    sp.add_argument("--M", dest="m", type=int, default=2000,
-                    help="inner pivotal draws per replicate (default 2000)")
+    _add_mc_options(sp, default_m=2000,
+                    m_help="inner pivotal draws per replicate")
     sp.add_argument("--N", dest="reps", type=int, default=2000,
                     help="outer replicates per cell (default 2000)")
     sp.add_argument("--gamma", type=float, default=0.05,
                     help="interval miscoverage (default 0.05)")
-    sp.add_argument("--seed", type=int,
-                    help="master seed (default: generated and printed)")
-    sp.add_argument("--threads", type=int,
-                    help=f"worker threads (default ${THREADS_ENV} or serial)")
     sp.add_argument("--table", action="store_true",
                     help="also print the aligned two-block table")
-    _add_output_options(sp)
+    _add_output_options(sp, write_csv=_simulate_csv)
 
     return parser
 
 
-def _request_from(ns: argparse.Namespace) -> AnalysisRequest:
-    if ns.command == "extract":
-        return AnalysisRequest(source=ns.data, data_kind="raw",
-                               operation="extract")
-    source = ns.data if ns.data is not None else ns.records
-    kind = "raw" if ns.data is not None else "records"
-    return AnalysisRequest(
-        source=source,
-        data_kind=kind,
-        operation=ns.command,
-        gamma=getattr(ns, "gamma", None),
-        pi0=getattr(ns, "pi0", None),
-        m=getattr(ns, "m", None),
-        seed=getattr(ns, "seed", None),
-        sided=getattr(ns, "sided", "two-sided"),
-        threads=getattr(ns, "threads", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "simulate":
-            return _run_simulate(ns)
-        if ns.command == "extract":
-            report = cmd_extract(_request_from(ns))
+        report, text = ns.run(ns)
+        if ns.fmt == "json":
+            payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        elif ns.fmt == "csv":
+            payload = ns.write_csv(report)
         else:
-            report = cmd_analyze(_request_from(ns))
-        _emit(report, _text_report(report), ns.fmt, ns.out)
-        return 0
-    except (InvalidDataError, InsufficientDrawsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            payload = text + "\n"
+        if ns.out:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        if ns.table and (ns.fmt != "text" or ns.out):
+            print(text)
+    except (InvalidDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BracketError, SingularInformationError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # A simulate cell that failed is reported in its row and exits 3.
+    return 3 if any(row["error"] for row in report.get("cells", ())) else 0
 
 
 if __name__ == "__main__":

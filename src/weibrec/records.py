@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,9 @@ def weibull_records(n: int, alpha: float, beta: float, seed: int,
     is the corresponding Weibull record value, because the monotone map
     preserves the record structure.
     """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise InvalidDataError("alpha and beta must be positive")
-    s = exp_record_matrix(seed, [stream_id], n + 1)[0]
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidDataError(
+                f"{name} must be positive and finite, got {value}")
+    s = exponential_records(n, seed, stream_id).values
     return RecordSeries(alpha * s ** (1.0 / beta))

@@ -61,6 +61,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n1", "n2", "m", "reps", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise InvalidDataError(
+                    f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidDataError("record indices n1, n2 must be at least 1")
         for name in ("beta1", "beta2", "alpha1", "alpha2"):

@@ -196,21 +196,29 @@ class TestCiAndTest:
         assert report["sidedness"] == "one-sided-greater"
         assert 0.0 <= report["p_value"] <= 1.0
 
-    @pytest.mark.parametrize("option", [
-        "--pi0=nan", "--pi0=inf", "--pi0=-inf", "--pi0=0", "--pi0=-1",
-        "--gamma=nan", "--gamma=0", "--gamma=1", "--gamma=-0.1",
-        "--gamma=1.5", "--gamma=inf",
+    @pytest.mark.parametrize("command, option", [
+        *(pytest.param("test", option, id=option) for option in (
+            "--pi0=nan", "--pi0=inf", "--pi0=-inf", "--pi0=0", "--pi0=-1",
+            "--gamma=nan", "--gamma=0", "--gamma=1", "--gamma=-0.1",
+            "--gamma=1.5", "--gamma=inf",
+        )),
+        *(pytest.param(command, option, id=f"{command}:{option}")
+          for command in ("ci-ratio", "ci-diff")
+          for option in ("--gamma=nan", "--gamma=0", "--gamma=1",
+                         "--gamma=-0.1", "--gamma=inf")),
     ])
-    def test_test_rejects_invalid_pi0_and_gamma(self, option, capsys,
-                                                monkeypatch):
+    def test_test_rejects_invalid_pi0_and_gamma(self, command, option,
+                                                capsys, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("draws were made")
 
         monkeypatch.setattr(cli, "sample_pivotal", no_draws)
-        defaults = {"--pi0": "--pi0=1", "--gamma": "--gamma=0.05"}
+        defaults = {"--gamma": "--gamma=0.05"}
+        if command == "test":
+            defaults["--pi0"] = "--pi0=1"
         defaults[option.split("=")[0]] = option
         code, out, err = run_cli(
-            ["test", "--records", "a:1,2,5;b:1,3", *defaults.values(),
+            [command, "--records", "a:1,2,5;b:1,3", *defaults.values(),
              "--M", "100", "--seed", "1"], capsys)
         assert code == 2
         assert out == ""
@@ -294,6 +302,81 @@ class TestCiAndTest:
              "--gamma", "0.1", "--M", "100", "--seed", "5"], capsys)
         assert code == 3
         assert "replicate 3" in err
+
+
+def _g(x: float) -> str:
+    return f"{x:.6g}"
+
+
+def _mc_tail(r: dict) -> str:
+    return f"m = {r['m']}, seed = {r['seed']}"
+
+
+PAIR = "a:1,2,5,9;b:1,3,4"
+MC = ["--M", "400", "--seed", "8"]
+
+
+class TestReportRendering:
+    @pytest.mark.parametrize("args, lines", [
+        pytest.param(["pooled-mle", "--records", PAIR], lambda r: [
+            f"pooled: beta = {_g(r['beta'])} (se {_g(r['se_beta'])}), "
+            f"alpha1 = {_g(r['alpha1'])} (se {_g(r['se_alpha1'])}), "
+            f"alpha2 = {_g(r['alpha2'])} (se {_g(r['se_alpha2'])}), "
+            f"loglik = {_g(r['loglik'])}",
+        ], id="pooled-mle"),
+        pytest.param(["ci-ratio", "--records", PAIR, "--gamma", "0.1", *MC],
+                     lambda r: [
+            f"90% interval for shape ratio: ({_g(r['interval']['lower'])}, "
+            f"{_g(r['interval']['upper'])})",
+            f"point estimate {_g(r['point_estimate'])}, {_mc_tail(r)}",
+        ], id="ci-ratio"),
+        pytest.param(["ci-diff", "--records", PAIR, "--gamma", "0.05", *MC],
+                     lambda r: [
+            f"95% interval for shape difference: "
+            f"({_g(r['interval']['lower'])}, {_g(r['interval']['upper'])})",
+            f"point estimate {_g(r['point_estimate'])}, {_mc_tail(r)}",
+        ], id="ci-diff"),
+        *(pytest.param(["test", "--records", PAIR, "--pi0", "1.2",
+                        "--sided", sided, *MC], lambda r: [
+            f"p-value = {_g(r['p_value'])} ({r['sidedness']}, "
+            f"pi0 = {_g(r['pi0'])})",
+            f"conclusion: {r['conclusion']} (point estimate "
+            f"{_g(r['point_estimate'])}, {_mc_tail(r)})",
+        ], id=f"test-{sided}") for sided in ("two-sided", "greater")),
+    ])
+    def test_text_lines_match_json(self, args, lines, capsys):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        report = json.loads(out)
+        code, out, _ = run_cli(args + ["--format", "text"], capsys)
+        assert code == 0
+        assert out == "\n".join(lines(report)) + "\n"
+
+    HEAD = ["schema", "version", "command", "data_digest", "data_kind",
+            "populations[0].label", "populations[0].n",
+            *(f"populations[0].records[{i}]" for i in range(4)),
+            "populations[1].label", "populations[1].n",
+            *(f"populations[1].records[{i}]" for i in range(3)),
+            "m", "seed"]
+
+    @pytest.mark.parametrize("args, tail", [
+        pytest.param(["ci-ratio", "--records", PAIR, "--gamma", "0.1", *MC],
+                     ["gamma", "level", "estimand", "interval.lower",
+                      "interval.upper", "point_estimate"], id="ci-ratio"),
+        pytest.param(["test", "--records", PAIR, "--pi0", "1.2", *MC],
+                     ["pi0", "gamma", "sidedness", "p_value",
+                      "mc_se_p_value", "point_estimate", "conclusion"],
+                     id="test"),
+    ])
+    def test_csv_key_order(self, args, tail, capsys):
+        code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0] == "key,value"
+        assert [row.split(",")[0] for row in rows[1:]] == self.HEAD + tail
+        report = json.loads(run_cli(args, capsys)[1])
+        assert rows[3] == f"command,{report['command']}"
+        assert rows[-1] == f"{tail[-1]},{report[tail[-1]]}"
 
 
 class TestDeterminismAndRoundTrip:
@@ -477,6 +560,23 @@ class TestSimulateCommand:
              "--seed", "2"], capsys)
         assert code == 2
         assert "seed must be in [0, 2**64)" in err
+
+    @pytest.mark.parametrize("entry", [
+        {"reps": 4.0}, {"n1": 3.0}, {"m": 100.5}, {"seed": 1.5},
+        {"n1": True},
+    ], ids=lambda entry: json.dumps(entry))
+    def test_config_counts_and_seed_must_be_integers(self, entry, tmp_path,
+                                                     capsys):
+        cfg = tmp_path / "cells.json"
+        cfg.write_text(json.dumps(
+            [{"n1": 3, "n2": 3, "beta1": 1.0, "beta2": 2.0, **entry}]))
+        code, out, err = run_cli(
+            ["simulate", "--config", str(cfg), "--M", "200", "--N", "4",
+             "--seed", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        [field] = entry
+        assert f"{field} must be an integer" in err
 
     def test_huge_first_shape_gives_finite_length(self, capsys):
         # Roots scaled by beta1 = 1e307 overflow in their ratio; the

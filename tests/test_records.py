@@ -149,3 +149,12 @@ class TestGeneration:
             weibull_records(3, 1.0, 0.0, seed=0)
         with pytest.raises(InvalidDataError):
             exponential_records(-1, seed=0)
+        with pytest.raises(InvalidDataError, match="n must be non-negative"):
+            weibull_records(-1, 1.0, 1.0, seed=0)
+        for alpha, beta, name in ((np.inf, 1.0, "alpha"),
+                                  (np.nan, 1.0, "alpha"),
+                                  (1.0, np.inf, "beta"),
+                                  (1.0, np.nan, "beta")):
+            with pytest.raises(InvalidDataError,
+                               match=rf"^{name} must be positive and finite"):
+                weibull_records(3, alpha, beta, seed=0)

@@ -45,6 +45,25 @@ class TestSimConfig:
         with pytest.raises(InvalidDataError, match=r"seed must be in \[0, 2\*\*64\)"):
             SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, seed=seed)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n1", 3.0), ("n2", True), ("m", 100.5), ("m", np.float64(200.0)),
+        ("reps", 4.0), ("reps", "4"), ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_integer_counts_and_seed_are_rejected(self, field, value):
+        kwargs = dict(n1=3, n2=3, beta1=1.0, beta2=2.0, m=200, reps=4, seed=1)
+        kwargs[field] = value
+        with pytest.raises(InvalidDataError,
+                           match=rf"^{field} must be an integer, got"):
+            SimConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        c = SimConfig(n1=np.int64(3), n2=np.int32(4), beta1=1.0, beta2=2.0,
+                      m=np.uint16(200), reps=np.int8(4),
+                      seed=np.uint64(2 ** 64 - 1))
+        values = (c.n1, c.n2, c.m, c.reps, c.seed)
+        assert values == (3, 4, 200, 4, 2 ** 64 - 1)
+        assert all(type(v) is int for v in values)
+
     def test_defaults(self):
         c = SimConfig(n1=3, n2=7, beta1=1.0, beta2=2.0)
         assert (c.alpha1, c.alpha2) == (1.0, 1.0)
