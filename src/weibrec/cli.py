@@ -290,7 +290,7 @@ def _cells_from_config(path: str, defaults: dict) -> list[SimConfig]:
         merged = {**defaults, **entry}
         try:
             cells.append(SimConfig(**merged))
-        except TypeError as exc:
+        except (TypeError, InvalidDataError) as exc:
             raise InvalidDataError(f"{path!r}: cells[{i}]: {exc}") from None
     return cells
 

@@ -26,7 +26,11 @@ observed series at fixed multiples of 1 / (its log gap), so it lies
 within one table step (9.5%) of a root inside the table's range, and
 a root stops once its Newton step falls to 2**-26 of its value, after
 which the error is below rounding.  A batch of roots then takes about
-four passes.
+four passes.  The solve is split in two: :func:`_bracket_roots` finds
+each start and a certified lower bound, the table node below the root
+less a slack for float error, and :func:`_newton` polishes from the
+start.  A caller that needs only some order statistics of the roots'
+ratios can polish just the draws whose brackets reach them.
 
 Record arrays keep their records on the last axis in every signature
 here, but are record-major in memory through the solver: the records
@@ -62,6 +66,8 @@ _CHUNK = 8192
 _START_NODES = np.geomspace(1e-3, 1e2, 128)
 # A Newton step at most this fraction of beta leaves an error below rounding.
 _CONVERGED = 2.0 ** -26
+# Relative margin of a certified lower bound below its table node.
+_SLACK = 2.0 ** -20
 
 _KINDS = ("ratio", "difference", "single-shape")
 _ESTIMAND_FOR_KIND = {"ratio": "pi", "difference": "delta", "single-shape": "beta"}
@@ -194,7 +200,7 @@ def _start_table(d, gap, k: int):
 
     ``d`` is record-major, ``(k,) + series``.  Returns ``(nodes, h)``,
     both ``series + (len(_START_NODES),)``, where ``h = beta gap +
-    log1p(s / k)`` is spelled as in :func:`_solve_roots`'s loop, so an
+    log1p(s / k)`` is spelled as in :func:`_newton`, so an
     entry whose target is at most ``h`` has ``g >= 0`` exactly there.
     """
     series = d.shape[1:]
@@ -207,13 +213,24 @@ def _start_table(d, gap, k: int):
         return nodes, nodes * gap[..., None] + np.log1p(_record_sum(buf) / k)
 
 
-def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
-    """Vectorized root solve of log W_obs(beta) = target.
+def _certified_target(k: int) -> float:
+    """Smallest target whose root :func:`_bracket_roots` bounds from below.
+
+    See :func:`_bracket_roots`: with ``c = 8 eps k (k + 9)``, the bound
+    holds once ``c (1 + log k / t) <= _SLACK``; for ``k`` so large that
+    ``c >= _SLACK`` no target qualifies.
+    """
+    c = 8.0 * 2.0 ** -52 * k * (k + 9)
+    return c * math.log(k) / (_SLACK - c) if c < _SLACK else math.inf
+
+
+def _bracket_roots(log_obs_d, log_obs_gap, k: int, target):
+    """Start and certified lower bound of each root of log W_obs = target.
 
     ``log_obs_d`` has shape (..., k) with the last axis holding
-    ``log(r / max r)`` for each observed series; ``log_obs_gap``
-    and ``target`` broadcast against its leading axes.  Returns the
-    roots with the broadcast leading shape.
+    ``log(r / max r)`` for each observed series; ``log_obs_gap`` and
+    ``target`` broadcast against its leading axes.  Returns ``(start,
+    lower)``, both of the broadcast leading shape.
 
     With ``s = sum expm1(beta d)``, ``g(beta) = beta gap + log1p(s / k)
     - target`` is convex and increasing, and ``g >= 0`` at ``beta0 =
@@ -222,20 +239,34 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
     fixed nodes ``u / gap``, ``u`` geometric over [1e-3, 1e2].  Each
     entry starts at the smaller of ``beta0`` and the first node whose
     ``h`` reaches its target, found by ``searchsorted``; ``h`` is
-    evaluated exactly as the loop evaluates it, so ``g >= 0`` holds
-    there in float arithmetic too.  Newton's method from the right of
-    the root descends monotonically onto it.  An entry stops once ``g
-    <= 0``, a step no longer lowers its beta, or a step was at most
-    2**-26 of beta: Newton's error after a step of relative size delta
-    is of order delta**2, so the next step would be rounding noise.
-    The start depends only on the entry's series and target and each
-    entry stops on its own values, so a root never depends on the
-    other entries in a batch.
+    evaluated exactly as :func:`_newton` evaluates it, so ``g >= 0``
+    holds there in float arithmetic too.  The start depends only on the
+    entry's series and target.  The descent from it never rises, so the
+    start bounds the float root from above.
 
-    The work buffer is record-major, ``(k,) + shape``, so each pass
-    sums records with ``k - 1`` adds over the whole batch; the sums run
-    in the fixed order of :func:`_record_sum`, so a root is the same
-    whether it is solved alone or in a batch of any shape.
+    ``lower`` is the node below the start's, less a relative
+    ``_SLACK``, and bounds the float root from below; it is NaN where
+    that cannot be certified: no node lies below the target, or the
+    target is under :func:`_certified_target`.  The slack covers the
+    float error of ``g``.  In units ``u = beta gap`` the terms of ``g``
+    are at most ``u`` in size and ``1 + s / k >= 1 / k``, the largest
+    record adding ``expm1(0) = 0``.  Rounding the products, the expm1
+    terms (4 ulps each), the ``k - 1`` ordered adds, the quotient,
+    log1p (4 ulps) and the last two adds then keeps the error of ``g``
+    below ``E = eps k (k + 9) u`` for every ``k >= 2``, to first order
+    in ``eps = 2**-52``.  ``h`` is convex with ``h(0) = 0``, so
+    ``h(lambda u) <= lambda h(u)`` and ``h' >= h / u``: an error ``E``
+    in ``g`` moves a root by at most a relative ``E / t``.  That bounds
+    the exact root above the node whose float ``h`` lies below ``t``,
+    and Newton's last step can undershoot the exact root by at most
+    ``3 E / t``: ``E / t`` from ``g`` and ``2 E / t`` from the relative
+    error of its derivative, below ``2 k (k + 4) eps`` in the small- and
+    large-``u`` limits (and checked between them by the tests).  The
+    float root is therefore above the node times ``1 - 4 E / t``.
+    Every ``u`` involved is below ``beta0 gap = t + log k``,
+    so ``8 E / t <= _SLACK`` -- twice the need -- holds for targets from
+    :func:`_certified_target` on.  The same bound puts the exact root
+    below ``start * (1 + _SLACK)``.
     """
     target = np.asarray(target, dtype=np.float64)
     gap = np.asarray(log_obs_gap, dtype=np.float64)
@@ -243,8 +274,8 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
     series = np.broadcast_shapes(log_obs_d.shape[:-1], gap.shape)
     shape = np.broadcast_shapes(series, target.shape)
     with np.errstate(divide="ignore", over="ignore"):
-        beta = np.broadcast_to((target + math.log(k)) / gap, shape).copy()
-    solvable = (target > 0.0) & (beta < np.inf)
+        start = np.broadcast_to((target + math.log(k)) / gap, shape).copy()
+    solvable = (target > 0.0) & (start < np.inf)
     if not np.all(solvable):
         idx = int(np.argmin(solvable.ravel()))
         raise BracketError(
@@ -255,21 +286,48 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
         )
     d = np.moveaxis(np.broadcast_to(log_obs_d, series + (k,)), -1, 0)
     nodes, h = _start_table(d, gap, k)
-    # One lookup per series, over the entries that share it; a target
-    # above every node's h keeps beta0 through the inf column.
+    # One lookup per series, over the entries that share it.  A target
+    # above every node's h keeps beta0 through the inf column, and one
+    # below node 0's h gets the NaN lower bound.
     lead = (1,) * (len(shape) - len(series)) + series
+    lows = np.concatenate([np.full(series + (1,), np.nan),
+                           nodes * (1.0 - _SLACK)], axis=-1)
     nodes = np.concatenate([nodes, np.full(series + (1,), np.inf)], axis=-1)
-    nodes, h = nodes.reshape(lead + (-1,)), h.reshape(lead + h.shape[-1:])
+    nodes, lows = nodes.reshape(lead + (-1,)), lows.reshape(lead + (-1,))
+    h = h.reshape(lead + h.shape[-1:])
     targets = np.broadcast_to(target, shape)
+    lower = np.empty(shape)
     for idx in np.ndindex(lead):
         sel = tuple(i if n > 1 else slice(None) for i, n in zip(idx, lead))
-        start = beta[sel + (Ellipsis,)]
-        np.minimum(start, nodes[idx][np.searchsorted(h[idx], targets[sel])],
-                   out=start)
+        sel += (Ellipsis,)
+        j = np.searchsorted(h[idx], targets[sel])
+        np.minimum(start[sel], nodes[idx][j], out=start[sel])
+        lower[sel] = lows[idx][j]
+    np.copyto(lower, np.nan, where=targets < _certified_target(k))
+    return start, lower
 
-    d = np.broadcast_to(d.reshape(d.shape[:1] + lead), (k,) + shape)
-    active = np.ones(shape, dtype=bool)
-    buf = np.empty((k,) + shape)
+
+def _newton(d, gap, k: int, target, beta) -> NDArray[np.float64]:
+    """Newton descent onto log W_obs(beta) = target from ``beta``.
+
+    ``beta`` holds starts from :func:`_bracket_roots` and is overwritten
+    with the roots; ``d`` is record-major, ``(k,) + shape`` after
+    broadcasting against ``beta``, and ``gap`` and ``target`` broadcast
+    against ``beta``.  Newton's method from the right of the root of the
+    convex ``g`` descends monotonically onto it.  An entry stops once
+    ``g <= 0``, a step no longer lowers its beta, or a step was at most
+    2**-26 of beta: Newton's error after a step of relative size delta
+    is of order delta**2, so the next step would be rounding noise.
+    Each entry stops on its own values, so a root never depends on the
+    other entries in a batch.
+
+    The work buffer is record-major, ``(k,) + shape``, so each pass
+    sums records with ``k - 1`` adds over the whole batch; the sums run
+    in the fixed order of :func:`_record_sum`, so a root is the same
+    whether it is solved alone or in a batch of any shape.
+    """
+    active = np.ones(beta.shape, dtype=bool)
+    buf = np.empty((k,) + beta.shape)
     while True:
         np.multiply(beta, d, out=buf)
         np.expm1(buf, out=buf)
@@ -284,6 +342,20 @@ def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
         active &= step > _CONVERGED * beta
         if not np.any(active):
             return beta
+
+
+def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
+    """Vectorized root solve of log W_obs(beta) = target.
+
+    Shapes as in :func:`_bracket_roots`; returns the roots with the
+    broadcast leading shape, each polished by :func:`_newton` from its
+    start.
+    """
+    start, _ = _bracket_roots(log_obs_d, log_obs_gap, k, target)
+    d = np.moveaxis(np.asarray(log_obs_d, dtype=np.float64), -1, 0)
+    d = d.reshape(d.shape[:1] + (1,) * (start.ndim + 1 - d.ndim) + d.shape[1:])
+    return _newton(d, np.asarray(log_obs_gap, dtype=np.float64), k,
+                   np.asarray(target, dtype=np.float64), start)
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:

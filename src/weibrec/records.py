@@ -97,11 +97,21 @@ def weibull_records(n: int, alpha: float, beta: float, seed: int,
 
     If ``S`` is an exponential record value then ``alpha * S**(1/beta)``
     is the corresponding Weibull record value, because the monotone map
-    preserves the record structure.
+    preserves the record structure.  Parameters under which the records
+    leave the float range or round to ties raise ``InvalidDataError``
+    naming both.
     """
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidDataError(
                 f"{name} must be positive and finite, got {value}")
     s = exponential_records(n, seed, stream_id).values
-    return RecordSeries(alpha * s ** (1.0 / beta))
+    with np.errstate(over="ignore"):
+        r = alpha * s ** (1.0 / beta)
+    if not (np.all(np.isfinite(r)) and r[0] > 0.0):
+        problem = "take the records out of the float range"
+    elif np.any(np.diff(r) <= 0.0):
+        problem = "round distinct records to ties"
+    else:
+        return RecordSeries(r)
+    raise InvalidDataError(f"alpha = {alpha!r} and beta = {beta!r} {problem}")

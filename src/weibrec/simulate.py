@@ -13,11 +13,17 @@ outer replicate derives its own seed from (master seed, cell tag,
 replicate index), and data and pivotal draws use separate child seeds.
 A replicate's roots, sort and interval width depend on that replicate
 alone, and the widths are summed once, exactly rounded, so neither the
-batch size nor the thread count can move a cell's report.  A batch's
-largest temporary, the solver's (k, replicates, m) buffer, holds about
-2**18 elements (2 MiB), so that the working set of each thread stays
-near the cache.  The pivot targets are drawn one record at a time, so
-their temporaries are k times smaller.
+batch size nor the thread count can move a cell's report.
+
+A replicate's interval reads only two order statistics of its m pivot
+ratios.  Each root is bracketed first (``gpq._bracket_roots``), which
+bounds every ratio, and Newton polishes only the draws whose bounds can
+reach either rank, about a tenth of them (see :func:`_batch_sums`).  A
+batch holds about 2**18 / k elements in each per-draw array (targets,
+root brackets, ratio bounds), for k the larger record count; these are
+its largest temporaries, so that the working set of each thread stays
+near the cache.  The pivot targets are drawn one record at a time, and
+the (k, draws) Newton buffer covers only the polished draws.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -38,8 +44,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_exp_targets, _map_spans, _prep_log_records, _solve_roots,
-                  percentile_ranks)
+from .gpq import (_bracket_roots, _exp_targets, _map_spans, _newton,
+                  _prep_log_records, percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
 _ELEMENT_BUDGET = 2 ** 18
@@ -126,28 +132,58 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     covers 1, and its width is beta1 / beta2 times the returned one.
     Neither alpha nor beta enters the solve, which therefore cannot
     overflow at extreme shapes.
+
+    Only the draws that can hold rank lo or rank hi are polished.  With
+    each float root inside ``[low, high]`` from the bracket, the float
+    ratio U1 / U2 lies inside ``[low1 / high2, high1 / low2]``, and the
+    rank-r ratio between the rank-r values of those bounds.  A draw
+    whose bounds miss that range stays on its side of the rank-r ratio
+    wherever it lies inside them, so it keeps its lower bound, and the
+    sort reads the same two ratios as a full solve would, bit for bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
     pivot_seeds = derive_seed_array(rep_seeds, 2)
     lo_rank, hi_rank = percentile_ranks(config.m, config.gamma)
+    ranks = [lo_rank - 1, hi_rank - 1]
 
-    roots = []
+    pops = []
     for pop, n in enumerate((config.n1, config.n2)):
         k = n + 1
         d, gap = _prep_log_records(exp_record_matrix(data_seeds, pop, k))
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
         target = _exp_targets(pivot_seeds[:, None], ids, k)
         try:
-            roots.append(_solve_roots(d[:, None, :], gap[:, None], k, target))
+            high, low = _bracket_roots(d[:, None, :], gap[:, None], k, target)
         except BracketError as exc:
             rep, draw = divmod(exc.replicate or 0, config.m)
             raise BracketError(
                 f"outer replicate {start + rep}, pivotal draw {draw}, "
                 f"population {pop + 1}: {exc}", replicate=start + rep,
             ) from exc
+        pops.append((np.moveaxis(d, -1, 0), gap, k, target, high, low))
 
-    ratio = np.sort(roots[0] / roots[1], axis=1)
+    # Bounds on each float ratio U1 / U2.  A NaN lower root bound is one
+    # the bracket could not certify; such a draw gets infinite bounds,
+    # which makes it a candidate below.
+    (*_, high1, low1), (*_, high2, low2) = pops
+    certain = (low1 > 0.0) & (low2 > 0.0)
+    below = np.where(certain, low1 / high2, -np.inf)
+    above = np.where(certain, high1 / low2, np.inf)
+    polish = np.zeros(below.shape, dtype=bool)
+    for low_r, high_r in zip(np.partition(below, ranks, axis=1)[:, ranks].T,
+                             np.partition(above, ranks, axis=1)[:, ranks].T):
+        polish |= (above >= low_r[:, None]) & (below <= high_r[:, None])
+    rows, cols = np.nonzero(polish)
+    u1, u2 = (_newton(d[:, rows], gap[rows], k, target[rows, cols],
+                      high[rows, cols])
+              for d, gap, k, target, high, _ in pops)
+
+    # Every other draw keeps its lower bound, which leaves both ranks'
+    # values as the full solve has them.
+    ratio = below
+    ratio[rows, cols] = u1 / u2
+    ratio.sort(axis=1)
     lower = ratio[:, lo_rank - 1]
     upper = ratio[:, hi_rank - 1]
     covered = int(np.count_nonzero((lower < 1.0) & (1.0 < upper)))

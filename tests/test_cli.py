@@ -578,6 +578,24 @@ class TestSimulateCommand:
         [field] = entry
         assert f"{field} must be an integer" in err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"reps": 4.0}, "reps must be an integer, got 4.0"),
+        ({"seed": -1}, "seed must be in [0, 2**64)"),
+        ({"beta1": -1.0}, "beta1 must be positive and finite"),
+        ({"gamma": 0.0}, "gamma must be in (0, 1)"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
+    def test_config_errors_name_the_cell(self, entry, message, tmp_path,
+                                         capsys):
+        cfg = tmp_path / "cells.json"
+        cell = {"n1": 3, "n2": 3, "beta1": 1.0, "beta2": 2.0}
+        cfg.write_text(json.dumps([cell, {**cell, **entry}]))
+        code, out, err = run_cli(
+            ["simulate", "--config", str(cfg), "--M", "200", "--N", "4",
+             "--seed", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {str(cfg)!r}: cells[1]: {message}" in err
+
     def test_huge_first_shape_gives_finite_length(self, capsys):
         # Roots scaled by beta1 = 1e307 overflow in their ratio; the
         # simulator divides unit-shape roots instead.

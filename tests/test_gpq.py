@@ -3,8 +3,11 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from weibrec import (
@@ -364,6 +367,95 @@ class TestNewtonStart:
         # One sum builds the start table; each Newton pass takes two.
         passes = (len(calls) - 1) // 2
         assert 1 <= passes <= 5, passes
+
+
+@st.composite
+def adversarial_series(draw):
+    """Records with near ties (ratios 1 + 1e-15 to 1 + 1e-6), dynamic
+    ranges up to 1e+-300, or both, for k from 2 to 1000."""
+    k = draw(st.one_of(st.integers(2, 20), st.integers(21, 1000)))
+    shape = draw(st.sampled_from(["tied", "wide", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tied = np.log1p(10.0 ** rng.uniform(-15.0, -6.0, k - 1))
+    wide = rng.uniform(0.0, 1.0, k - 1)
+    wide *= draw(st.floats(1.0, 1380.0)) / wide.sum()
+    mixed = np.where(rng.uniform(size=k - 1) < 0.5, tied, wide)
+    steps = {"tied": tied, "wide": wide, "mixed": mixed}[shape]
+    logs = np.concatenate([[0.0], np.cumsum(steps)])
+    logs += draw(st.floats(0.0, max(0.0, 1380.0 - logs[-1]))) - 690.0
+    values = np.exp(logs)
+    for i in range(1, k):
+        values[i] = max(values[i], np.nextafter(values[i - 1], np.inf))
+    assert np.all(np.isfinite(values)) and values[0] > 0.0
+    return values
+
+
+def mp_root(d, gap, k, target, above):
+    """The root of log W_obs = target in 50-digit arithmetic.
+
+    Evaluates the float inputs exactly, by Newton's method from a point
+    right of the root, which descends monotonically onto it.
+    """
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(float(x)) for x in d]
+        gap, t = mpmath.mpf(float(gap)), mpmath.mpf(float(target))
+
+        def newton_step(beta):
+            e = [mpmath.expm1(beta * x) for x in d]
+            s = mpmath.fsum(e)
+            g = beta * gap + mpmath.log1p(s / k) - t
+            slope = (mpmath.fdot(e, d) + gap * s) / (k + s)
+            return g, g / slope
+
+        beta = mpmath.mpf(float(above))
+        if newton_step(beta)[0] < 0:
+            beta = (t + mpmath.log(k)) / gap
+        for _ in range(200):
+            _, step = newton_step(beta)
+            beta -= step
+            if abs(step) <= beta * mpmath.mpf(10) ** -30:
+                return beta
+        raise AssertionError("50-digit Newton did not converge")
+
+
+class TestBracket:
+    """The bracket holds the float root and the 50-digit root."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=adversarial_series(), frac=st.floats(0.0, 1.0),
+           nodes=st.lists(st.integers(0, 127), min_size=2, max_size=2))
+    def test_certified_bracket_holds_the_roots(self, values, frac, nodes):
+        k = values.size
+        d, gap = gpq._prep_log_records(values)
+        _, h = gpq._start_table(d, np.asarray(gap), k)
+        t_min = gpq._certified_target(k)
+        # Targets at and just above a node's h put the root on that node,
+        # where the lower bound is tightest.
+        target = np.array([
+            1e-300, 1e-30, 1e-12, 0.5 * h[0], t_min * (1 - 1e-9),
+            t_min * (1 + 1e-9), 4.0 * t_min,
+            h[0] * (h[-1] / h[0]) ** frac, h[-1] * 1.5, h[-1] + 50.0,
+            *h[nodes], *np.nextafter(h[nodes], np.inf),
+        ])
+        high, low = gpq._bracket_roots(d, gap, k, target)
+        roots = gpq._newton(d[:, None], gap, k, target, high.copy())
+        certified = ~np.isnan(low)
+        np.testing.assert_array_equal(
+            certified, (target >= t_min) & (target > h[0]))
+        np.testing.assert_array_equal(
+            roots, gpq._solve_roots(d, gap, k, target))
+        for i in np.flatnonzero(certified):
+            assert 0.0 < low[i] <= roots[i] <= high[i], i
+            above = high[i] * (1 + 2 * gpq._SLACK)
+            exact = mp_root(d, gap, k, target[i], above)
+            assert low[i] <= exact <= high[i] * (1 + gpq._SLACK), i
+            assert abs(roots[i] - exact) <= gpq._SLACK * exact, i
+
+    def test_certified_target_grows_with_k(self):
+        mins = [gpq._certified_target(k) for k in (2, 8, 16, 100, 1000)]
+        assert 0.0 < mins[0] and mins == sorted(mins)
+        assert mins[-1] < 0.05
+        assert gpq._certified_target(10 ** 6) == math.inf
 
 
 class TestSamplePivotal:

@@ -128,6 +128,20 @@ class TestGeneration:
             assert np.all(np.diff(s.values) > 0)
             assert np.all(s.values > 0)
 
+    @pytest.mark.parametrize("alpha, beta, problem", [
+        (1.0, 1e20, "round distinct records to ties"),
+        (1e308, 0.5, "take the records out of the float range"),
+        (1e-300, 0.01, "take the records out of the float range"),
+    ])
+    def test_degenerate_transform_names_the_parameters(self, alpha, beta,
+                                                       problem):
+        # Valid, finite parameters whose records round to ties, overflow
+        # or underflow; RuntimeWarnings are errors in this suite.
+        with pytest.raises(InvalidDataError) as err:
+            weibull_records(3, alpha, beta, seed=0)
+        assert str(err.value) == (
+            f"alpha = {alpha!r} and beta = {beta!r} {problem}")
+
     def test_first_record_follows_parent_distribution(self):
         # The first record is just the first observation, so across
         # streams it follows the parent Weibull law; KS test at 1%.

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import weibrec.simulate as simulate
+from weibrec import gpq
 from weibrec import (
     BracketError,
     CellError,
@@ -20,8 +23,28 @@ from weibrec import (
     run_cell,
     run_grid,
 )
+from weibrec.rng import derive_seed_array, exp_record_matrix
 
 TINY = dict(m=200, reps=40, gamma=0.05, seed=9)
+
+
+def full_polish_sums(config, base_seed, start, stop):
+    """Reference ``_batch_sums``: Newton on every draw, then sort."""
+    rep_seeds = derive_seed_array(base_seed,
+                                  np.arange(start, stop, dtype=np.uint64))
+    data_seeds = derive_seed_array(rep_seeds, 1)
+    pivot_seeds = derive_seed_array(rep_seeds, 2)
+    lo_rank, hi_rank = gpq.percentile_ranks(config.m, config.gamma)
+    roots = []
+    for pop, n in enumerate((config.n1, config.n2)):
+        k = n + 1
+        d, gap = gpq._prep_log_records(exp_record_matrix(data_seeds, pop, k))
+        ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
+        target = simulate._exp_targets(pivot_seeds[:, None], ids, k)
+        roots.append(gpq._solve_roots(d[:, None, :], gap[:, None], k, target))
+    ratio = np.sort(roots[0] / roots[1], axis=1)
+    lower, upper = ratio[:, lo_rank - 1], ratio[:, hi_rank - 1]
+    return int(np.count_nonzero((lower < 1.0) & (1.0 < upper))), upper - lower
 
 
 class TestSimConfig:
@@ -193,6 +216,65 @@ class TestRunCell:
         a = run_cell(SimConfig(seed=1, **base))
         b = run_cell(SimConfig(seed=2, **base))
         assert (a.coverage, a.expected_length) != (b.coverage, b.expected_length)
+
+
+class TestPolishSelection:
+    """run_cell polishes only the draws that can be interval endpoints."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(k1=st.integers(2, 16), k2=st.integers(2, 16),
+           m=st.integers(40, 2000), gamma=st.floats(0.02, 0.2),
+           beta1=st.sampled_from([1e-3, 1e307]), reps=st.integers(1, 6),
+           budget=st.sampled_from([16_000, 2 ** 18, 2_000_000]),
+           threads=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2 ** 64 - 1), tiny=st.booleans())
+    def test_equals_full_polish_bit_for_bit(self, k1, k2, m, gamma, beta1,
+                                            reps, budget, threads, seed, tiny,
+                                            monkeypatch):
+        assume(gamma * m / 2.0 >= 1.0)
+        config = SimConfig(n1=k1 - 1, n2=k2 - 1, beta1=beta1, beta2=2.0, m=m,
+                           reps=reps, gamma=gamma, seed=seed)
+        real, exp_targets = simulate._batch_sums, simulate._exp_targets
+        spans = []
+
+        def shrunk(seed, stream_ids, k):
+            # Every 7th pivot target below the certified range: its root
+            # has no certified lower bound and must be polished.
+            target = exp_targets(seed, stream_ids, k)
+            target[..., np.asarray(stream_ids) % 7 == 0] *= 1e-12
+            return target
+
+        def checked(config, base_seed, start, stop):
+            got = real(config, base_seed, start, stop)
+            want = full_polish_sums(config, base_seed, start, stop)
+            assert got[0] == want[0], (start, stop)
+            assert got[1].tobytes() == want[1].tobytes(), (start, stop)
+            spans.append((start, stop))
+            return got
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_ELEMENT_BUDGET", budget)
+            patch.setattr(simulate, "_batch_sums", checked)
+            if tiny:
+                patch.setattr(simulate, "_exp_targets", shrunk)
+            run_cell(config, threads=threads)
+        assert sum(stop - start for start, stop in spans) == reps
+
+    def test_polishes_under_a_quarter_of_draws(self, monkeypatch):
+        # Measured at 9% for this cell; a bracket that certified nothing
+        # would polish every draw.
+        real, polished = simulate._newton, []
+
+        def counting(d, gap, k, target, beta):
+            polished.append(beta.size)
+            return real(d, gap, k, target, beta)
+
+        monkeypatch.setattr(simulate, "_newton", counting)
+        config = SimConfig(n1=7, n2=7, beta1=1.0, beta2=2.0, m=2000, reps=60,
+                           seed=5)
+        run_cell(config)
+        assert 0 < sum(polished) < 0.25 * 2 * config.reps * config.m
 
 
 class TestRunGrid:
