@@ -28,7 +28,7 @@ import sys
 from . import __version__
 from .dataio import (Populations, load_populations, populations_digest,
                      records_from_populations)
-from .errors import BracketError, InvalidDataError, SingularInformationError
+from .errors import BracketError, InvalidDataError
 from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
                   percentile_ranks, sample_pivotal)
 from .records import RecordSeries
@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, SingularInformationError, FloatingPointError) as exc:
+    except BracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     # A simulate cell that failed is reported in its row and exits 3.

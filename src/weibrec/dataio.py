@@ -50,7 +50,11 @@ def _parse_number(text: str, where: str, positive: bool = False) -> float:
 def _finish(pops: Populations) -> Populations:
     if not pops:
         raise InvalidDataError("no populations found in input")
+    seen = set()
     for label, values in pops:
+        if label in seen:
+            raise InvalidDataError(f"population label {label!r} is repeated")
+        seen.add(label)
         if values.size == 0:
             raise InvalidDataError(f"population {label!r} has no values")
     return pops
@@ -60,8 +64,6 @@ def _parse_wide_csv(rows: list[list[str]]) -> Populations:
     header = [cell.strip() for cell in rows[0]]
     if any(not cell for cell in header):
         raise InvalidDataError("row 1: wide CSV header has an empty label")
-    if len(set(header)) != len(header):
-        raise InvalidDataError("row 1: duplicate population labels in header")
     columns: list[list[float]] = [[] for _ in header]
     for i, row in enumerate(rows[1:], start=2):
         if len(row) > len(header):
@@ -152,9 +154,17 @@ def _values_from_json(label: str, values) -> tuple[str, NDArray[np.float64]]:
     return label, np.asarray(out, dtype=np.float64)
 
 
+class _Object(dict):
+    """A JSON object that also keeps its pairs, a repeated key included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _parse_json(text: str) -> Populations:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_Object)
     except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
         raise InvalidDataError(f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -164,7 +174,7 @@ def _parse_json(text: str) -> Populations:
         doc = doc["populations"]
     pops: Populations = []
     if isinstance(doc, dict):
-        for label, values in doc.items():
+        for label, values in doc.pairs:
             pops.append(_values_from_json(str(label), values))
     elif isinstance(doc, list):
         for i, entry in enumerate(doc):

@@ -32,17 +32,17 @@ less a slack for float error, and :func:`_newton` polishes from the
 start.  A caller that needs only some order statistics of the roots'
 ratios can polish just the draws whose brackets reach them.
 
-Record arrays keep their records on the last axis in every signature
-here, but are record-major in memory through the solver: the records
-are the outermost axis, so a sum over them is ``k - 1`` vector adds
-across the whole batch instead of one short row sum per entry.  Every
-such sum adds the records in index order (see ``_record_sum``), so each
-value is independent of the batch it is computed in; for up to seven
-records that order is also the one a row-by-row numpy sum uses, so the
-values are unchanged by the layout.  Such record arrays exist only for
-observed and simulated data series.  The simulated targets log W_exp(1)
-are drawn one record at a time (see ``_exp_targets``), in the same
-order, so no array of them has a record axis.
+Record arrays are record-major in every signature here and in memory:
+the records are the leading axis, so an observed ``d`` is ``(k,
+series)`` and a sum over records is ``k - 1`` vector adds across the
+whole batch instead of one short row sum per entry.  Targets, starts,
+lower bounds and roots are ``(series, draws)``.  Every sum over
+records adds them in index order (see ``_record_sum``), so each value
+is independent of the batch it is computed in.  The start table and
+each Newton pass evaluate log W through the one function ``_log_w``,
+so the table's rounding is the solver's.  The simulated targets log
+W_exp(1) are drawn one record at a time (see ``_exp_targets``), in the
+same order, so no array of them has a record axis.
 """
 
 from __future__ import annotations
@@ -148,16 +148,16 @@ def _record_sum(a: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _prep_log_records(values: NDArray[np.float64]):
-    """Precompute the pieces of log W for record vectors on the last axis.
+    """Precompute the pieces of log W for record-major record arrays.
 
-    Returns ``(d, gap)`` where ``d = log(r / max r)`` and
-    ``gap = -mean d = max log r - mean log r``, so that
-    ``log W(beta) = beta * gap - log k + log sum exp(beta * d)``.
-    ``gap`` drops the last axis; a 1-d input gives a scalar ``gap``.
-    ``d`` keeps the shape of ``values`` but is record-major in memory.
+    ``values`` is ``(k,) + series``, records on the leading axis.
+    Returns ``(d, gap)`` where ``d = log(r / max r)`` has the shape of
+    ``values`` and ``gap = -mean d = max log r - mean log r`` is
+    ``series``, so that ``log W(beta) = beta * gap - log k + log sum
+    exp(beta * d)``.  A 1-d input gives a scalar ``gap``.
     """
-    d = log_to_max(np.moveaxis(values, -1, 0))
-    return np.moveaxis(d, 0, -1), -_record_sum(d) / len(d)
+    d = log_to_max(values)
+    return d, -_record_sum(d) / len(d)
 
 
 def _log_am_gm(values: NDArray[np.float64], beta) -> NDArray[np.float64]:
@@ -195,22 +195,37 @@ def pivotal_equation(observed: RecordSeries, exp_records: RecordSeries,
     return am_gm_ratio(observed, beta) - am_gm_ratio(exp_records, 1.0)
 
 
-def _start_table(d, gap, k: int):
-    """Start nodes ``beta = u / gap`` of each series and log W_obs at them.
+def _log_w(beta, d, gap, buf):
+    """``(h, s)``: log W_obs at ``beta`` less its ``-log k`` offset.
 
-    ``d`` is record-major, ``(k,) + series``.  Returns ``(nodes, h)``,
-    both ``series + (len(_START_NODES),)``, where ``h = beta gap +
-    log1p(s / k)`` is spelled as in :func:`_newton`, so an
-    entry whose target is at most ``h`` has ``g >= 0`` exactly there.
+    ``d`` is record-major and broadcasts against ``beta`` into ``buf``,
+    ``(k,) + beta.shape``; ``gap`` broadcasts against ``beta``.  With
+    ``s = sum expm1(beta d)``, ``h = beta gap + log1p(s / k)``.  The
+    start table and each Newton pass both evaluate ``h`` here, so a
+    table entry with ``h >= target`` has ``g = h - target >= 0`` in the
+    Newton pass at that beta too.  ``buf`` is left holding
+    ``expm1(beta d)``.
     """
-    series = d.shape[1:]
+    np.multiply(beta, d, out=buf)
+    np.expm1(buf, out=buf)
+    s = _record_sum(buf)
+    return beta * gap + np.log1p(s / len(d)), s
+
+
+def _start_table(d, gap):
+    """Start nodes ``beta = u / gap`` of each series and ``h`` at them.
+
+    ``d`` is ``(k, series)`` and ``gap`` is ``(series,)``.  Returns
+    ``(nodes, h)``, both ``(series, len(_START_NODES))``, with ``h`` from
+    :func:`_log_w`.
+    """
     # A node past the float range (log gap below 6e-307) is inf, its h is
     # nan, and searchsorted orders nan last, so such entries keep beta0.
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = np.broadcast_to(_START_NODES / gap[..., None],
-                                series + _START_NODES.shape)
-        buf = np.expm1(nodes * d[..., None])
-        return nodes, nodes * gap[..., None] + np.log1p(_record_sum(buf) / k)
+        nodes = _START_NODES / gap[:, None]
+        h, _ = _log_w(nodes, d[..., None], gap[:, None],
+                      np.empty(d.shape + _START_NODES.shape))
+    return nodes, h
 
 
 def _certified_target(k: int) -> float:
@@ -224,13 +239,13 @@ def _certified_target(k: int) -> float:
     return c * math.log(k) / (_SLACK - c) if c < _SLACK else math.inf
 
 
-def _bracket_roots(log_obs_d, log_obs_gap, k: int, target):
+def _bracket_roots(d, gap, target):
     """Start and certified lower bound of each root of log W_obs = target.
 
-    ``log_obs_d`` has shape (..., k) with the last axis holding
-    ``log(r / max r)`` for each observed series; ``log_obs_gap`` and
-    ``target`` broadcast against its leading axes.  Returns ``(start,
-    lower)``, both of the broadcast leading shape.
+    ``d`` is ``(k, series)``, holding ``log(r / max r)`` for each
+    observed series, ``gap`` is ``(series,)`` and ``target`` is
+    ``(series, draws)``.  Returns ``(start, lower)``, both ``(series,
+    draws)``.
 
     With ``s = sum expm1(beta d)``, ``g(beta) = beta gap + log1p(s / k)
     - target`` is convex and increasing, and ``g >= 0`` at ``beta0 =
@@ -238,9 +253,9 @@ def _bracket_roots(log_obs_d, log_obs_gap, k: int, target):
     comes from a table per observed series: ``h = g + target`` at the
     fixed nodes ``u / gap``, ``u`` geometric over [1e-3, 1e2].  Each
     entry starts at the smaller of ``beta0`` and the first node whose
-    ``h`` reaches its target, found by ``searchsorted``; ``h`` is
-    evaluated exactly as :func:`_newton` evaluates it, so ``g >= 0``
-    holds there in float arithmetic too.  The start depends only on the
+    ``h`` reaches its target, found by ``searchsorted``; ``h`` comes
+    from :func:`_log_w`, as in :func:`_newton`, so ``g >= 0`` holds
+    there in float arithmetic too.  The start depends only on the
     entry's series and target.  The descent from it never rises, so the
     start bounds the float root from above.
 
@@ -268,50 +283,39 @@ def _bracket_roots(log_obs_d, log_obs_gap, k: int, target):
     :func:`_certified_target` on.  The same bound puts the exact root
     below ``start * (1 + _SLACK)``.
     """
-    target = np.asarray(target, dtype=np.float64)
-    gap = np.asarray(log_obs_gap, dtype=np.float64)
-    log_obs_d = np.asarray(log_obs_d, dtype=np.float64)
-    series = np.broadcast_shapes(log_obs_d.shape[:-1], gap.shape)
-    shape = np.broadcast_shapes(series, target.shape)
+    k = len(d)
     with np.errstate(divide="ignore", over="ignore"):
-        start = np.broadcast_to((target + math.log(k)) / gap, shape).copy()
+        start = (target + math.log(k)) / gap[:, None]
     solvable = (target > 0.0) & (start < np.inf)
     if not np.all(solvable):
-        idx = int(np.argmin(solvable.ravel()))
+        idx = int(np.argmin(solvable))
+        row, col = np.unravel_index(idx, target.shape)
         raise BracketError(
             "pivotal equation has no finite positive root: log W_exp(1) = "
-            f"{np.broadcast_to(target, shape).ravel()[idx]:.17g}, observed "
-            f"log gap = {np.broadcast_to(gap, shape).ravel()[idx]:.17g}",
+            f"{target[row, col]:.17g}, observed log gap = {gap[row]:.17g}",
             replicate=idx,
         )
-    d = np.moveaxis(np.broadcast_to(log_obs_d, series + (k,)), -1, 0)
-    nodes, h = _start_table(d, gap, k)
-    # One lookup per series, over the entries that share it.  A target
-    # above every node's h keeps beta0 through the inf column, and one
-    # below node 0's h gets the NaN lower bound.
-    lead = (1,) * (len(shape) - len(series)) + series
-    lows = np.concatenate([np.full(series + (1,), np.nan),
-                           nodes * (1.0 - _SLACK)], axis=-1)
-    nodes = np.concatenate([nodes, np.full(series + (1,), np.inf)], axis=-1)
-    nodes, lows = nodes.reshape(lead + (-1,)), lows.reshape(lead + (-1,))
-    h = h.reshape(lead + h.shape[-1:])
-    targets = np.broadcast_to(target, shape)
-    lower = np.empty(shape)
-    for idx in np.ndindex(lead):
-        sel = tuple(i if n > 1 else slice(None) for i, n in zip(idx, lead))
-        sel += (Ellipsis,)
-        j = np.searchsorted(h[idx], targets[sel])
-        np.minimum(start[sel], nodes[idx][j], out=start[sel])
-        lower[sel] = lows[idx][j]
-    np.copyto(lower, np.nan, where=targets < _certified_target(k))
+    nodes, h = _start_table(d, gap)
+    # A target above every node's h keeps beta0 through the inf column,
+    # and one below node 0's h gets the NaN lower bound.
+    pad = (len(gap), 1)
+    lows = np.concatenate([np.full(pad, np.nan), nodes * (1.0 - _SLACK)],
+                          axis=1)
+    nodes = np.concatenate([nodes, np.full(pad, np.inf)], axis=1)
+    lower = np.empty(target.shape)
+    for i, row in enumerate(target):
+        j = np.searchsorted(h[i], row)
+        np.minimum(start[i], nodes[i, j], out=start[i])
+        lower[i] = lows[i, j]
+    np.copyto(lower, np.nan, where=target < _certified_target(k))
     return start, lower
 
 
-def _newton(d, gap, k: int, target, beta) -> NDArray[np.float64]:
+def _newton(d, gap, target, beta) -> NDArray[np.float64]:
     """Newton descent onto log W_obs(beta) = target from ``beta``.
 
     ``beta`` holds starts from :func:`_bracket_roots` and is overwritten
-    with the roots; ``d`` is record-major, ``(k,) + shape`` after
+    with the roots; ``d`` is record-major, ``(k,) + beta.shape`` after
     broadcasting against ``beta``, and ``gap`` and ``target`` broadcast
     against ``beta``.  Newton's method from the right of the root of the
     convex ``g`` descends monotonically onto it.  An entry stops once
@@ -321,18 +325,17 @@ def _newton(d, gap, k: int, target, beta) -> NDArray[np.float64]:
     Each entry stops on its own values, so a root never depends on the
     other entries in a batch.
 
-    The work buffer is record-major, ``(k,) + shape``, so each pass
-    sums records with ``k - 1`` adds over the whole batch; the sums run
-    in the fixed order of :func:`_record_sum`, so a root is the same
+    The work buffer is record-major, ``(k,) + beta.shape``, so each
+    pass sums records with ``k - 1`` adds over the whole batch; the sums
+    run in the fixed order of :func:`_record_sum`, so a root is the same
     whether it is solved alone or in a batch of any shape.
     """
+    k = len(d)
     active = np.ones(beta.shape, dtype=bool)
     buf = np.empty((k,) + beta.shape)
     while True:
-        np.multiply(beta, d, out=buf)
-        np.expm1(buf, out=buf)
-        s = _record_sum(buf)
-        g = beta * gap + np.log1p(s / k) - target
+        h, s = _log_w(beta, d, gap, buf)
+        g = h - target
         buf *= d
         # g'(beta) = (sum expm1(beta d) d + gap s) / (k + s)
         step = g * (k + s) / (_record_sum(buf) + gap * s)
@@ -344,18 +347,14 @@ def _newton(d, gap, k: int, target, beta) -> NDArray[np.float64]:
             return beta
 
 
-def _solve_roots(log_obs_d, log_obs_gap, k: int, target) -> NDArray[np.float64]:
-    """Vectorized root solve of log W_obs(beta) = target.
+def _solve_roots(d, gap, target) -> NDArray[np.float64]:
+    """Roots of log W_obs(beta) = target, ``(series, draws)``.
 
-    Shapes as in :func:`_bracket_roots`; returns the roots with the
-    broadcast leading shape, each polished by :func:`_newton` from its
-    start.
+    Shapes as in :func:`_bracket_roots`; each root is polished by
+    :func:`_newton` from its start.
     """
-    start, _ = _bracket_roots(log_obs_d, log_obs_gap, k, target)
-    d = np.moveaxis(np.asarray(log_obs_d, dtype=np.float64), -1, 0)
-    d = d.reshape(d.shape[:1] + (1,) * (start.ndim + 1 - d.ndim) + d.shape[1:])
-    return _newton(d, np.asarray(log_obs_gap, dtype=np.float64), k,
-                   np.asarray(target, dtype=np.float64), start)
+    start, _ = _bracket_roots(d, gap, target)
+    return _newton(d[..., None], gap[:, None], target, start)
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
@@ -367,20 +366,20 @@ def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> floa
         )
     if observed.n < 1:
         raise InvalidDataError("need at least two record values")
-    d, gap = _prep_log_records(observed.values)
-    target = _exp_log_am_gm(exp_records.values[None, :])
-    root = _solve_roots(d[None, :], gap, observed.values.size, target)
-    return float(root[0])
+    d, gap = _prep_log_records(observed.values[:, None])
+    target = _exp_log_am_gm(exp_records.values[:, None])
+    return float(_solve_roots(d, gap, target[None])[0, 0])
 
 
 def _exp_log_am_gm(rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    """log W at beta = 1 for each row of exponential record values.
+    """log W at beta = 1 of each stream of exponential records.
 
-    The means run over the record axis in :func:`_record_sum` order, so
-    a row's value does not depend on the batch it is computed in.
+    ``rows`` is record-major, ``(k,) + streams``.  The means run over
+    the record axis in :func:`_record_sum` order, so a stream's value
+    does not depend on the batch it is computed in.
     """
-    r = np.moveaxis(rows, -1, 0)
-    return np.log(_record_sum(r) / len(r)) - _record_sum(np.log(r)) / len(r)
+    k = len(rows)
+    return np.log(_record_sum(rows) / k) - _record_sum(np.log(rows)) / k
 
 
 def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
@@ -417,17 +416,16 @@ def _solve_span(series: RecordSeries, seed: int, offset: int, start: int,
     """
     ids = 2 * np.arange(start, stop, dtype=np.uint64) + np.uint64(offset)
     target = _exp_targets(seed, ids, len(series))
-    d, gap = _prep_log_records(series.values)
+    d, gap = _prep_log_records(series.values[:, None])
     try:
-        return _solve_roots(d, gap, len(series), target)
+        return _solve_roots(d, gap, target[None])[0]
     except BracketError as exc:
         rep = start + (exc.replicate or 0)
         raise BracketError(f"replicate {rep}: {exc}", replicate=rep) from exc
 
 
 def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
-                   m: int, seed: int, threads: int | None = None,
-                   shared_streams: bool = False) -> PivotalDraws:
+                   m: int, seed: int, threads: int | None = None) -> PivotalDraws:
     """Monte Carlo draws of the shape ratio or difference pivot.
 
     Replicate ``i`` of population ``p`` (1-based) reads the dedicated
@@ -437,10 +435,6 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
     whose pivotal equation has no positive root aborts the whole sample
     with ``BracketError``, because silently dropping replicates would
     bias the pivotal distribution.
-
-    ``shared_streams`` makes population 2 reuse population 1's
-    exponential records; it exists for diagnostics (identical series
-    then give ratio draws exactly 1 and difference draws exactly 0).
     """
     if kind not in ("ratio", "difference"):
         raise InvalidDataError(f"kind must be 'ratio' or 'difference', got {kind!r}")
@@ -451,7 +445,7 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
 
     def chunk(start: int, stop: int) -> NDArray[np.float64]:
         t1 = _solve_span(series1, seed, 0, start, stop)
-        t2 = _solve_span(series2, seed, 0 if shared_streams else 1, start, stop)
+        t2 = _solve_span(series2, seed, 1, start, stop)
         return t1 / t2 if kind == "ratio" else t1 - t2
 
     values = np.concatenate(_map_spans(chunk, m, _CHUNK, threads))

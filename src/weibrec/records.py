@@ -88,7 +88,7 @@ def exponential_records(n: int, seed: int, stream_id: int = 0) -> RecordSeries:
     """
     if n < 0:
         raise InvalidDataError("n must be non-negative")
-    return RecordSeries(exp_record_matrix(seed, [stream_id], n + 1)[0])
+    return RecordSeries(exp_record_matrix(seed, stream_id, n + 1)[:, 0])
 
 
 def weibull_records(n: int, alpha: float, beta: float, seed: int,

@@ -102,18 +102,15 @@ def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]
 
 
 def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
-    """The records of :func:`exp_records` along a new trailing axis.
+    """The records of :func:`exp_records` stacked on a new leading axis.
 
-    E.g. a scalar seed with ``k`` stream ids gives shape ``(k, n_values)``.
-    The result is record-major in memory: it is a view of a C-ordered
-    ``(n_values, ...)`` array, so ``np.moveaxis(result, -1, 0)`` is
-    contiguous and a sum over records is ``n_values - 1`` vector adds.
-    Each stream's values are those of the cumulative sum of its
-    :func:`stream_exponentials`, whatever the layout.  The pivot targets
+    E.g. a scalar seed with ``k`` stream ids gives shape ``(n_values, k)``.
+    The result is record-major and C-ordered, so a sum over records is
+    ``n_values - 1`` vector adds.  Each stream's values are those of the
+    cumulative sum of its :func:`stream_exponentials`.  The pivot targets
     do not use this matrix: they reduce :func:`exp_records` as it runs.
     """
-    return np.moveaxis(np.stack(list(exp_records(seed, stream_ids, n_values))),
-                       0, -1)
+    return np.stack(list(exp_records(seed, stream_ids, n_values)))
 
 
 def derive_seed(seed: int, *tags: int) -> int:

@@ -154,14 +154,14 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
         target = _exp_targets(pivot_seeds[:, None], ids, k)
         try:
-            high, low = _bracket_roots(d[:, None, :], gap[:, None], k, target)
+            high, low = _bracket_roots(d, gap, target)
         except BracketError as exc:
             rep, draw = divmod(exc.replicate or 0, config.m)
             raise BracketError(
                 f"outer replicate {start + rep}, pivotal draw {draw}, "
                 f"population {pop + 1}: {exc}", replicate=start + rep,
             ) from exc
-        pops.append((np.moveaxis(d, -1, 0), gap, k, target, high, low))
+        pops.append((d, gap, target, high, low))
 
     # Bounds on each float ratio U1 / U2.  A NaN lower root bound is one
     # the bracket could not certify; such a draw gets infinite bounds,
@@ -175,9 +175,8 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
                              np.partition(above, ranks, axis=1)[:, ranks].T):
         polish |= (above >= low_r[:, None]) & (below <= high_r[:, None])
     rows, cols = np.nonzero(polish)
-    u1, u2 = (_newton(d[:, rows], gap[rows], k, target[rows, cols],
-                      high[rows, cols])
-              for d, gap, k, target, high, _ in pops)
+    u1, u2 = (_newton(d[:, rows], gap[rows], target[rows, cols], high[rows, cols])
+              for d, gap, target, high, _ in pops)
 
     # Every other draw keeps its lower bound, which leaves both ranks'
     # values as the full solve has them.

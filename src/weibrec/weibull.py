@@ -114,13 +114,8 @@ def mle_records(series: RecordSeries) -> WeibullFit:
     ``alpha_hat = r_n / (n+1)**(1/beta_hat)``.  Standard errors are the
     closed-form inverse observed information at the optimum.
     """
-    n = series.n
-    if n == 0:
-        raise DegenerateDataError(
-            "at least two record values are needed to estimate the shape"
-        )
-    k = n + 1
     beta = shape_mle(series)
+    k = series.n + 1
     alpha = float(series.values[-1]) / k ** (1.0 / beta)
     params = WeibullParams(alpha=alpha, beta=beta)
     return WeibullFit(

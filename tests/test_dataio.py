@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weibrec import InvalidDataError
+from weibrec import InvalidDataError, cli
 from weibrec.dataio import load_populations
 
 
@@ -17,6 +17,7 @@ def _check(source: str) -> None:
     except InvalidDataError:
         return
     assert pops
+    assert len({label for label, _ in pops}) == len(pops)
     for label, values in pops:
         assert isinstance(label, str)
         assert values.dtype == np.float64 and values.size > 0
@@ -45,6 +46,37 @@ class TestTypedErrors:
         path.write_text("[" * 100_000 + "]" * 100_000)
         with pytest.raises(InvalidDataError):
             load_populations(str(path))
+
+
+class TestRepeatedLabels:
+    """A label given twice is an error, never a population dropped."""
+
+    @pytest.mark.parametrize("name, text", [
+        ("dup.json", '{"a": [1, 2, 3], "a": [1, 5, 9], "b": [1, 2]}'),
+        ("dup.json", '[{"label": "a", "values": [1, 2]}, '
+                     '{"label": "b", "values": [1, 3]}, '
+                     '{"label": "a", "records": [1, 4]}]'),
+        ("dup.json", '{"populations": [{"label": "a", "records": [1, 2]}, '
+                     '{"label": "a", "records": [1, 3]}]}'),
+        ("dup.csv", "a,b,a\n1,2,3\n4,5,6\n"),
+    ])
+    def test_file(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(InvalidDataError, match="label 'a'"):
+            load_populations(str(path))
+
+    def test_inline(self):
+        with pytest.raises(InvalidDataError, match="label 'a'"):
+            load_populations("a:1,2,3;b:1,2;a:1,5,9")
+
+    def test_mle_exits_2_naming_the_label(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"a": [1, 2, 3], "a": [1, 5, 9], "b": [1, 2]}')
+        assert cli.main(["mle", "--records", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'a'" in captured.err
 
 
 # Text built from the characters the parsers split on, after a wide or

@@ -46,7 +46,7 @@ def k2_root(values, exp_rows):
         gap = 0.5 * math.log1p((r1 - r0) / r0)
     else:
         gap = 0.5 * (math.log(r1) - math.log(r0))
-    t = np.log(np.mean(exp_rows, axis=-1)) - np.mean(np.log(exp_rows), axis=-1)
+    t = np.log(np.mean(exp_rows, axis=0)) - np.mean(np.log(exp_rows), axis=0)
     x = np.expm1(t)
     return np.log1p(x + np.sqrt(x * (x + 2.0))) / gap
 
@@ -227,25 +227,26 @@ class TestRecordOrderDeterminism:
 
     @pytest.mark.parametrize("k", KS)
     def test_batch_solve_equals_single_solves(self, k):
-        d, gap = gpq._prep_log_records(self._series(k, 6, k))
+        d, gap = gpq._prep_log_records(self._series(k, 6, k).T)
         target = gpq._exp_log_am_gm(
             exp_record_matrix(3, np.arange(50, dtype=np.uint64), k))
-        batch = gpq._solve_roots(d[:, None, :], gap[:, None], k, target)
+        batch = gpq._solve_roots(d, gap, np.broadcast_to(target, (6, 50)))
         assert batch.shape == (6, 50)
         for i in range(6):
             for j in range(50):
-                single = gpq._solve_roots(d[i], gap[i], k, target[j])
-                assert single == batch[i, j], (i, j)
+                single = gpq._solve_roots(d[:, i:i + 1], gap[i:i + 1],
+                                          target[None, j:j + 1])
+                assert single[0, 0] == batch[i, j], (i, j)
 
     @pytest.mark.parametrize("k", KS)
     def test_row_statistics_do_not_depend_on_batch(self, k):
         rows = exp_record_matrix(4, np.arange(40, dtype=np.uint64), k)
         target = gpq._exp_log_am_gm(rows)
         _, gap = gpq._prep_log_records(rows)
-        for i in range(rows.shape[0]):
-            assert gpq._exp_log_am_gm(rows[i]) == target[i]
-            assert gpq._exp_log_am_gm(rows[i:i + 1])[0] == target[i]
-            assert gpq._prep_log_records(rows[i])[1] == gap[i]
+        for i in range(rows.shape[1]):
+            assert gpq._exp_log_am_gm(rows[:, i]) == target[i]
+            assert gpq._exp_log_am_gm(rows[:, i:i + 1])[0] == target[i]
+            assert gpq._prep_log_records(rows[:, i])[1] == gap[i]
 
     @pytest.mark.parametrize("k", (4, 7, 9, 15))
     def test_draws_are_prefixes_across_chunk_edges(self, k):
@@ -306,13 +307,13 @@ class TestNewtonStart:
     @pytest.mark.parametrize("values", [[1.0, 3.0], [2.0, 2.0 * (1.0 + 1e-12)],
                                         [1e-300, 1e300]])
     def test_k2_closed_form_outside_the_table(self, values):
-        d, gap = gpq._prep_log_records(np.array(values))
-        _, h = gpq._start_table(d, np.asarray(gap), 2)
+        d, gap = gpq._prep_log_records(np.array(values)[:, None])
+        h = gpq._start_table(d, gap)[1][0]
         # Below node 0's h the start is node 0 or beta0; above the last
         # node's h no node reaches the target and the start is beta0.
         target = np.array([h[0] * 1e-3, h[0] * 0.5, h[-1] * 1.5, h[-1] + 300.0])
         assert target[1] < h[0] < h[-1] < target[2]
-        got = gpq._solve_roots(d, gap, 2, target)
+        got = gpq._solve_roots(d, gap, target[None])[0]
         np.testing.assert_allclose(got, self._k2_root(gap, target),
                                    rtol=1e-10, atol=0.0)
 
@@ -325,11 +326,11 @@ class TestNewtonStart:
             exp_record_matrix(31, np.arange(5, dtype=np.uint64), k))
         target = gpq._exp_log_am_gm(
             exp_record_matrix(32, np.arange(200, dtype=np.uint64), k))
-        nodes, _ = gpq._start_table(np.moveaxis(d, -1, 0) / scale, gap / scale, k)
+        nodes, _ = gpq._start_table(d / scale, gap / scale)
         assert np.any(np.isinf(nodes))
-        got = gpq._solve_roots(d[:, None, :] / scale, gap[:, None] / scale, k,
-                               target)
-        want = gpq._solve_roots(d[:, None, :], gap[:, None], k, target)
+        targets = np.broadcast_to(target, (5, 200))
+        got = gpq._solve_roots(d / scale, gap / scale, targets)
+        want = gpq._solve_roots(d, gap, targets)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got / scale, want, rtol=1e-12, atol=0.0)
 
@@ -337,7 +338,7 @@ class TestNewtonStart:
         for k in (2, 4, 8, 15):
             rows = exp_record_matrix(9, np.arange(20, dtype=np.uint64), k)
             d, gap = gpq._prep_log_records(rows)
-            _, h = gpq._start_table(np.moveaxis(d, -1, 0), gap, k)
+            _, h = gpq._start_table(d, gap)
             assert np.all(np.diff(h, axis=-1) > 0.0)
 
     @pytest.mark.parametrize("k", (2, 4, 8, 15))
@@ -347,23 +348,23 @@ class TestNewtonStart:
             exp_record_matrix(21, np.arange(reps, dtype=np.uint64), k))
         target = gpq._exp_log_am_gm(exp_record_matrix(
             22, np.arange(reps * m, dtype=np.uint64), k)).reshape(reps, m)
-        batch = gpq._solve_roots(d[:, None, :] / beta, gap[:, None] / beta,
-                                 k, target)
+        batch = gpq._solve_roots(d / beta, gap / beta, target)
         assert batch.shape == (reps, m)
         for i in range(reps):
-            row = gpq._solve_roots(d[i] / beta, gap[i] / beta, k, target[i])
-            np.testing.assert_array_equal(row, batch[i])
+            row = gpq._solve_roots(d[:, i:i + 1] / beta, gap[i:i + 1] / beta,
+                                   target[i:i + 1])
+            np.testing.assert_array_equal(row[0], batch[i])
 
     def test_chunk_takes_at_most_five_passes(self, records34, monkeypatch):
         real, calls = gpq._record_sum, []
         monkeypatch.setattr(gpq, "_record_sum",
                             lambda a: calls.append(a.shape) or real(a))
-        d, gap = gpq._prep_log_records(records34.values)
+        d, gap = gpq._prep_log_records(records34.values[:, None])
         k = len(records34)
         target = gpq._exp_log_am_gm(
             exp_record_matrix(42, 2 * np.arange(8192, dtype=np.uint64), k))
         calls.clear()
-        gpq._solve_roots(d, gap, k, target)
+        gpq._solve_roots(d, gap, target[None])
         # One sum builds the start table; each Newton pass takes two.
         passes = (len(calls) - 1) // 2
         assert 1 <= passes <= 5, passes
@@ -426,8 +427,8 @@ class TestBracket:
            nodes=st.lists(st.integers(0, 127), min_size=2, max_size=2))
     def test_certified_bracket_holds_the_roots(self, values, frac, nodes):
         k = values.size
-        d, gap = gpq._prep_log_records(values)
-        _, h = gpq._start_table(d, np.asarray(gap), k)
+        d, gap = gpq._prep_log_records(values[:, None])
+        h = gpq._start_table(d, gap)[1][0]
         t_min = gpq._certified_target(k)
         # Targets at and just above a node's h put the root on that node,
         # where the lower bound is tightest.
@@ -437,17 +438,17 @@ class TestBracket:
             h[0] * (h[-1] / h[0]) ** frac, h[-1] * 1.5, h[-1] + 50.0,
             *h[nodes], *np.nextafter(h[nodes], np.inf),
         ])
-        high, low = gpq._bracket_roots(d, gap, k, target)
-        roots = gpq._newton(d[:, None], gap, k, target, high.copy())
+        high, low = (a[0] for a in gpq._bracket_roots(d, gap, target[None]))
+        roots = gpq._newton(d, gap, target, high.copy())
         certified = ~np.isnan(low)
         np.testing.assert_array_equal(
             certified, (target >= t_min) & (target > h[0]))
         np.testing.assert_array_equal(
-            roots, gpq._solve_roots(d, gap, k, target))
+            roots, gpq._solve_roots(d, gap, target[None])[0])
         for i in np.flatnonzero(certified):
             assert 0.0 < low[i] <= roots[i] <= high[i], i
             above = high[i] * (1 + 2 * gpq._SLACK)
-            exact = mp_root(d, gap, k, target[i], above)
+            exact = mp_root(d[:, 0], gap[0], k, target[i], above)
             assert low[i] <= exact <= high[i] * (1 + gpq._SLACK), i
             assert abs(roots[i] - exact) <= gpq._SLACK * exact, i
 
@@ -459,14 +460,6 @@ class TestBracket:
 
 
 class TestSamplePivotal:
-    def test_shared_streams_identity(self, records34):
-        draws = sample_pivotal(records34, records34, "ratio", 64, seed=5,
-                               shared_streams=True)
-        assert np.all(draws.values == 1.0)
-        diffs = sample_pivotal(records34, records34, "difference", 64, seed=5,
-                               shared_streams=True)
-        assert np.all(diffs.values == 0.0)
-
     def test_thread_count_does_not_change_draws(self, records34, records36):
         m = 20_000  # spans multiple internal chunks
         serial = sample_pivotal(records34, records36, "ratio", m, seed=77)

@@ -1,0 +1,57 @@
+"""Reports pinned to the bit.
+
+Each value below is a ``float.hex`` literal recorded from the code as it
+stood before the record-major solver layout, and every refactor of the
+pivot path since has had to reproduce it exactly.  A change that moves
+roots on purpose updates these literals and lists the reports that moved.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from weibrec import cli, gpq, records, simulate
+
+DATA = str(Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv")
+
+
+def _report(args, capsys):
+    assert cli.main(args + ["--data", DATA, "--M", "4000", "--seed", "20141"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("args, lower, upper", [
+    (["ci-ratio", "--gamma", "0.05"],
+     "0x1.0a6268f7c56e2p-2", "0x1.401683a02c269p+2"),
+    (["ci-diff", "--gamma", "0.1"],
+     "-0x1.5315cd7626d2ep-1", "0x1.37032b77df8efp-1"),
+])
+def test_interval_endpoints(args, lower, upper, capsys):
+    interval = _report(args, capsys)["interval"]
+    assert float(interval["lower"]).hex() == float.fromhex(lower).hex()
+    assert float(interval["upper"]).hex() == float.fromhex(upper).hex()
+
+
+def test_p_value(capsys):
+    report = _report(["test", "--pi0", "2.5"], capsys)
+    assert float(report["p_value"]).hex() == "0x1.e872b020c49bap-3"
+
+
+@pytest.mark.parametrize("n1, n2, coverage, length", [
+    (1, 1, "0x1.eeeeeeeeeeeefp-1", "0x1.a5b73fe6ffe3ep+7"),
+    (7, 7, "0x1.ddddddddddddep-1", "0x1.434e7283470cep+1"),
+    (15, 15, "0x1.eeeeeeeeeeeefp-1", "0x1.5c0a539cf4624p+0"),
+    (1, 15, "0x1.0000000000000p+0", "0x1.23c8554f0aa9ep+3"),
+])
+def test_run_cell(n1, n2, coverage, length):
+    report = simulate.run_cell(simulate.SimConfig(
+        n1=n1, n2=n2, beta1=1.5, beta2=2.0, m=400, reps=30, seed=77))
+    assert report.coverage.hex() == coverage
+    assert report.expected_length.hex() == length
+
+
+def test_solve_shape_pivot_k10():
+    observed = records.exponential_records(9, 20141, 0)
+    target = records.exponential_records(9, 20141, 1)
+    assert gpq.solve_shape_pivot(observed, target).hex() == "0x1.5f93907840002p-1"

@@ -94,7 +94,7 @@ class TestGeneration:
         # mean and variance within 3 MC standard errors of 1.
         draws = 100_000
         rows = exp_record_matrix(99, np.arange(draws), 3)
-        spacings = np.diff(rows, axis=1).ravel()
+        spacings = np.diff(rows, axis=0).ravel()
         n = spacings.size
         assert abs(spacings.mean() - 1.0) < 3.0 / np.sqrt(n)
         # var(Exp(1)) = 1; se of sample variance uses E[(X-1)^4] - 1 = 8
@@ -105,7 +105,7 @@ class TestGeneration:
         # so its mean is n + 1 (3.0 for n = 2).
         draws = 100_000
         rows = exp_record_matrix(7, np.arange(draws), 3)
-        last = rows[:, -1]
+        last = rows[-1]
         se = last.std() / np.sqrt(draws)
         assert abs(last.mean() - 3.0) < 3.0 * se
 

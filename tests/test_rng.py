@@ -68,21 +68,21 @@ def test_derive_seed_chains_tags():
 def test_exp_record_matrix_broadcasts():
     # scalar seed + vector streams
     a = exp_record_matrix(5, np.arange(4), 6)
-    assert a.shape == (4, 6)
+    assert a.shape == (6, 4)
     # vector seeds + scalar stream
     seeds = derive_seed_array(5, np.arange(3))
     b = exp_record_matrix(seeds, 0, 6)
-    assert b.shape == (3, 6)
+    assert b.shape == (6, 3)
     # outer broadcast
     c = exp_record_matrix(seeds[:, None], np.arange(4)[None, :], 6)
-    assert c.shape == (3, 4, 6)
-    np.testing.assert_array_equal(c[0], exp_record_matrix(int(seeds[0]), np.arange(4), 6))
+    assert c.shape == (6, 3, 4)
+    np.testing.assert_array_equal(c[:, 0], exp_record_matrix(int(seeds[0]), np.arange(4), 6))
 
 
 def test_rows_are_positive_increasing():
     rows = exp_record_matrix(11, np.arange(100), 8)
-    assert np.all(rows[:, 0] > 0)
-    assert np.all(np.diff(rows, axis=1) > 0)
+    assert np.all(rows[0] > 0)
+    assert np.all(np.diff(rows, axis=0) > 0)
 
 
 def test_exp_record_rows_are_stream_partial_sums():
@@ -90,6 +90,6 @@ def test_exp_record_rows_are_stream_partial_sums():
         rows = exp_record_matrix(21, np.arange(30), k)
         for s in range(30):
             np.testing.assert_array_equal(
-                rows[s], np.cumsum(stream_exponentials(21, s, 0, k)))
+                rows[:, s], np.cumsum(stream_exponentials(21, s, 0, k)))
         # record-major memory: the record axis is outermost
-        assert np.moveaxis(rows, -1, 0).flags.c_contiguous
+        assert rows.flags.c_contiguous

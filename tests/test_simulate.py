@@ -41,7 +41,7 @@ def full_polish_sums(config, base_seed, start, stop):
         d, gap = gpq._prep_log_records(exp_record_matrix(data_seeds, pop, k))
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
         target = simulate._exp_targets(pivot_seeds[:, None], ids, k)
-        roots.append(gpq._solve_roots(d[:, None, :], gap[:, None], k, target))
+        roots.append(gpq._solve_roots(d, gap, target))
     ratio = np.sort(roots[0] / roots[1], axis=1)
     lower, upper = ratio[:, lo_rank - 1], ratio[:, hi_rank - 1]
     return int(np.count_nonzero((lower < 1.0) & (1.0 < upper))), upper - lower
@@ -266,9 +266,9 @@ class TestPolishSelection:
         # would polish every draw.
         real, polished = simulate._newton, []
 
-        def counting(d, gap, k, target, beta):
+        def counting(d, gap, target, beta):
             polished.append(beta.size)
-            return real(d, gap, k, target, beta)
+            return real(d, gap, target, beta)
 
         monkeypatch.setattr(simulate, "_newton", counting)
         config = SimConfig(n1=7, n2=7, beta1=1.0, beta2=2.0, m=2000, reps=60,
