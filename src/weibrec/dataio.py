@@ -10,7 +10,10 @@ pre-extracted record values:
   extraction depends on observation order);
 * JSON: an object mapping labels to arrays, an array of objects with
   ``label`` and ``values`` (or ``records``), or a report emitted by the
-  ``extract`` command (its ``populations`` list round-trips as input);
+  ``extract`` command (its ``populations`` list round-trips as input).
+  No key is dropped: a key given twice in one object, a top-level key
+  that an ``extract`` report does not carry, or an entry with both
+  ``values`` and ``records`` is an error;
 * inline: ``label:v1,v2,...;label2:...`` directly on the command line.
 
 Parse failures carry row/column (or label/index) diagnostics.
@@ -161,6 +164,20 @@ class _Object(dict):
         super().__init__(pairs)
         self.pairs = pairs
 
+    def check_unique(self, where: str) -> None:
+        """Reject a key given twice, which would keep only its last value."""
+        if len(self) != len(self.pairs):
+            seen = set()
+            for key, _ in self.pairs:
+                if key in seen:
+                    raise InvalidDataError(f"{where}: key {key!r} is repeated")
+                seen.add(key)
+
+
+# The top-level keys of an ``extract`` report, which round-trips as input.
+_REPORT_KEYS = frozenset(("schema", "version", "command", "data_digest",
+                          "populations"))
+
 
 def _parse_json(text: str) -> Populations:
     try:
@@ -171,6 +188,13 @@ def _parse_json(text: str) -> Populations:
         raise InvalidDataError(
             "invalid JSON: arrays or objects are nested too deeply") from None
     if isinstance(doc, dict) and "populations" in doc:
+        doc.check_unique("JSON report")
+        for key in doc:
+            if key not in _REPORT_KEYS:
+                raise InvalidDataError(
+                    f"JSON report: unexpected key {key!r} beside "
+                    f"'populations' (an extract report has only "
+                    f"{', '.join(sorted(_REPORT_KEYS))})")
         doc = doc["populations"]
     pops: Populations = []
     if isinstance(doc, dict):
@@ -182,6 +206,11 @@ def _parse_json(text: str) -> Populations:
                 raise InvalidDataError(
                     f"populations[{i}]: expected an object with a 'label'"
                 )
+            entry.check_unique(f"populations[{i}]")
+            if "values" in entry and "records" in entry:
+                raise InvalidDataError(
+                    f"populations[{i}]: has both a 'values' and a 'records' "
+                    f"key; give one")
             values = entry.get("values", entry.get("records"))
             if values is None:
                 raise InvalidDataError(

@@ -29,8 +29,18 @@ which the error is below rounding.  A batch of roots then takes about
 four passes.  The solve is split in two: :func:`_bracket_roots` finds
 each start and a certified lower bound, the table node below the root
 less a slack for float error, and :func:`_newton` polishes from the
-start.  A caller that needs only some order statistics of the roots'
-ratios can polish just the draws whose brackets reach them.
+start.
+
+An interval reads two order statistics of the draws and a p-value one
+tail count, so neither needs every root.  :func:`sample_pivotal`
+brackets every root and keeps only the resulting bounds on each ratio
+or difference (:func:`_draw_bounds`).  :func:`percentile_interval` and
+the p-values then polish just the draws whose bounds can reach their
+ranks or straddle their threshold (:func:`_candidates`), re-drawing
+those draws' targets from their streams, and read the same values as a
+full solve, bit for bit.  The coverage simulator selects its draws with
+the same routine.  ``PivotalDraws.values`` is still the full solve,
+made on its first read.
 
 Record arrays are record-major in every signature here and in memory:
 the records are the leading axis, so an observed ``d`` is ``(k,
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -60,7 +70,12 @@ from .records import RecordSeries, log_to_max
 # at this import site.
 from .rng import exp_record_matrix, exp_records  # noqa: F401
 
+# Draws per span when bracketing, and when solving draws in full.  The
+# solve's spans are smaller: each holds a (k, span) Newton buffer, and the
+# 6,000 to 10,000 draws an interval or p-value polishes at M = 1e5 still
+# spread over two threads.  At 8192 the CLI's peak RSS rose by about 2%.
 _CHUNK = 8192
+_POLISH_CHUNK = 4096
 
 # Start nodes of the root solve in units of 1 / gap, where h >= u.
 _START_NODES = np.geomspace(1e-3, 1e2, 128)
@@ -73,27 +88,77 @@ _KINDS = ("ratio", "difference", "single-shape")
 _ESTIMAND_FOR_KIND = {"ratio": "pi", "difference": "delta", "single-shape": "beta"}
 
 
-@dataclass(frozen=True)
 class PivotalDraws:
-    """Monte Carlo draws of a pivotal quantity, ordered by replicate."""
+    """Monte Carlo draws of a pivotal quantity, ordered by replicate.
 
-    values: NDArray[np.float64] = field(repr=False)
-    kind: str
-    m: int
-    seed: int
+    Draw ``i`` is the float value ``values[i]``, and ``below[i] <=
+    values[i] <= above[i]``.  Draws built from explicit ``values`` have
+    ``below`` and ``above`` equal to them.  Draws from
+    :func:`sample_pivotal` or :func:`sample_shape_pivot` hold the bounds
+    from their roots' brackets and solve ``values`` in full on its first
+    read.  :func:`percentile_interval` and the p-values need neither:
+    they polish only the draws whose bounds can reach their order
+    statistics or straddle their threshold (see :func:`_candidates`).
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidDataError(f"unknown draw kind {self.kind!r}")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != self.m or self.m < 1:
+    __slots__ = ("kind", "m", "seed", "below", "above", "_solve", "_values")
+
+    def __init__(self, values, kind: str, m: int, seed: int):
+        if kind not in _KINDS:
+            raise InvalidDataError(f"unknown draw kind {kind!r}")
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 1 or arr.size != m or m < 1:
             raise InvalidDataError("draws must be a 1-d array of length m >= 1")
         if not np.all(np.isfinite(arr)):
             raise InvalidDataError("draws must be finite")
-        if self.kind == "ratio" and np.any(arr <= 0.0):
+        if kind == "ratio" and np.any(arr <= 0.0):
             raise InvalidDataError("ratio draws must be strictly positive")
         arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        self._set(kind, m, seed, arr, arr, None, arr)
+
+    @classmethod
+    def _bracketed(cls, kind: str, m: int, seed: int, below, above, solve):
+        """Draws known by their bounds; ``solve(idx)`` gives ``values[idx]``."""
+        draws = object.__new__(cls)
+        for bound in (below, above):
+            bound.flags.writeable = False
+        draws._set(kind, m, seed, below, above, solve, None)
+        return draws
+
+    def _set(self, *slots):
+        """Set every slot, in ``__slots__`` order, past the read-only guard."""
+        for name, value in zip(self.__slots__, slots):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PivotalDraws is read-only: cannot set {name!r}")
+
+    def __repr__(self):
+        return f"PivotalDraws(kind={self.kind!r}, m={self.m}, seed={self.seed})"
+
+    @property
+    def values(self) -> NDArray[np.float64]:
+        """Every draw, solved on first read for sampled draws."""
+        if self._values is None:
+            values = self._solve(np.arange(self.m))
+            values.flags.writeable = False
+            object.__setattr__(self, "_values", values)
+        return self._values
+
+    def _settled(self, ranks=(), pi0=None) -> NDArray[np.float64]:
+        """The draws, exact where they can reach ``ranks`` or straddle ``pi0``.
+
+        Each other draw holds its lower bound, which lies on the same
+        side of each rank's value, and of ``pi0``, as the draw itself:
+        the values at those ranks and the counts on either side of
+        ``pi0`` are those of :attr:`values`, bit for bit.
+        """
+        idx = np.flatnonzero(_candidates(self.below, self.above, ranks, pi0))
+        exact = self._solve(idx) if self._values is None else self._values[idx]
+        # Copied only now, so the copy and the solve's buffers never coexist.
+        settled = self.below.copy()
+        settled[idx] = exact
+        return settled
 
 
 @dataclass(frozen=True)
@@ -408,20 +473,105 @@ def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
     return [fn(s, e) for s, e in spans]
 
 
-def _solve_span(series: RecordSeries, seed: int, offset: int, start: int,
-                stop: int) -> NDArray[np.float64]:
-    """Pivot roots of one population for replicates ``[start, stop)``.
+def _per_draw(fn, d, gap, seed: int, offset: int, reps):
+    """``fn(d, gap, target)`` at the targets of replicates ``reps``.
 
-    Replicate ``i`` reads stream ``2 i + offset`` of ``seed``.
+    Replicate ``i`` reads stream ``2 i + offset`` of ``seed``; a
+    ``BracketError`` names the replicate.
     """
-    ids = 2 * np.arange(start, stop, dtype=np.uint64) + np.uint64(offset)
-    target = _exp_targets(seed, ids, len(series))
-    d, gap = _prep_log_records(series.values[:, None])
+    ids = 2 * reps.astype(np.uint64) + np.uint64(offset)
+    target = _exp_targets(seed, ids, len(d))
     try:
-        return _solve_roots(d, gap, target[None])[0]
+        return fn(d, gap, target[None])
     except BracketError as exc:
-        rep = start + (exc.replicate or 0)
+        rep = int(reps[exc.replicate or 0])
         raise BracketError(f"replicate {rep}: {exc}", replicate=rep) from exc
+
+
+def _combine(kind: str, roots):
+    """The draw from its populations' roots: U1 / U2, U1 - U2 or U1."""
+    if kind == "ratio":
+        return roots[0] / roots[1]
+    return roots[0] - roots[1] if kind == "difference" else roots[0]
+
+
+def _draw_bounds(kind: str, lows, highs):
+    """``(below, above)``: bounds on each draw from its roots' brackets.
+
+    ``lows`` and ``highs`` hold each population's root bounds from
+    :func:`_bracket_roots`, and each float root lies between them.
+    Float division and subtraction are monotone in each argument, so the
+    float ratio U1 / U2 lies in ``[low1 / high2, high1 / low2]`` and the
+    float difference U1 - U2 in ``[low1 - high2, high1 - low2]``.  A draw
+    with an uncertified (NaN) lower root bound gets ``[-inf, inf]``.
+    """
+    below = _combine(kind, [lows[0], *highs[1:]])
+    above = _combine(kind, [highs[0], *lows[1:]])
+    uncertified = np.isnan(lows[0])
+    for low in lows[1:]:
+        uncertified |= np.isnan(low)
+    return (np.where(uncertified, -np.inf, below),
+            np.where(uncertified, np.inf, above))
+
+
+def _candidates(below, above, ranks=(), pi0=None) -> NDArray[np.bool_]:
+    """The draws to polish, given bounds ``below <= draw <= above``.
+
+    Draws run along the last axis.  With ``pi0``, these are the draws
+    with ``below <= pi0 <= above``: every other draw is certainly below
+    or above ``pi0``, and a draw equal to ``pi0`` counts to neither
+    side.  Otherwise they are the draws whose bounds can hold any of the
+    zero-based ``ranks``: the rank-r draw lies between the rank-r values
+    of ``below`` and of ``above``, and a draw whose bounds miss that
+    range stays on its side of the rank-r draw wherever it lies inside
+    them.  So setting every other draw to any value inside its bounds
+    leaves the rank-r values, and the counts on either side of ``pi0``,
+    as the exact draws have them.
+    """
+    if pi0 is not None:
+        return (below <= pi0) & (pi0 <= above)
+    lows = np.sort(below, axis=-1)[..., ranks]
+    highs = np.sort(above, axis=-1)[..., ranks]
+    polish = np.zeros(below.shape, dtype=bool)
+    for j in range(len(ranks)):
+        polish |= (above >= lows[..., j, None]) & (below <= highs[..., j, None])
+    return polish
+
+
+def _sample(kind: str, series: list[RecordSeries], m: int, seed: int,
+            threads: int | None) -> PivotalDraws:
+    """Bracket the ``m`` draws of ``kind``, one root from each series.
+
+    Every chunk of ``_CHUNK`` draws is bracketed into the two preallocated
+    bound arrays.  Nothing else per draw is kept: a draw that needs its
+    exact value re-draws its targets from its streams and is solved
+    again, which gives the same bracket start and then the same root,
+    because each root depends only on its series and target.
+    """
+    logs = [_prep_log_records(s.values[:, None]) for s in series]
+    below, above = np.empty(m), np.empty(m)
+
+    def bracket(start: int, stop: int) -> None:
+        reps = np.arange(start, stop)
+        highs, lows = zip(*(_per_draw(_bracket_roots, d, gap, seed, p, reps)
+                            for p, (d, gap) in enumerate(logs)))
+        below[start:stop], above[start:stop] = (
+            bound[0] for bound in _draw_bounds(kind, lows, highs))
+
+    def solve(reps: NDArray[np.intp]) -> NDArray[np.float64]:
+        out = np.empty(reps.size)
+
+        def polish(start: int, stop: int) -> None:
+            roots = [_per_draw(_solve_roots, d, gap, seed, p,
+                               reps[start:stop])[0]
+                     for p, (d, gap) in enumerate(logs)]
+            out[start:stop] = _combine(kind, roots)
+
+        _map_spans(polish, reps.size, _POLISH_CHUNK, threads)
+        return out
+
+    _map_spans(bracket, m, _CHUNK, threads)
+    return PivotalDraws._bracketed(kind, m, seed, below, above, solve)
 
 
 def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
@@ -435,6 +585,10 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
     whose pivotal equation has no positive root aborts the whole sample
     with ``BracketError``, because silently dropping replicates would
     bias the pivotal distribution.
+
+    Every root is bracketed here, but none is polished: the draws hold
+    their bounds, and their values are solved on first read of
+    ``values``.  An interval or p-value polishes only the draws it needs.
     """
     if kind not in ("ratio", "difference"):
         raise InvalidDataError(f"kind must be 'ratio' or 'difference', got {kind!r}")
@@ -442,14 +596,7 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
         raise InvalidDataError("m must be at least 1")
     if series1.n < 1 or series2.n < 1:
         raise InvalidDataError("each series needs at least two record values")
-
-    def chunk(start: int, stop: int) -> NDArray[np.float64]:
-        t1 = _solve_span(series1, seed, 0, start, stop)
-        t2 = _solve_span(series2, seed, 1, start, stop)
-        return t1 / t2 if kind == "ratio" else t1 - t2
-
-    values = np.concatenate(_map_spans(chunk, m, _CHUNK, threads))
-    return PivotalDraws(values=values, kind=kind, m=m, seed=seed)
+    return _sample(kind, [series1, series2], m, seed, threads)
 
 
 def sample_shape_pivot(series: RecordSeries, m: int, seed: int,
@@ -459,10 +606,7 @@ def sample_shape_pivot(series: RecordSeries, m: int, seed: int,
         raise InvalidDataError("m must be at least 1")
     if series.n < 1:
         raise InvalidDataError("need at least two record values")
-    values = np.concatenate(_map_spans(
-        lambda start, stop: _solve_span(series, seed, 0, start, stop),
-        m, _CHUNK, threads))
-    return PivotalDraws(values=values, kind="single-shape", m=m, seed=seed)
+    return _sample("single-shape", [series], m, seed, threads)
 
 
 def _snap(x: float) -> float:
@@ -492,18 +636,23 @@ def percentile_ranks(m: int, gamma: float) -> tuple[int, int]:
 
 
 def percentile_interval(draws: PivotalDraws, gamma: float) -> IntervalEstimate:
-    """Equal-tail percentile interval from sorted pivotal draws.
+    """Equal-tail percentile interval from the ordered pivotal draws.
 
     Uses the exact order statistics at one-based ranks
     ``ceil(gamma m / 2)`` and ``floor((1 - gamma/2) m)``; no
     interpolation, so when ``gamma m / 2`` is integral the ranks are
-    exactly the classical percentile indices.
+    exactly the classical percentile indices.  Only the draws whose
+    bounds can reach either rank are solved, and the endpoints are
+    those of the fully solved ``draws.values``, bit for bit.
     """
     lo_rank, hi_rank = percentile_ranks(draws.m, gamma)
-    ordered = np.sort(draws.values)
+    ranks = [lo_rank - 1, hi_rank - 1]
+    settled = draws._settled(ranks=ranks)
+    settled.sort()
+    lower, upper = settled[ranks]
     return IntervalEstimate(
-        lower=float(ordered[lo_rank - 1]),
-        upper=float(ordered[hi_rank - 1]),
+        lower=float(lower),
+        upper=float(upper),
         level=1.0 - gamma,
         m=draws.m,
         estimand=_ESTIMAND_FOR_KIND[draws.kind],
@@ -516,7 +665,8 @@ def p_value_one_sided(draws: PivotalDraws, pi0: float) -> TestResult:
     Small values are evidence that the estimand exceeds ``pi0``.  Draws
     exactly equal to ``pi0`` count to neither side.
     """
-    p = float(np.count_nonzero(draws.values < pi0)) / draws.m
+    settled = draws._settled(pi0=pi0)
+    p = float(np.count_nonzero(settled < pi0)) / draws.m
     return TestResult(p_value=p, pi0=pi0, sidedness="one-sided-greater",
                       m=draws.m, mc_se=math.sqrt(p * (1.0 - p) / draws.m))
 
@@ -526,8 +676,9 @@ def p_value_two_sided(draws: PivotalDraws, pi0: float) -> TestResult:
 
     Its Monte Carlo standard error is that of 2 q, not of a frequency p.
     """
-    below = float(np.count_nonzero(draws.values < pi0))
-    above = float(np.count_nonzero(draws.values > pi0))
+    settled = draws._settled(pi0=pi0)
+    below = float(np.count_nonzero(settled < pi0))
+    above = float(np.count_nonzero(settled > pi0))
     q = min(below, above) / draws.m
     return TestResult(p_value=min(1.0, 2.0 * q), pi0=pi0,
                       sidedness="two-sided", m=draws.m,

@@ -61,26 +61,9 @@ def stream_base(seed, stream_ids) -> NDArray[np.uint64]:
     return mix64(s ^ mix64(_u64(stream_ids) ^ _STREAM_SALT))
 
 
-def stream_words(seed, stream_id: int, start: int, count: int) -> NDArray[np.uint64]:
-    """Words ``start .. start+count-1`` of one stream, as raw uint64."""
-    base = stream_base(seed, stream_id)
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return mix64(base + counters * _GOLDEN)
-
-
 def words_to_uniforms(words: NDArray[np.uint64]) -> NDArray[np.float64]:
     """Map 64-bit words to doubles strictly inside (0, 1)."""
     return ((words >> _SHIFT_11).astype(np.float64) + 0.5) * _U01_SCALE
-
-
-def stream_uniforms(seed, stream_id: int, start: int, count: int) -> NDArray[np.float64]:
-    return words_to_uniforms(stream_words(seed, stream_id, start, count))
-
-
-def stream_exponentials(seed, stream_id: int, start: int, count: int) -> NDArray[np.float64]:
-    """Standard exponential variates from one stream."""
-    u = stream_uniforms(seed, stream_id, start, count)
-    return -np.log1p(-u)
 
 
 def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]]:
@@ -106,9 +89,11 @@ def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
 
     E.g. a scalar seed with ``k`` stream ids gives shape ``(n_values, k)``.
     The result is record-major and C-ordered, so a sum over records is
-    ``n_values - 1`` vector adds.  Each stream's values are those of the
-    cumulative sum of its :func:`stream_exponentials`.  The pivot targets
-    do not use this matrix: they reduce :func:`exp_records` as it runs.
+    ``n_values - 1`` vector adds.  Stream ``s`` of ``seed`` holds the
+    cumulative sum of the standard exponentials ``-log1p(-u_j)``, where
+    ``u_j`` is word ``j`` (from 1) of the stream mapped into (0, 1).  The
+    pivot targets do not use this matrix: they reduce :func:`exp_records`
+    as it runs.
     """
     return np.stack(list(exp_records(seed, stream_ids, n_values)))
 

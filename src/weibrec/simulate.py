@@ -18,7 +18,8 @@ batch size nor the thread count can move a cell's report.
 A replicate's interval reads only two order statistics of its m pivot
 ratios.  Each root is bracketed first (``gpq._bracket_roots``), which
 bounds every ratio, and Newton polishes only the draws whose bounds can
-reach either rank, about a tenth of them (see :func:`_batch_sums`).  A
+reach either rank, about a tenth of them, chosen by the same routine
+that serves the command-line intervals (see :func:`_batch_sums`).  A
 batch holds about 2**18 / k elements in each per-draw array (targets,
 root brackets, ratio bounds), for k the larger record count; these are
 its largest temporaries, so that the working set of each thread stays
@@ -44,8 +45,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_bracket_roots, _exp_targets, _map_spans, _newton,
-                  _prep_log_records, percentile_ranks)
+from .gpq import (_bracket_roots, _candidates, _draw_bounds, _exp_targets,
+                  _map_spans, _newton, _prep_log_records, percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
 _ELEMENT_BUDGET = 2 ** 18
@@ -133,13 +134,12 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     Neither alpha nor beta enters the solve, which therefore cannot
     overflow at extreme shapes.
 
-    Only the draws that can hold rank lo or rank hi are polished.  With
-    each float root inside ``[low, high]`` from the bracket, the float
-    ratio U1 / U2 lies inside ``[low1 / high2, high1 / low2]``, and the
-    rank-r ratio between the rank-r values of those bounds.  A draw
-    whose bounds miss that range stays on its side of the rank-r ratio
-    wherever it lies inside them, so it keeps its lower bound, and the
-    sort reads the same two ratios as a full solve would, bit for bit.
+    Only the draws that can hold rank lo or rank hi are polished: each
+    float ratio U1 / U2 lies inside the bounds that ``gpq._draw_bounds``
+    forms from the root brackets, and ``gpq._candidates`` picks the
+    draws whose bounds can reach either rank.  Every other draw keeps
+    its lower bound, and the sort reads the same two ratios as a full
+    solve would, bit for bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
@@ -163,18 +163,9 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
             ) from exc
         pops.append((d, gap, target, high, low))
 
-    # Bounds on each float ratio U1 / U2.  A NaN lower root bound is one
-    # the bracket could not certify; such a draw gets infinite bounds,
-    # which makes it a candidate below.
     (*_, high1, low1), (*_, high2, low2) = pops
-    certain = (low1 > 0.0) & (low2 > 0.0)
-    below = np.where(certain, low1 / high2, -np.inf)
-    above = np.where(certain, high1 / low2, np.inf)
-    polish = np.zeros(below.shape, dtype=bool)
-    for low_r, high_r in zip(np.partition(below, ranks, axis=1)[:, ranks].T,
-                             np.partition(above, ranks, axis=1)[:, ranks].T):
-        polish |= (above >= low_r[:, None]) & (below <= high_r[:, None])
-    rows, cols = np.nonzero(polish)
+    below, above = _draw_bounds("ratio", (low1, low2), (high1, high2))
+    rows, cols = np.nonzero(_candidates(below, above, ranks))
     u1, u2 = (_newton(d[:, rows], gap[rows], target[rows, cols], high[rows, cols])
               for d, gap, target, high, _ in pops)
 

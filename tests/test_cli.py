@@ -424,6 +424,60 @@ class TestDeterminismAndRoundTrip:
         assert cli.THREADS_ENV in err
 
 
+def full_percentile_interval(draws, gamma):
+    """The interval read from every draw, fully solved and sorted."""
+    lo_rank, hi_rank = gpq.percentile_ranks(draws.m, gamma)
+    ordered = np.sort(draws.values)
+    return gpq.IntervalEstimate(
+        lower=float(ordered[lo_rank - 1]), upper=float(ordered[hi_rank - 1]),
+        level=1.0 - gamma, m=draws.m,
+        estimand=gpq._ESTIMAND_FOR_KIND[draws.kind])
+
+
+def full_p_value_one_sided(draws, pi0):
+    """The one-sided p-value counted over every fully solved draw."""
+    p = float(np.count_nonzero(draws.values < pi0)) / draws.m
+    return gpq.TestResult(p_value=p, pi0=pi0, sidedness="one-sided-greater",
+                          m=draws.m, mc_se=math.sqrt(p * (1.0 - p) / draws.m))
+
+
+def full_p_value_two_sided(draws, pi0):
+    """The two-sided p-value counted over every fully solved draw."""
+    below = float(np.count_nonzero(draws.values < pi0))
+    above = float(np.count_nonzero(draws.values > pi0))
+    q = min(below, above) / draws.m
+    return gpq.TestResult(p_value=min(1.0, 2.0 * q), pi0=pi0,
+                          sidedness="two-sided", m=draws.m,
+                          mc_se=2.0 * math.sqrt(q * (1.0 - q) / draws.m))
+
+
+class TestSelectivePolishOutput:
+    """The command line reports what a full solve of every draw reports."""
+
+    @pytest.mark.parametrize("args", [
+        ["ci-ratio", "--gamma", "0.05"],
+        ["ci-diff", "--gamma", "0.1"],
+        ["test", "--pi0", "1", "--sided", "greater"],
+        ["test", "--pi0", "2.5", "--sided", "two-sided"],
+    ], ids=["ci-ratio", "ci-diff", "test-greater", "test-two-sided"])
+    @pytest.mark.parametrize("m, seed, fmt", [
+        (400, 3, "text"), (5000, 20141, "csv"), (100_000, 42, "json"),
+    ])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stdout_equals_full_solve(self, args, m, seed, fmt, threads,
+                                      capsys, monkeypatch):
+        argv = args + ["--data", str(REPO_DATA), "--M", str(m), "--seed",
+                       str(seed), "--threads", threads, "--format", fmt]
+        code, selective, err = run_cli(argv, capsys)
+        assert code == 0, err
+        monkeypatch.setattr(cli, "percentile_interval", full_percentile_interval)
+        monkeypatch.setattr(cli, "p_value_one_sided", full_p_value_one_sided)
+        monkeypatch.setattr(cli, "p_value_two_sided", full_p_value_two_sided)
+        code, full, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert selective.encode() == full.encode()
+
+
 class TestInputFormats:
     def test_long_csv_with_order(self, tmp_path, capsys):
         path = tmp_path / "long.csv"

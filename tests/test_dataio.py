@@ -79,6 +79,62 @@ class TestRepeatedLabels:
         assert "'a'" in captured.err
 
 
+class TestNoKeyDropped:
+    """Every key of a JSON input is read or rejected, never dropped."""
+
+    POPS = ('[{"label": "a", "records": [1, 2, 3]}, '
+            '{"label": "c", "records": [1, 4]}]')
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"populations": %s, "b": [1, 5, 9]}' % POPS, "'b'"),
+        ('{"schema": "weibrec-report/1", "populations": %s, "extra": 1}'
+         % POPS, "'extra'"),
+        ('[{"label": "a", "label": "b", "records": [1, 2, 3]}, '
+         '{"label": "c", "records": [1, 4]}]', "'label'"),
+        ('{"populations": [{"label": "a", "records": [1, 2], '
+         '"records": [1, 3]}, {"label": "c", "records": [1, 4]}]}',
+         "'records'"),
+        ('{"populations": %s, "populations": []}' % POPS, "'populations'"),
+        ('[{"label": "a", "values": [1, 2], "records": [1, 3]}, '
+         '{"label": "c", "records": [1, 4]}]', "'records'"),
+    ], ids=["beside-populations", "beside-report-keys", "entry-label-twice",
+            "entry-records-twice", "populations-twice", "values-and-records"])
+    def test_rejected_naming_the_key(self, tmp_path, text, key):
+        path = tmp_path / "pops.json"
+        path.write_text(text)
+        with pytest.raises(InvalidDataError, match=key):
+            load_populations(str(path))
+
+    def test_mle_exits_2_on_a_key_beside_populations(self, tmp_path, capsys):
+        path = tmp_path / "pops.json"
+        path.write_text('{"populations": %s, "b": [1, 5, 9]}' % self.POPS)
+        assert cli.main(["mle", "--records", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'b'" in captured.err
+
+    def test_extract_report_round_trips(self, tmp_path, capsys):
+        data = tmp_path / "raw.csv"
+        data.write_text("a,b\n1,2\n3,1\n2,5\n7,6\n")
+        report = tmp_path / "report.json"
+        assert cli.main(["extract", "--data", str(data),
+                         "--out", str(report)]) == 0
+        pops = load_populations(str(report), kind="records")
+        assert [label for label, _ in pops] == ["a", "b"]
+        assert [list(v) for _, v in pops] == [[1.0, 3.0, 7.0], [2.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("doc", [
+        {"p1": [1.0, 2.0], "p2": [3.0, 4.0]},
+        [{"label": "p1", "values": [1.0, 2.0]},
+         {"label": "p2", "values": [3.0, 4.0]}],
+    ])
+    def test_benchmark_json_forms_parse(self, tmp_path, doc):
+        path = tmp_path / "pops.json"
+        path.write_text(json.dumps(doc))
+        pops = load_populations(str(path))
+        assert [label for label, _ in pops] == ["p1", "p2"]
+
+
 # Text built from the characters the parsers split on, after a wide or
 # long CSV header, so that examples reach the CSV, JSON and inline
 # grammars rather than stopping at the first character.

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -29,6 +29,8 @@ from weibrec import (
     weibull_records,
 )
 from weibrec import gpq, rng
+from weibrec.datasets import INSULATING_FLUID
+from weibrec.records import extract_upper_records
 from weibrec.rng import derive_seed_array, exp_record_matrix
 
 
@@ -556,6 +558,150 @@ class TestSamplePivotal:
         ci = percentile_interval(draws, 0.1)
         assert ci.estimand == "beta"
         assert ci.lower < 0.5990 < ci.upper
+
+
+def full_interval(values, gamma):
+    """Endpoints read from the sorted, fully solved draws."""
+    lo_rank, hi_rank = percentile_ranks(values.size, gamma)
+    ordered = np.sort(values)
+    return ordered[lo_rank - 1], ordered[hi_rank - 1]
+
+
+def full_tails(values, pi0):
+    """Counts of fully solved draws below and above ``pi0``."""
+    return (int(np.count_nonzero(values < pi0)),
+            int(np.count_nonzero(values > pi0)))
+
+
+class TestCandidates:
+    """Draws outside the candidates may sit anywhere inside their bounds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 300), ranks=st.lists(st.integers(0, 299),
+                                                 min_size=1, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans())
+    def test_ranks_and_tails_do_not_move(self, m, ranks, seed, ties):
+        ranks = [r % m for r in ranks]
+        gen = np.random.default_rng(seed)
+        exact = gen.normal(size=m)
+        if ties:
+            exact = np.round(exact, 1)
+        below = exact - gen.exponential(size=m) * gen.integers(0, 2, m)
+        above = exact + gen.exponential(size=m) * gen.integers(0, 2, m)
+        inside = np.clip(below + gen.random(m) * (above - below), below, above)
+        # Uncertified draws: infinite bounds, and any value at all.
+        wide = gen.random(m) < 0.1
+        below[wide], above[wide] = -np.inf, np.inf
+        inside[wide] = gen.normal(size=int(wide.sum())) * 1e6
+        pi0 = float(gen.choice(exact))
+        for polish, check in (
+                (gpq._candidates(below, above, ranks), "ranks"),
+                (gpq._candidates(below, above, pi0=pi0), "tails")):
+            moved = np.where(polish, exact, inside)
+            if check == "ranks":
+                assert np.array_equal(np.sort(moved)[ranks],
+                                      np.sort(exact)[ranks])
+            else:
+                assert full_tails(moved, pi0) == full_tails(exact, pi0)
+
+    def test_rows_select_on_their_own_ranks(self):
+        below = np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]])
+        polish = gpq._candidates(below, below + 0.5, [1])
+        np.testing.assert_array_equal(
+            polish, [[False, True, False, False], [False, False, True, False]])
+
+
+class TestSelectivePolish:
+    """Intervals and p-values polish only what they read, bit for bit."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(k1=st.integers(2, 16), k2=st.integers(2, 16),
+           kind=st.sampled_from(["ratio", "difference", "single-shape"]),
+           m=st.integers(40, 3000), gamma=st.floats(0.02, 0.5),
+           threads=st.sampled_from([1, 2, 3]),
+           chunk=st.sampled_from([64, 1000, 8192]),
+           seed=st.integers(0, 2 ** 64 - 1), tiny=st.booleans(),
+           at=st.floats(0.0, 1.0), on_draw=st.booleans())
+    def test_equals_full_solve_bit_for_bit(self, k1, k2, kind, m, gamma,
+                                           threads, chunk, seed, tiny, at,
+                                           on_draw, monkeypatch):
+        assume(gamma * m / 2.0 >= 1.0)
+        s1 = exponential_records(k1 - 1, seed % 1000, 0)
+        s2 = weibull_records(k2 - 1, 2.0, 0.7, seed % 997, 1)
+        exp_targets = gpq._exp_targets
+
+        def shrunk(seed, stream_ids, k):
+            # Every 7th pivot target below the certified range: its root
+            # has no certified lower bound and must be polished.
+            target = exp_targets(seed, stream_ids, k)
+            target[..., np.asarray(stream_ids) % 7 == 0] *= 1e-12
+            return target
+
+        def sample():
+            if kind == "single-shape":
+                return sample_shape_pivot(s1, m, seed, threads=threads)
+            return sample_pivotal(s1, s2, kind, m, seed, threads=threads)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gpq, "_CHUNK", chunk)
+            patch.setattr(gpq, "_POLISH_CHUNK", chunk)
+            if tiny:
+                patch.setattr(gpq, "_exp_targets", shrunk)
+            full = sample().values
+            draws = sample()
+            pi0 = float(full[int(at * (m - 1))] if on_draw
+                        else np.quantile(full, at))
+            ci = percentile_interval(draws, gamma)
+            one = p_value_one_sided(draws, pi0)
+            two = p_value_two_sided(draws, pi0)
+            # Solved last, so that the results above came from the bounds.
+            assert draws.values.tobytes() == full.tobytes()
+        want_lo, want_hi = full_interval(full, gamma)
+        below, above = full_tails(full, pi0)
+        assert (ci.lower, ci.upper) == (want_lo, want_hi)
+        assert one.p_value == below / m
+        assert two.p_value == min(1.0, 2.0 * min(below, above) / m)
+        assert np.all((draws.below <= full) & (full <= draws.above))
+
+
+@pytest.fixture(scope="module")
+def fluid_draws():
+    """Bracketed ratio and difference draws, insulating fluid, M = 1e5."""
+    s1, s2 = (extract_upper_records(INSULATING_FLUID[label], label=label)
+              for label in ("kv34", "kv36"))
+    return {kind: sample_pivotal(s1, s2, kind, 100_000, seed=42)
+            for kind in ("ratio", "difference")}
+
+
+class TestSelectivePolishAtScale:
+    def test_polished_share(self, fluid_draws):
+        # Measured at 6.0% (ratio), 7.4% (difference) and 10.2% (ratio
+        # draws straddling pi0 = 1); a bracket that certified nothing
+        # would polish every draw.
+        ranks = [r - 1 for r in percentile_ranks(100_000, 0.05)]
+        shares = {kind: np.count_nonzero(
+                      gpq._candidates(draws.below, draws.above, ranks))
+                  for kind, draws in fluid_draws.items()}
+        ratio = fluid_draws["ratio"]
+        shares["pi0 = 1"] = np.count_nonzero(
+            gpq._candidates(ratio.below, ratio.above, pi0=1.0))
+        for name, count in shares.items():
+            assert 0 < count < 0.15 * 100_000, (name, count)
+
+    def test_reading_values_moves_no_result(self, records34, records36):
+        draws = sample_pivotal(records34, records36, "ratio", 100_000,
+                               seed=7, threads=2)
+        before = (percentile_interval(draws, 0.05),
+                  p_value_one_sided(draws, 1.0), p_value_two_sided(draws, 1.0))
+        values = draws.values
+        after = (percentile_interval(draws, 0.05),
+                 p_value_one_sided(draws, 1.0), p_value_two_sided(draws, 1.0))
+        assert before == after
+        assert (before[0].lower, before[0].upper) == full_interval(values, 0.05)
+        below, above = full_tails(values, 1.0)
+        assert before[1].p_value == below / 100_000
+        assert before[2].p_value == min(1.0, 2.0 * min(below, above) / 100_000)
 
 
 class TestPivotalDraws:

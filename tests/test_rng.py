@@ -3,14 +3,34 @@
 import numpy as np
 
 from weibrec.rng import (
+    GOLDEN,
     derive_seed,
     derive_seed_array,
     exp_record_matrix,
     mix64,
-    stream_exponentials,
-    stream_uniforms,
-    stream_words,
+    stream_base,
+    words_to_uniforms,
 )
+
+
+# One stream read word by word from its counter: the independent oracle
+# for the records that ``exp_records`` draws one record at a time.
+
+def stream_words(seed, stream_id: int, start: int, count: int):
+    """Words ``start .. start+count-1`` of one stream, as raw uint64."""
+    base = stream_base(seed, stream_id)
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return mix64(base + counters * np.uint64(GOLDEN))
+
+
+def stream_uniforms(seed, stream_id: int, start: int, count: int):
+    return words_to_uniforms(stream_words(seed, stream_id, start, count))
+
+
+def stream_exponentials(seed, stream_id: int, start: int, count: int):
+    """Standard exponential variates from one stream."""
+    u = stream_uniforms(seed, stream_id, start, count)
+    return -np.log1p(-u)
 
 
 def test_words_are_pure_functions_of_position():
