@@ -25,11 +25,16 @@ right.  The start is read from a small table of log W for each
 observed series at fixed multiples of 1 / (its log gap), so it lies
 within one table step (9.5%) of a root inside the table's range, and
 a root stops once its Newton step falls to 2**-26 of its value, after
-which the error is below rounding.  A batch of roots then takes about
-four passes.  The solve is split in two: :func:`_bracket_roots` finds
-each start and a certified lower bound, the table node below the root
-less a slack for float error, and :func:`_newton` polishes from the
-start.
+which the error is below rounding.  The table is built once per
+observed series, with a bin index over its values (see
+:func:`_start_table`): a float's bin is its exponent and four leading
+mantissa bits, a bin holds at most one table value, and each target's
+start follows from the count of values below its bin in a few flat
+passes over the whole batch, with no per-row binary search.  A batch
+of roots then takes about four Newton passes.  The solve is split in
+two: :func:`_bracket_roots` finds each start and a certified lower
+bound, the table node below the root less a slack for float error, and
+:func:`_newton` polishes from the start.
 
 An interval reads two order statistics of the draws and a p-value one
 tail count, so neither needs every root.  :func:`sample_pivotal`
@@ -60,6 +65,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -79,6 +85,13 @@ _POLISH_CHUNK = 4096
 
 # Start nodes of the root solve in units of 1 / gap, where h >= u.
 _START_NODES = np.geomspace(1e-3, 1e2, 128)
+# Node j and node j - 1 for each count j of nodes below a target: past the
+# last node there is none above, and before the first none below.
+_NODES_ABOVE = np.append(_START_NODES, np.inf)
+_NODES_BELOW = np.insert(_START_NODES, 0, np.nan)
+# A positive float's bits shifted right by this many give its bin in the
+# start lookup: the exponent and four leading mantissa bits.
+_BIN_SHIFT = 48
 # A Newton step at most this fraction of beta leaves an error below rounding.
 _CONVERGED = 2.0 ** -26
 # Relative margin of a certified lower bound below its table node.
@@ -277,20 +290,120 @@ def _log_w(beta, d, gap, buf):
     return beta * gap + np.log1p(s / len(d)), s
 
 
-def _start_table(d, gap):
-    """Start nodes ``beta = u / gap`` of each series and ``h`` at them.
+class _StartTable(NamedTuple):
+    """Each observed series' start table, with the bin index over its ``h``.
 
-    ``d`` is ``(k, series)`` and ``gap`` is ``(series,)``.  Returns
-    ``(nodes, h)``, both ``(series, len(_START_NODES))``, with ``h`` from
-    :func:`_log_w`.
+    ``d`` is ``(k, series)`` and ``gap`` ``(series,)``, as from
+    :func:`_prep_log_records`.  ``h_pad`` is ``(series,
+    len(_START_NODES) + mult)``: ``h``, log W less its ``-log k`` offset
+    at the nodes ``_START_NODES / gap``, then ``mult`` NaN entries.  The
+    other fields are the index that :func:`_node_index` reads; see
+    :func:`_start_table`.
     """
-    # A node past the float range (log gap below 6e-307) is inf, its h is
-    # nan, and searchsorted orders nan last, so such entries keep beta0.
+
+    d: NDArray[np.float64]
+    gap: NDArray[np.float64]
+    h_pad: NDArray[np.float64]
+    # (series, 1): the key of each row's first bin.
+    bin_lo: NDArray[np.int64]
+    # (series, bins): how many entries of the row lie below each bin.
+    bins: NDArray[np.integer]
+    # The rows whose float h is out of order, searched directly.
+    fallback: NDArray[np.intp]
+
+    @property
+    def h(self) -> NDArray[np.float64]:
+        """``h`` at each series' nodes, ``(series, len(_START_NODES))``."""
+        return self.h_pad[:, :_START_NODES.size]
+
+
+def _start_table(d, gap) -> _StartTable:
+    """The start table of each series and a bin index over it.
+
+    ``d`` is ``(k, series)`` and ``gap`` is ``(series,)``.  ``h`` is
+    evaluated at the nodes ``u / gap`` by :func:`_log_w`, as in
+    :func:`_newton`.  One table serves every bracket and polish chunk of
+    its series' draws.
+
+    The index bins a positive float ``x`` by ``x.view(int64) >> 48``: its
+    exponent and four leading mantissa bits.  This key is monotone in
+    ``x``, and a bin is at most 6.25% wide, 16 to an octave.  ``h`` is
+    convex with ``h(0) = 0``, so ``h(u') >= (u' / u) h(u)`` for ``u' >
+    u``; the nodes lie 9.5% apart, so consecutive entries differ by at
+    least 9.5% and a bin holds at most one node.  Each row keeps, from
+    its first bin ``bin_lo`` on, ``bins[c]``: the number of its entries
+    below bin ``bin_lo + c``.  Entries with ``h <= 0`` count below every
+    bin and NaN entries below none.  The entries inside a bin follow
+    those below it, so the entries below a target number its bin's count
+    plus those of the next ``mult`` entries that lie below the target
+    (see :func:`_node_index`).  ``mult`` is the largest number of entries
+    measured in one bin, so the lookup's correctness never rests on the
+    convexity argument; the argument only keeps ``mult`` at about 1.
+    ``h_pad`` is ``h`` followed by ``mult`` NaN entries, which lie below
+    no target, so the comparisons never leave their row.
+
+    The count equals ``np.searchsorted(h[i], target)`` wherever the
+    float ``h`` of row ``i`` does not decrease, NaN last.  A row whose
+    rounding breaks that order is listed in ``fallback`` and searched
+    with ``np.searchsorted``.  A node past the float range (log gap below
+    6e-307) is inf and its ``h`` NaN, so such entries lie above every
+    target.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = _START_NODES / gap[:, None]
-        h, _ = _log_w(nodes, d[..., None], gap[:, None],
+        h, _ = _log_w(_START_NODES / gap[:, None], d[..., None], gap[:, None],
                       np.empty(d.shape + _START_NODES.shape))
-    return nodes, h
+    ordered = np.all((h[:, :-1] <= h[:, 1:]) | np.isnan(h[:, 1:]), axis=1)
+    positive = h > 0.0
+    key = h.view(np.int64) >> _BIN_SHIFT
+    # A row with no positive entry gets a first bin above every target's.
+    lo = np.min(key, axis=1, keepdims=True, where=positive, initial=2 ** 62)
+    # An entry in bin c counts below bins c + 1 on.
+    col = key - lo + 1
+    width = int(col.max(where=positive, initial=0)) + 1
+    rows = np.arange(len(h))[:, None]
+    hist = np.bincount((rows * width + col)[positive],
+                       minlength=rows.size * width).reshape(-1, width)
+    mult = int(hist[ordered].max(initial=0))
+    below = np.cumsum(hist, axis=1)
+    below += np.count_nonzero(h <= 0.0, axis=1)[:, None]
+    return _StartTable(
+        d, gap, np.concatenate([h, np.full((len(h), mult), np.nan)], axis=1),
+        lo, below.astype(np.min_scalar_type(h.shape[1])),
+        np.flatnonzero(~ordered))
+
+
+def _node_index(table: _StartTable, target) -> NDArray[np.integer]:
+    """How many entries of each row of ``table.h`` lie below each target.
+
+    ``target`` is ``(series, draws)`` and positive.  The result is
+    ``np.searchsorted(table.h[i], target[i])`` for every row ``i``, found
+    from the index of :func:`_start_table` in a few passes over the whole
+    batch: the count below the target's bin, plus one for each of the
+    next ``mult`` entries that lies below the target.  A target below a
+    row's first bin or above its last reads the count of the nearest
+    one, which is the same.
+    """
+    rows = np.arange(len(table.h))[:, None]
+    width = table.bins.shape[1]
+    x = np.right_shift(target.view(np.int64), _BIN_SHIFT)
+    x -= table.bin_lo
+    np.clip(x, 0, width - 1, out=x)
+    x += rows * width
+    j = table.bins.take(x)
+    # x now indexes the row's first entry in the target's bin.
+    np.add(j, rows * table.h_pad.shape[1], out=x)
+    entry = np.empty(target.shape)
+    below = np.empty(target.shape, dtype=bool)
+    flat = table.h_pad.ravel()
+    for r in range(table.h_pad.shape[1] - table.h.shape[1]):
+        # The indices are in range; "clip", unlike "raise", writes
+        # straight into ``entry`` instead of into a copy of it.
+        np.take(flat[r:], x, out=entry, mode="clip")
+        np.less(entry, target, out=below)
+        j += below
+    for i in table.fallback:
+        j[i] = np.searchsorted(table.h[i], target[i])
+    return j
 
 
 def _certified_target(k: int) -> float:
@@ -304,74 +417,86 @@ def _certified_target(k: int) -> float:
     return c * math.log(k) / (_SLACK - c) if c < _SLACK else math.inf
 
 
-def _bracket_roots(d, gap, target):
+def _require_roots(target, gap, k: int) -> None:
+    """Raise ``BracketError`` unless every target has a finite positive root.
+
+    That holds where ``target > 0`` and ``beta0 = (target + log k) / gap``
+    is finite.  ``target`` is ``(series, draws)`` and ``gap`` ``(series,
+    1)``.  Float addition and division are monotone, so each row's
+    smallest and largest target decide for the whole row.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        if (np.all(target.min(axis=1) > 0.0)
+                and np.all((target.max(axis=1) + math.log(k)) / gap[:, 0]
+                           < np.inf)):
+            return
+        solvable = (target > 0.0) & ((target + math.log(k)) / gap < np.inf)
+    idx = int(np.argmin(solvable))
+    row, col = np.unravel_index(idx, target.shape)
+    raise BracketError(
+        "pivotal equation has no finite positive root: log W_exp(1) = "
+        f"{target[row, col]:.17g}, observed log gap = {gap[row, 0]:.17g}",
+        replicate=idx,
+    )
+
+
+def _bracket_roots(table: _StartTable, target):
     """Start and certified lower bound of each root of log W_obs = target.
 
-    ``d`` is ``(k, series)``, holding ``log(r / max r)`` for each
-    observed series, ``gap`` is ``(series,)`` and ``target`` is
-    ``(series, draws)``.  Returns ``(start, lower)``, both ``(series,
-    draws)``.
+    ``table`` holds each observed series' ``d = log(r / max r)``, ``(k,
+    series)``, its ``gap``, ``(series,)``, and its start table (see
+    :func:`_start_table`); ``target`` is ``(series, draws)``.  Returns
+    ``(start, lower)``, both ``(series, draws)``.
 
     With ``s = sum expm1(beta d)``, ``g(beta) = beta gap + log1p(s / k)
     - target`` is convex and increasing, and ``g >= 0`` at ``beta0 =
     (target + log k) / gap`` because ``max d = 0``.  A closer start
-    comes from a table per observed series: ``h = g + target`` at the
-    fixed nodes ``u / gap``, ``u`` geometric over [1e-3, 1e2].  Each
-    entry starts at the smaller of ``beta0`` and the first node whose
-    ``h`` reaches its target, found by ``searchsorted``; ``h`` comes
-    from :func:`_log_w`, as in :func:`_newton`, so ``g >= 0`` holds
-    there in float arithmetic too.  The start depends only on the
-    entry's series and target.  The descent from it never rises, so the
-    start bounds the float root from above.
+    comes from the table: ``h = g + target`` at the fixed nodes ``u /
+    gap``, ``u`` geometric over [1e-3, 1e2].  Each entry starts at the
+    smaller of ``beta0`` and node ``j``, the first node whose ``h``
+    reaches its target; ``j`` is the number of nodes whose ``h`` lies
+    below the target (:func:`_node_index`).  Float division by ``gap``
+    is monotone, so that smaller value is ``min(target + log k, u_j) /
+    gap``, bit for bit.  ``h`` comes from :func:`_log_w`, as in
+    :func:`_newton`, so ``g >= 0`` holds at the start in float arithmetic
+    too.  The start depends only on the entry's series and target.  The
+    descent from it never rises, so the start bounds the float root from
+    above.
 
-    ``lower`` is the node below the start's, less a relative
-    ``_SLACK``, and bounds the float root from below; it is NaN where
-    that cannot be certified: no node lies below the target, or the
-    target is under :func:`_certified_target`.  The slack covers the
-    float error of ``g``.  In units ``u = beta gap`` the terms of ``g``
-    are at most ``u`` in size and ``1 + s / k >= 1 / k``, the largest
-    record adding ``expm1(0) = 0``.  Rounding the products, the expm1
-    terms (4 ulps each), the ``k - 1`` ordered adds, the quotient,
-    log1p (4 ulps) and the last two adds then keeps the error of ``g``
-    below ``E = eps k (k + 9) u`` for every ``k >= 2``, to first order
-    in ``eps = 2**-52``.  ``h`` is convex with ``h(0) = 0``, so
-    ``h(lambda u) <= lambda h(u)`` and ``h' >= h / u``: an error ``E``
-    in ``g`` moves a root by at most a relative ``E / t``.  That bounds
-    the exact root above the node whose float ``h`` lies below ``t``,
-    and Newton's last step can undershoot the exact root by at most
-    ``3 E / t``: ``E / t`` from ``g`` and ``2 E / t`` from the relative
-    error of its derivative, below ``2 k (k + 4) eps`` in the small- and
-    large-``u`` limits (and checked between them by the tests).  The
-    float root is therefore above the node times ``1 - 4 E / t``.
-    Every ``u`` involved is below ``beta0 gap = t + log k``,
-    so ``8 E / t <= _SLACK`` -- twice the need -- holds for targets from
-    :func:`_certified_target` on.  The same bound puts the exact root
-    below ``start * (1 + _SLACK)``.
+    ``lower`` is node ``j - 1``, less a relative ``_SLACK``, and bounds
+    the float root from below; it is NaN where that cannot be certified:
+    no node lies below the target, or the target is under
+    :func:`_certified_target`.  The slack covers the float error of
+    ``g``.  In units ``u = beta gap`` the terms of ``g`` are at most
+    ``u`` in size and ``1 + s / k >= 1 / k``, the largest record adding
+    ``expm1(0) = 0``.  Rounding the products, the expm1 terms (4 ulps
+    each), the ``k - 1`` ordered adds, the quotient, log1p (4 ulps) and
+    the last two adds then keeps the error of ``g`` below ``E = eps k (k
+    + 9) u`` for every ``k >= 2``, to first order in ``eps = 2**-52``.
+    ``h`` is convex with ``h(0) = 0``, so ``h(lambda u) <= lambda h(u)``
+    and ``h' >= h / u``: an error ``E`` in ``g`` moves a root by at most a
+    relative ``E / t``.  That bounds the exact root above the node whose
+    float ``h`` lies below ``t``, and Newton's last step can undershoot
+    the exact root by at most ``3 E / t``: ``E / t`` from ``g`` and ``2 E
+    / t`` from the relative error of its derivative, below ``2 k (k + 4)
+    eps`` in the small- and large-``u`` limits (and checked between them
+    by the tests).  The float root is therefore above the node times ``1
+    - 4 E / t``.  Every ``u`` involved is below ``beta0 gap = t + log
+    k``, so ``8 E / t <= _SLACK`` -- twice the need -- holds for targets
+    from :func:`_certified_target` on.  The same bound puts the exact
+    root below ``start * (1 + _SLACK)``.
     """
-    k = len(d)
-    with np.errstate(divide="ignore", over="ignore"):
-        start = (target + math.log(k)) / gap[:, None]
-    solvable = (target > 0.0) & (start < np.inf)
-    if not np.all(solvable):
-        idx = int(np.argmin(solvable))
-        row, col = np.unravel_index(idx, target.shape)
-        raise BracketError(
-            "pivotal equation has no finite positive root: log W_exp(1) = "
-            f"{target[row, col]:.17g}, observed log gap = {gap[row]:.17g}",
-            replicate=idx,
-        )
-    nodes, h = _start_table(d, gap)
-    # A target above every node's h keeps beta0 through the inf column,
-    # and one below node 0's h gets the NaN lower bound.
-    pad = (len(gap), 1)
-    lows = np.concatenate([np.full(pad, np.nan), nodes * (1.0 - _SLACK)],
-                          axis=1)
-    nodes = np.concatenate([nodes, np.full(pad, np.inf)], axis=1)
-    lower = np.empty(target.shape)
-    for i, row in enumerate(target):
-        j = np.searchsorted(h[i], row)
-        np.minimum(start[i], nodes[i, j], out=start[i])
-        lower[i] = lows[i, j]
+    gap = table.gap[:, None]
+    k = len(table.d)
+    _require_roots(target, gap, k)
+    j = _node_index(table, target)
+    start = _NODES_ABOVE[j]
+    np.minimum(start, target + math.log(k), out=start)
+    lower = _NODES_BELOW[j]
+    with np.errstate(over="ignore"):
+        start /= gap
+        lower /= gap
+    lower *= 1.0 - _SLACK
     np.copyto(lower, np.nan, where=target < _certified_target(k))
     return start, lower
 
@@ -412,14 +537,14 @@ def _newton(d, gap, target, beta) -> NDArray[np.float64]:
             return beta
 
 
-def _solve_roots(d, gap, target) -> NDArray[np.float64]:
+def _solve_roots(table: _StartTable, target) -> NDArray[np.float64]:
     """Roots of log W_obs(beta) = target, ``(series, draws)``.
 
-    Shapes as in :func:`_bracket_roots`; each root is polished by
+    Arguments as in :func:`_bracket_roots`; each root is polished by
     :func:`_newton` from its start.
     """
-    start, _ = _bracket_roots(d, gap, target)
-    return _newton(d[..., None], gap[:, None], target, start)
+    start, _ = _bracket_roots(table, target)
+    return _newton(table.d[..., None], table.gap[:, None], target, start)
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
@@ -433,7 +558,7 @@ def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> floa
         raise InvalidDataError("need at least two record values")
     d, gap = _prep_log_records(observed.values[:, None])
     target = _exp_log_am_gm(exp_records.values[:, None])
-    return float(_solve_roots(d, gap, target[None])[0, 0])
+    return float(_solve_roots(_start_table(d, gap), target[None])[0, 0])
 
 
 def _exp_log_am_gm(rows: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -473,16 +598,16 @@ def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
     return [fn(s, e) for s, e in spans]
 
 
-def _per_draw(fn, d, gap, seed: int, offset: int, reps):
-    """``fn(d, gap, target)`` at the targets of replicates ``reps``.
+def _per_draw(fn, table: _StartTable, seed: int, offset: int, reps):
+    """``fn(table, target)`` at the targets of replicates ``reps``.
 
     Replicate ``i`` reads stream ``2 i + offset`` of ``seed``; a
     ``BracketError`` names the replicate.
     """
     ids = 2 * reps.astype(np.uint64) + np.uint64(offset)
-    target = _exp_targets(seed, ids, len(d))
+    target = _exp_targets(seed, ids, len(table.d))
     try:
-        return fn(d, gap, target[None])
+        return fn(table, target[None])
     except BracketError as exc:
         rep = int(reps[exc.replicate or 0])
         raise BracketError(f"replicate {rep}: {exc}", replicate=rep) from exc
@@ -542,19 +667,21 @@ def _sample(kind: str, series: list[RecordSeries], m: int, seed: int,
             threads: int | None) -> PivotalDraws:
     """Bracket the ``m`` draws of ``kind``, one root from each series.
 
+    Each series' start table is built once and serves every chunk.
     Every chunk of ``_CHUNK`` draws is bracketed into the two preallocated
     bound arrays.  Nothing else per draw is kept: a draw that needs its
     exact value re-draws its targets from its streams and is solved
     again, which gives the same bracket start and then the same root,
     because each root depends only on its series and target.
     """
-    logs = [_prep_log_records(s.values[:, None]) for s in series]
+    tables = [_start_table(*_prep_log_records(s.values[:, None]))
+              for s in series]
     below, above = np.empty(m), np.empty(m)
 
     def bracket(start: int, stop: int) -> None:
         reps = np.arange(start, stop)
-        highs, lows = zip(*(_per_draw(_bracket_roots, d, gap, seed, p, reps)
-                            for p, (d, gap) in enumerate(logs)))
+        highs, lows = zip(*(_per_draw(_bracket_roots, table, seed, p, reps)
+                            for p, table in enumerate(tables)))
         below[start:stop], above[start:stop] = (
             bound[0] for bound in _draw_bounds(kind, lows, highs))
 
@@ -562,9 +689,9 @@ def _sample(kind: str, series: list[RecordSeries], m: int, seed: int,
         out = np.empty(reps.size)
 
         def polish(start: int, stop: int) -> None:
-            roots = [_per_draw(_solve_roots, d, gap, seed, p,
+            roots = [_per_draw(_solve_roots, table, seed, p,
                                reps[start:stop])[0]
-                     for p, (d, gap) in enumerate(logs)]
+                     for p, table in enumerate(tables)]
             out[start:stop] = _combine(kind, roots)
 
         _map_spans(polish, reps.size, _POLISH_CHUNK, threads)

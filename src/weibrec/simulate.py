@@ -46,7 +46,8 @@ from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
 from .gpq import (_bracket_roots, _candidates, _draw_bounds, _exp_targets,
-                  _map_spans, _newton, _prep_log_records, percentile_ranks)
+                  _map_spans, _newton, _prep_log_records, _start_table,
+                  percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
 _ELEMENT_BUDGET = 2 ** 18
@@ -154,7 +155,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
         target = _exp_targets(pivot_seeds[:, None], ids, k)
         try:
-            high, low = _bracket_roots(d, gap, target)
+            high, low = _bracket_roots(_start_table(d, gap), target)
         except BracketError as exc:
             rep, draw = divmod(exc.replicate or 0, config.m)
             raise BracketError(

@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, test oracles and the acceptance-criteria summary hook."""
 
 from __future__ import annotations
 
@@ -14,6 +14,13 @@ _criteria: list[tuple[str, bool, str]] = []
 def record_criterion(name: str, passed: bool, detail: str) -> None:
     """Register one acceptance-criterion outcome for the summary."""
     _criteria.append((name, passed, detail))
+
+
+def searchsorted_index(table, target):
+    """Reference start lookup for ``gpq._node_index``: one binary search
+    of each row's start table per row of targets."""
+    return np.array([np.searchsorted(h, row)
+                     for h, row in zip(table.h, target)])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -13,6 +13,8 @@ import pytest
 from weibrec import cli, gpq
 from weibrec.datasets import INSULATING_FLUID
 
+from conftest import searchsorted_index
+
 REPO_DATA = Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv"
 
 
@@ -476,6 +478,50 @@ class TestSelectivePolishOutput:
         code, full, err = run_cli(argv, capsys)
         assert code == 0, err
         assert selective.encode() == full.encode()
+
+
+class TestStartLookupOutput:
+    """The bin index reports what a per-row binary search reports."""
+
+    @pytest.mark.parametrize("args", [
+        ["ci-ratio", "--gamma", "0.05"],
+        ["ci-diff", "--gamma", "0.1"],
+        ["test", "--pi0", "1", "--sided", "greater"],
+        ["test", "--pi0", "2.5", "--sided", "two-sided"],
+    ], ids=["ci-ratio", "ci-diff", "test-greater", "test-two-sided"])
+    @pytest.mark.parametrize("data, m, threads", [
+        (["--data", str(REPO_DATA)], 100_000, "1"),
+        (["--data", str(REPO_DATA)], 100_000, "2"),
+        (["--data", str(REPO_DATA)], 5000, "2"),
+        (["--records",
+          "a:1,1.0000000000000002,1.0000000000000004;b:1,2,3"], 5000, "1"),
+        (["--records", "a:1e-300,1e300;b:1,2"], 5000, "2"),
+        (["--records", "a:1e-320,1e-319;b:1,2,3"], 5000, "1"),
+    ])
+    def test_stdout_equals_searchsorted(self, args, data, m, threads,
+                                        capsys, monkeypatch):
+        argv = args + data + ["--M", str(m), "--seed", "42",
+                              "--threads", threads]
+        code, indexed, err = run_cli(argv, capsys)
+        assert code == 0, err
+        monkeypatch.setattr(gpq, "_node_index", searchsorted_index)
+        code, searched, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert indexed.encode() == searched.encode()
+
+    def test_one_table_per_population(self, capsys, monkeypatch):
+        real, built, lookups = gpq._start_table, [], []
+        lookup = gpq._node_index
+        monkeypatch.setattr(gpq, "_start_table",
+                            lambda d, gap: built.append(1) or real(d, gap))
+        monkeypatch.setattr(gpq, "_node_index",
+                            lambda *a: lookups.append(1) or lookup(*a))
+        code, _, err = run_cli(["ci-ratio", "--gamma", "0.05", "--data",
+                                str(REPO_DATA), "--M", "100000"], capsys)
+        assert code == 0, err
+        assert len(built) == 2
+        # 13 bracket chunks and at least 2 polish chunks per population.
+        assert len(lookups) >= 2 * 15, len(lookups)
 
 
 class TestInputFormats:

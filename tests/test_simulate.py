@@ -25,6 +25,8 @@ from weibrec import (
 )
 from weibrec.rng import derive_seed_array, exp_record_matrix
 
+from conftest import searchsorted_index
+
 TINY = dict(m=200, reps=40, gamma=0.05, seed=9)
 
 
@@ -41,7 +43,7 @@ def full_polish_sums(config, base_seed, start, stop):
         d, gap = gpq._prep_log_records(exp_record_matrix(data_seeds, pop, k))
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
         target = simulate._exp_targets(pivot_seeds[:, None], ids, k)
-        roots.append(gpq._solve_roots(d, gap, target))
+        roots.append(gpq._solve_roots(gpq._start_table(d, gap), target))
     ratio = np.sort(roots[0] / roots[1], axis=1)
     lower, upper = ratio[:, lo_rank - 1], ratio[:, hi_rank - 1]
     return int(np.count_nonzero((lower < 1.0) & (1.0 < upper))), upper - lower
@@ -275,6 +277,23 @@ class TestPolishSelection:
                            seed=5)
         run_cell(config)
         assert 0 < sum(polished) < 0.25 * 2 * config.reps * config.m
+
+
+class TestStartLookup:
+    """run_cell reports what a per-row binary search of each start gives."""
+
+    @pytest.mark.parametrize("n1, n2, beta1", [
+        (3, 3, 0.5), (7, 7, 1.0), (14, 14, 5.0),
+    ])
+    def test_reports_equal_searchsorted(self, n1, n2, beta1, monkeypatch):
+        config = SimConfig(n1=n1, n2=n2, beta1=beta1, beta2=2.0, m=2000,
+                           reps=40, seed=701)
+        indexed = run_cell(config, threads=2)
+        monkeypatch.setattr(gpq, "_node_index", searchsorted_index)
+        reference = run_cell(config, threads=2)
+        assert indexed.coverage.hex() == reference.coverage.hex()
+        assert (indexed.expected_length.hex()
+                == reference.expected_length.hex())
 
 
 class TestRunGrid:
