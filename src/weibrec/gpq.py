@@ -53,11 +53,11 @@ series)`` and a sum over records is ``k - 1`` vector adds across the
 whole batch instead of one short row sum per entry.  Targets, starts,
 lower bounds and roots are ``(series, draws)``.  Every sum over
 records adds them in index order (see ``_record_sum``), so each value
-is independent of the batch it is computed in.  The start table and
-each Newton pass evaluate log W through the one function ``_log_w``,
-so the table's rounding is the solver's.  The simulated targets log
-W_exp(1) are drawn one record at a time (see ``_exp_targets``), in the
-same order, so no array of them has a record axis.
+is independent of the batch it is computed in.  The start table, each
+Newton pass and :func:`am_gm_ratio` evaluate log W through the one
+function ``_log_w``.  Every log W_exp(1) comes from ``_exp_log_am_gm``,
+which takes one record at a time, so simulated targets are reduced as
+their records are drawn (see ``_exp_targets``): no array has a record axis.
 """
 
 from __future__ import annotations
@@ -166,6 +166,8 @@ class PivotalDraws:
         the values at those ranks and the counts on either side of
         ``pi0`` are those of :attr:`values`, bit for bit.
         """
+        if pi0 is not None and not math.isfinite(pi0):
+            raise InvalidDataError(f"pi0 must be finite, got {pi0}")
         idx = np.flatnonzero(_candidates(self.below, self.above, ranks, pi0))
         exact = self._solve(idx) if self._values is None else self._values[idx]
         # Copied only now, so the copy and the solve's buffers never coexist.
@@ -238,26 +240,37 @@ def _prep_log_records(values: NDArray[np.float64]):
     return d, -_record_sum(d) / len(d)
 
 
+def _check_series(*series: RecordSeries) -> None:
+    """Require two records or more in each series."""
+    if any(s.n < 1 for s in series):
+        raise InvalidDataError("need at least two record values")
+
+
+def _check_counts(observed: RecordSeries, exp_records: RecordSeries) -> None:
+    """Require the two sides of the pivotal equation to have equal counts."""
+    if exp_records.n != observed.n:
+        raise InvalidDataError(f"record counts differ: observed n = "
+                               f"{observed.n}, exponential n = {exp_records.n}")
+
+
 def _log_am_gm(values: NDArray[np.float64], beta) -> NDArray[np.float64]:
-    """log W(beta) for one record vector, vectorized over beta."""
+    """log W(beta) of one record vector, vectorized over beta, by ``_log_w``."""
     d, gap = _prep_log_records(values)
     beta = np.asarray(beta, dtype=np.float64)
-    k = values.size
-    return beta * gap - math.log(k) + np.log(
-        _record_sum(np.exp(np.multiply.outer(d, beta)))
-    )
+    d = d.reshape(d.shape + (1,) * beta.ndim)
+    return _log_w(beta, d, gap, np.empty(d.shape[:1] + beta.shape))[0]
 
 
 def am_gm_ratio(series: RecordSeries, beta: float) -> float:
     """The ratio of arithmetic to geometric mean of ``r_j**beta``.
 
     Always >= 1, strictly increasing in beta, approaching 1 as beta
-    tends to 0, and invariant to rescaling the records.
+    tends to 0, and invariant to rescaling the records.  Evaluated as
+    in the root solve (:func:`_log_am_gm`).
     """
     if not beta > 0.0:
         raise InvalidDataError("beta must be positive")
-    if series.n < 1:
-        raise InvalidDataError("need at least two record values")
+    _check_series(series)
     with np.errstate(over="ignore"):
         return float(np.exp(_log_am_gm(series.values, beta)))
 
@@ -265,16 +278,12 @@ def am_gm_ratio(series: RecordSeries, beta: float) -> float:
 def pivotal_equation(observed: RecordSeries, exp_records: RecordSeries,
                      beta: float) -> float:
     """W(observed, beta) minus W(exp_records, 1): zero at the pivot root."""
-    if exp_records.n != observed.n:
-        raise InvalidDataError(
-            f"record counts differ: observed n = {observed.n}, "
-            f"exponential n = {exp_records.n}"
-        )
+    _check_counts(observed, exp_records)
     return am_gm_ratio(observed, beta) - am_gm_ratio(exp_records, 1.0)
 
 
 def _log_w(beta, d, gap, buf):
-    """``(h, s)``: log W_obs at ``beta`` less its ``-log k`` offset.
+    """``(h, s)``: ``h`` is log W_obs at ``beta``.
 
     ``d`` is record-major and broadcasts against ``beta`` into ``buf``,
     ``(k,) + beta.shape``; ``gap`` broadcasts against ``beta``.  With
@@ -295,8 +304,8 @@ class _StartTable(NamedTuple):
 
     ``d`` is ``(k, series)`` and ``gap`` ``(series,)``, as from
     :func:`_prep_log_records`.  ``h_pad`` is ``(series,
-    len(_START_NODES) + mult)``: ``h``, log W less its ``-log k`` offset
-    at the nodes ``_START_NODES / gap``, then ``mult`` NaN entries.  The
+    len(_START_NODES) + mult)``: ``h``, log W at the nodes
+    ``_START_NODES / gap``, then ``mult`` NaN entries.  The
     other fields are the index that :func:`_node_index` reads; see
     :func:`_start_table`.
     """
@@ -549,42 +558,37 @@ def _solve_roots(table: _StartTable, target) -> NDArray[np.float64]:
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
     """The unique positive root of the pivotal equation in beta."""
-    if exp_records.n != observed.n:
-        raise InvalidDataError(
-            f"record counts differ: observed n = {observed.n}, "
-            f"exponential n = {exp_records.n}"
-        )
-    if observed.n < 1:
-        raise InvalidDataError("need at least two record values")
+    _check_counts(observed, exp_records)
+    _check_series(observed)
     d, gap = _prep_log_records(observed.values[:, None])
     target = _exp_log_am_gm(exp_records.values[:, None])
     return float(_solve_roots(_start_table(d, gap), target[None])[0, 0])
 
 
-def _exp_log_am_gm(rows: NDArray[np.float64]) -> NDArray[np.float64]:
+def _exp_log_am_gm(records) -> NDArray[np.float64]:
     """log W at beta = 1 of each stream of exponential records.
 
-    ``rows`` is record-major, ``(k,) + streams``.  The means run over
-    the record axis in :func:`_record_sum` order, so a stream's value
-    does not depend on the batch it is computed in.
-    """
-    k = len(rows)
-    return np.log(_record_sum(rows) / k) - _record_sum(np.log(rows)) / k
-
-
-def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
-    """log W at beta = 1 of the exponential records of each stream.
-
-    Bit for bit ``_exp_log_am_gm(exp_record_matrix(seed, stream_ids, k))``:
-    the same records, added in :func:`_record_sum` order, but drawn one
-    record at a time, so the only arrays alive are the size of one
-    record of every stream, whatever ``k`` is.
+    ``records`` yields one record of every stream at a time, as a
+    record-major ``(k,) + streams`` array does.  They are added in
+    :func:`_record_sum` order, so a stream's value does not depend on its
+    batch.  The first add makes each running sum; later adds are in place.
     """
     total = log_total = 0.0
-    for r in exp_records(seed, stream_ids, k):
+    for k, r in enumerate(records, 1):
         total += r
         log_total += np.log(r)
     return np.log(total / k) - log_total / k
+
+
+def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
+    """log W_exp(1) of each stream, its ``k`` records drawn one at a time."""
+    return _exp_log_am_gm(exp_records(seed, stream_ids, k))
+
+
+def _pivot_targets(seed, draws, population: int, k: int) -> NDArray[np.float64]:
+    """Targets of ``draws``; draw ``i`` of population ``p`` reads stream 2 i + p."""
+    ids = 2 * np.asarray(draws, dtype=np.uint64) + np.uint64(population)
+    return _exp_targets(seed, ids, k)
 
 
 def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
@@ -598,14 +602,11 @@ def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
     return [fn(s, e) for s, e in spans]
 
 
-def _per_draw(fn, table: _StartTable, seed: int, offset: int, reps):
-    """``fn(table, target)`` at the targets of replicates ``reps``.
-
-    Replicate ``i`` reads stream ``2 i + offset`` of ``seed``; a
-    ``BracketError`` names the replicate.
+def _per_draw(fn, table: _StartTable, seed: int, population: int, reps):
+    """``fn(table, target)`` at the :func:`_pivot_targets` of replicates
+    ``reps``; a ``BracketError`` names the replicate.
     """
-    ids = 2 * reps.astype(np.uint64) + np.uint64(offset)
-    target = _exp_targets(seed, ids, len(table.d))
+    target = _pivot_targets(seed, reps, population, len(table.d))
     try:
         return fn(table, target[None])
     except BracketError as exc:
@@ -721,8 +722,7 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
         raise InvalidDataError(f"kind must be 'ratio' or 'difference', got {kind!r}")
     if m < 1:
         raise InvalidDataError("m must be at least 1")
-    if series1.n < 1 or series2.n < 1:
-        raise InvalidDataError("each series needs at least two record values")
+    _check_series(series1, series2)
     return _sample(kind, [series1, series2], m, seed, threads)
 
 
@@ -731,8 +731,7 @@ def sample_shape_pivot(series: RecordSeries, m: int, seed: int,
     """Monte Carlo draws of the single-population shape pivot."""
     if m < 1:
         raise InvalidDataError("m must be at least 1")
-    if series.n < 1:
-        raise InvalidDataError("need at least two record values")
+    _check_series(series)
     return _sample("single-shape", [series], m, seed, threads)
 
 

@@ -45,8 +45,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_bracket_roots, _candidates, _draw_bounds, _exp_targets,
-                  _map_spans, _newton, _prep_log_records, _start_table,
+from .gpq import (_bracket_roots, _candidates, _draw_bounds, _map_spans,
+                  _newton, _pivot_targets, _prep_log_records, _start_table,
                   percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
@@ -152,8 +152,8 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     for pop, n in enumerate((config.n1, config.n2)):
         k = n + 1
         d, gap = _prep_log_records(exp_record_matrix(data_seeds, pop, k))
-        ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
-        target = _exp_targets(pivot_seeds[:, None], ids, k)
+        target = _pivot_targets(pivot_seeds[:, None], np.arange(config.m),
+                                pop, k)
         try:
             high, low = _bracket_roots(_start_table(d, gap), target)
         except BracketError as exc:

@@ -61,15 +61,16 @@ def tiny_series() -> RecordSeries:
 def tie_stream(monkeypatch):
     """Make one exponential stream the nearly tied pair [1, nextafter(1, 2)].
 
-    ``tie_stream(module, stream)`` patches ``module._exp_targets`` so
-    that two-record targets drawn for stream id ``stream`` are those of
-    the tied pair; that target log W_exp(1) rounds below zero, which
-    leaves the pivotal equation without a positive root.
+    ``tie_stream(stream)`` patches ``gpq._exp_targets``, the one source
+    of pivot targets, so that two-record targets drawn for stream id
+    ``stream`` are those of the tied pair; that target log W_exp(1)
+    rounds below zero, which leaves the pivotal equation without a
+    positive root.
     """
     tied = gpq._exp_log_am_gm(np.array([1.0, np.nextafter(1.0, 2.0)]))
 
-    def apply(module, stream: int) -> None:
-        real = module._exp_targets
+    def apply(stream: int) -> None:
+        real = gpq._exp_targets
 
         def patched(seed, stream_ids, k):
             target = real(seed, stream_ids, k)
@@ -77,6 +78,6 @@ def tie_stream(monkeypatch):
                 target[..., np.asarray(stream_ids) == stream] = tied
             return target
 
-        monkeypatch.setattr(module, "_exp_targets", patched)
+        monkeypatch.setattr(gpq, "_exp_targets", patched)
 
     return apply

@@ -298,7 +298,7 @@ class TestCiAndTest:
         assert 0.0 < interval["lower"] <= interval["upper"] < math.inf
 
     def test_rootless_replicate_exits_3(self, tie_stream, capsys):
-        tie_stream(gpq, 2 * 3)
+        tie_stream(2 * 3)
         code, _, err = run_cli(
             ["ci-ratio", "--records", "a:1,3;b:1,3,7",
              "--gamma", "0.1", "--M", "100", "--seed", "5"], capsys)

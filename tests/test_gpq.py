@@ -60,6 +60,30 @@ def make_paired(exp_series: RecordSeries, alpha: float, beta0: float) -> RecordS
     return RecordSeries(alpha * exp_series.values ** (1.0 / beta0))
 
 
+def matrix_log_am_gm(rows):
+    """Reference log W_exp(1) of record-major ``rows``: the matrix form,
+    each mean taken in ``_record_sum`` order."""
+    k = len(rows)
+    return np.log(gpq._record_sum(rows) / k) - gpq._record_sum(np.log(rows)) / k
+
+
+@st.composite
+def record_vectors(draw):
+    """2 to 30 increasing records, spread within 1e-300..1e300 or near-tied."""
+    k = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        lo = draw(st.floats(-300.0, 300.0))
+        exps = st.floats(lo, draw(st.floats(lo, 300.0)))
+        values = np.sort(10.0 ** np.array(
+            draw(st.lists(exps, min_size=k, max_size=k))))
+    else:
+        ratios = 10.0 ** np.array(draw(st.lists(
+            st.floats(-15.0, -6.0), min_size=k, max_size=k)))
+        values = 10.0 ** draw(st.floats(-300.0, 299.0)) * np.cumprod(1.0 + ratios)
+    assume(np.all(np.diff(values) > 0.0))
+    return values
+
+
 class TestAmGmRatio:
     def test_hand_values_on_two_point_series(self, tiny_series):
         want = (1.0 + math.e) / (2.0 * math.sqrt(math.e))
@@ -99,6 +123,43 @@ class TestAmGmRatio:
             am_gm_ratio(tiny_series, 0.0)
         with pytest.raises(InvalidDataError):
             am_gm_ratio(RecordSeries(np.array([2.0])), 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=record_vectors(),
+           beta=st.one_of(st.sampled_from([1e-8, 1e-5]),
+                          st.floats(-8.0, math.log10(50.0)).map(
+                              lambda e: 10.0 ** e)))
+    def test_log_am_gm_against_mpmath(self, values, beta):
+        # The error is measured in units of eps * beta * spread: log W sums
+        # terms of size beta * gap, and where a record lies below half the
+        # largest, d = log(r / max r) carries the rounding of log r, about
+        # eps |log max r|, so spread adds that.  Measured at most 4.2 over
+        # 6,000 random cases; the bound 16 is a 4x margin.  The log-sum-exp
+        # form this replaced reached 6e5 to 1e16 such units on those cases.
+        with mpmath.workdps(120):
+            logs = [mpmath.log(mpmath.mpf(float(v))) for v in values]
+            d = [x - max(logs) for x in logs]
+            b, k = mpmath.mpf(beta), len(d)
+            exact = (mpmath.log(mpmath.fsum(mpmath.exp(b * x) for x in d) / k)
+                     - b * mpmath.fsum(d) / k)
+            spread = -mpmath.fsum(d) / k
+            if values[0] < 0.5 * values[-1]:
+                spread += abs(max(logs))
+            got = mpmath.mpf(float(gpq._log_am_gm(values, beta)))
+            err = float(abs(got - exact) / (2.0 ** -52 * b * spread))
+        assert err <= 16.0, err
+
+    @pytest.mark.parametrize("k", (2, 4, 7, 8, 9, 15, 30))
+    def test_log_am_gm_is_the_solvers_log_w(self, k):
+        # One spelling of log W: bit for bit the start table's h at its own
+        # nodes, whether beta comes as an array or one value at a time.
+        rng = np.random.default_rng(k)
+        values = np.cumsum(rng.uniform(0.01, 3.0, k)) * 10.0 ** rng.uniform(-9, 9)
+        d, gap = gpq._prep_log_records(values[:, None])
+        h = gpq._start_table(d, gap).h[0]
+        betas = gpq._START_NODES / gap[0]
+        assert gpq._log_am_gm(values, betas).tobytes() == h.tobytes()
+        assert all(gpq._log_am_gm(values, b) == x for b, x in zip(betas, h))
 
 
 class TestPivotalEquation:
@@ -274,9 +335,10 @@ class TestStreamedTargets:
         seeds = derive_seed_array(k, np.arange(5, dtype=np.uint64))[:, None]
         for seed, stream_ids in ((k, ids), (seeds, ids[:200])):
             got = gpq._exp_targets(seed, stream_ids, k)
-            want = gpq._exp_log_am_gm(exp_record_matrix(seed, stream_ids, k))
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            rows = exp_record_matrix(seed, stream_ids, k)
+            for want in (gpq._exp_log_am_gm(rows), matrix_log_am_gm(rows)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_footprint_does_not_grow_with_k(self):
         # Measured at 7 float64 rows of the 8192 streams; the record
@@ -673,7 +735,7 @@ class TestSamplePivotal:
 
     def test_bracket_failure_reports_replicate(self, tie_stream):
         # replicate 17 of population 2 reads stream 2 * 17 + 1
-        tie_stream(gpq, 35)
+        tie_stream(35)
         bad = RecordSeries(np.array([1.0, 3.0]))
         other = RecordSeries(np.array([1.0, 3.0, 7.0]))
         with pytest.raises(BracketError) as err:
@@ -937,6 +999,20 @@ class TestPValues:
         assert two.p_value == 0.5
         assert two.mc_se == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-15)
         assert p_value_two_sided(draws, 9.0).mc_se == 0.0
+
+    @pytest.mark.parametrize("pi0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p_value", [p_value_one_sided, p_value_two_sided])
+    def test_non_finite_pi0_rejected(self, p_value, pi0, records34, records36):
+        for draws in (self._draws([1.0, 2.0, 3.0, 4.0]),
+                      sample_pivotal(records34, records36, "ratio", 50, seed=3)):
+            with pytest.raises(InvalidDataError, match="pi0"):
+                p_value(draws, pi0)
+
+    def test_finite_pi0_of_any_sign_is_answered(self):
+        draws = self._draws([1.0, 2.0, 3.0, 4.0])
+        for pi0 in (-1.0, 0.0, -0.0):
+            assert p_value_one_sided(draws, pi0).p_value == 0.0
+            assert p_value_two_sided(draws, pi0).p_value == 0.0
 
     def test_metadata(self):
         draws = self._draws([1.0, 2.0])

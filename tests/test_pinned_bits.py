@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from weibrec import cli, gpq, records, simulate
+from weibrec.datasets import INSULATING_FLUID
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv")
 
@@ -55,3 +56,14 @@ def test_solve_shape_pivot_k10():
     observed = records.exponential_records(9, 20141, 0)
     target = records.exponential_records(9, 20141, 1)
     assert gpq.solve_shape_pivot(observed, target).hex() == "0x1.5f93907840002p-1"
+
+
+@pytest.mark.parametrize("beta, ratio", [
+    (1e-5, "0x1.000000006e880p+0"),
+    (1.0, "0x1.f5cec64417079p+0"),
+    (30.0, "0x1.5d1557c535d83p+69"),
+])
+def test_am_gm_ratio_kv34(beta, ratio):
+    # Recorded once am_gm_ratio evaluated log W as the root solve does.
+    series = records.extract_upper_records(INSULATING_FLUID["kv34"])
+    assert gpq.am_gm_ratio(series, beta).hex() == ratio

@@ -42,7 +42,7 @@ def full_polish_sums(config, base_seed, start, stop):
         k = n + 1
         d, gap = gpq._prep_log_records(exp_record_matrix(data_seeds, pop, k))
         ids = 2 * np.arange(config.m, dtype=np.uint64) + np.uint64(pop)
-        target = simulate._exp_targets(pivot_seeds[:, None], ids, k)
+        target = gpq._exp_targets(pivot_seeds[:, None], ids, k)
         roots.append(gpq._solve_roots(gpq._start_table(d, gap), target))
     ratio = np.sort(roots[0] / roots[1], axis=1)
     lower, upper = ratio[:, lo_rank - 1], ratio[:, hi_rank - 1]
@@ -237,7 +237,7 @@ class TestPolishSelection:
         assume(gamma * m / 2.0 >= 1.0)
         config = SimConfig(n1=k1 - 1, n2=k2 - 1, beta1=beta1, beta2=2.0, m=m,
                            reps=reps, gamma=gamma, seed=seed)
-        real, exp_targets = simulate._batch_sums, simulate._exp_targets
+        real, exp_targets = simulate._batch_sums, gpq._exp_targets
         spans = []
 
         def shrunk(seed, stream_ids, k):
@@ -259,7 +259,7 @@ class TestPolishSelection:
             patch.setattr(simulate, "_ELEMENT_BUDGET", budget)
             patch.setattr(simulate, "_batch_sums", checked)
             if tiny:
-                patch.setattr(simulate, "_exp_targets", shrunk)
+                patch.setattr(gpq, "_exp_targets", shrunk)
             run_cell(config, threads=threads)
         assert sum(stop - start for start, stop in spans) == reps
 
@@ -334,7 +334,7 @@ class TestRunGrid:
 
     def test_rootless_pivot_draw_is_a_cell_error(self, tie_stream):
         # pivotal draw 7 of population 1 reads stream 2 * 7
-        tie_stream(simulate, 2 * 7)
+        tie_stream(2 * 7)
         config = SimConfig(n1=1, n2=3, beta1=1.0, beta2=2.0, **TINY)
         [result] = run_grid([config])
         assert isinstance(result, CellError)
