@@ -57,7 +57,10 @@ is independent of the batch it is computed in.  The start table, each
 Newton pass and :func:`am_gm_ratio` evaluate log W through the one
 function ``_log_w``.  Every log W_exp(1) comes from ``_exp_log_am_gm``,
 which takes one record at a time, so simulated targets are reduced as
-their records are drawn (see ``_exp_targets``): no array has a record axis.
+their records are drawn (see ``_exp_targets``): no array has a record
+axis.  The draw updates one record array in place and the reduction
+adds it into its sums in place, so a batch of targets allocates a few
+arrays per call and none per record.
 """
 
 from __future__ import annotations
@@ -569,19 +572,32 @@ def _exp_log_am_gm(records) -> NDArray[np.float64]:
     """log W at beta = 1 of each stream of exponential records.
 
     ``records`` yields one record of every stream at a time, as a
-    record-major ``(k,) + streams`` array does.  They are added in
+    record-major ``(k,) + streams`` array does, and may yield one array
+    updated in place (see :func:`exp_records`).  They are added in
     :func:`_record_sum` order, so a stream's value does not depend on its
-    batch.  The first add makes each running sum; later adds are in place.
+    batch.  The first record is copied into the running sum; every later
+    add, and the result, are in place in the sums' two arrays and one
+    scratch array.
     """
-    total = log_total = 0.0
-    for k, r in enumerate(records, 1):
+    records = iter(records)
+    total = np.array(next(records), dtype=np.float64)
+    log_total = np.log(total)
+    scratch = np.empty_like(total)
+    k = 1
+    for k, r in enumerate(records, 2):
         total += r
-        log_total += np.log(r)
-    return np.log(total / k) - log_total / k
+        log_total += np.log(r, out=scratch)
+    total /= k
+    log_total /= k
+    return np.subtract(np.log(total, out=total), log_total, out=total)
 
 
 def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
-    """log W_exp(1) of each stream, its ``k`` records drawn one at a time."""
+    """log W_exp(1) of each stream, its ``k`` records drawn one at a time.
+
+    The records are drawn into one array and reduced as they are drawn,
+    so neither the draw nor the reduction allocates per record.
+    """
     return _exp_log_am_gm(exp_records(seed, stream_ids, k))
 
 
@@ -629,15 +645,18 @@ def _draw_bounds(kind: str, lows, highs):
     Float division and subtraction are monotone in each argument, so the
     float ratio U1 / U2 lies in ``[low1 / high2, high1 / low2]`` and the
     float difference U1 - U2 in ``[low1 - high2, high1 - low2]``.  A draw
-    with an uncertified (NaN) lower root bound gets ``[-inf, inf]``.
+    with an uncertified (NaN) lower root bound gets ``[-inf, inf]``,
+    written in place: for a single shape the bounds are ``lows[0]`` and
+    ``highs[0]`` themselves.
     """
     below = _combine(kind, [lows[0], *highs[1:]])
     above = _combine(kind, [highs[0], *lows[1:]])
     uncertified = np.isnan(lows[0])
     for low in lows[1:]:
         uncertified |= np.isnan(low)
-    return (np.where(uncertified, -np.inf, below),
-            np.where(uncertified, np.inf, above))
+    np.copyto(below, -np.inf, where=uncertified)
+    np.copyto(above, np.inf, where=uncertified)
+    return below, above
 
 
 def _candidates(below, above, ranks=(), pi0=None) -> NDArray[np.bool_]:

@@ -48,22 +48,29 @@ def _u64(x) -> NDArray[np.uint64]:
     ).reshape(arr.shape))
 
 
-def mix64(z: NDArray[np.uint64]) -> NDArray[np.uint64]:
-    """SplitMix64 finalizer: a bijective avalanche mix of 64-bit words."""
-    z = (z ^ (z >> _SHIFT_30)) * _MIX_M1
-    z = (z ^ (z >> _SHIFT_27)) * _MIX_M2
-    return z ^ (z >> _SHIFT_31)
+def mix64(z: NDArray[np.uint64], scratch=None) -> NDArray[np.uint64]:
+    """SplitMix64 finalizer: a bijective avalanche mix of 64-bit words.
+
+    ``z`` is left as it is and its mix returned, unless a uint64
+    ``scratch`` array of its shape is given: then ``z`` is mixed in
+    place, through ``scratch``, and returned.
+    """
+    if scratch is None:
+        z = z.copy()
+        scratch = np.empty_like(z)
+    z ^= np.right_shift(z, _SHIFT_30, out=scratch)
+    z *= _MIX_M1
+    z ^= np.right_shift(z, _SHIFT_27, out=scratch)
+    z *= _MIX_M2
+    z ^= np.right_shift(z, _SHIFT_31, out=scratch)
+    return z
 
 
 def stream_base(seed, stream_ids) -> NDArray[np.uint64]:
     """Hash (seed, stream_id) pairs into per-stream base keys."""
     s = mix64(_u64(seed) + _GOLDEN)
-    return mix64(s ^ mix64(_u64(stream_ids) ^ _STREAM_SALT))
-
-
-def words_to_uniforms(words: NDArray[np.uint64]) -> NDArray[np.float64]:
-    """Map 64-bit words to doubles strictly inside (0, 1)."""
-    return ((words >> _SHIFT_11).astype(np.float64) + 0.5) * _U01_SCALE
+    z = s ^ mix64(_u64(stream_ids) ^ _STREAM_SALT)
+    return mix64(z, np.empty_like(z))
 
 
 def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]]:
@@ -74,18 +81,36 @@ def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]
     sum of its first ``n_values`` exponential draws.  The seed and stream
     arguments broadcast against each other, and record ``j`` (from 1)
     of every stream is yielded as one array of the broadcast shape.
-    The generator keeps only the current record, and each yielded array
-    is new, so a consumer may keep it.
+
+    Every step yields the same array, updated in place to the next
+    record, so a consumer that keeps a record must copy it.  Each call
+    holds four arrays of the broadcast shape -- the base keys, a word
+    buffer, a scratch buffer that also holds the negated uniforms, and
+    the record -- and each step allocates nothing.  Word ``j`` of a
+    stream maps to ``u_j = (top 53 bits + 0.5) / 2**53`` in (0, 1), and
+    its exponential is ``-log1p(-u_j)``.
     """
     base = stream_base(seed, stream_ids)
-    record = 0.0
+    word = np.empty_like(base)
+    scratch = np.empty_like(base)
+    x = scratch.view(np.float64)
+    # Not np.zeros: a fresh page of it faults once when read and again
+    # when written.
+    record = np.full(base.shape, 0.0)
     for step in np.arange(1, n_values + 1, dtype=np.uint64) * _GOLDEN:
-        record = record - np.log1p(-words_to_uniforms(mix64(base + step)))
+        mix64(np.add(base, step, out=word), scratch)
+        word >>= _SHIFT_11
+        # Below 2**53, so the int64 view converts exactly, and faster than
+        # uint64.  Then x = -u for u = (word + 0.5) / 2**53 in (0, 1): a
+        # power-of-two scale is exact, so the negation costs no pass.
+        np.add(word.view(np.int64), 0.5, out=x)
+        x *= -_U01_SCALE
+        record -= np.log1p(x, out=x)
         yield record
 
 
 def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
-    """The records of :func:`exp_records` stacked on a new leading axis.
+    """The records of :func:`exp_records` copied onto a new leading axis.
 
     E.g. a scalar seed with ``k`` stream ids gives shape ``(n_values, k)``.
     The result is record-major and C-ordered, so a sum over records is
@@ -95,7 +120,12 @@ def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
     pivot targets do not use this matrix: they reduce :func:`exp_records`
     as it runs.
     """
-    return np.stack(list(exp_records(seed, stream_ids, n_values)))
+    out = None
+    for j, record in enumerate(exp_records(seed, stream_ids, n_values)):
+        if out is None:
+            out = np.empty((n_values,) + record.shape)
+        out[j] = record
+    return out
 
 
 def derive_seed(seed: int, *tags: int) -> int:

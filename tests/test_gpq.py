@@ -34,6 +34,7 @@ from weibrec.records import extract_upper_records
 from weibrec.rng import derive_seed_array, exp_record_matrix
 
 from conftest import searchsorted_index
+from test_rng import stream_exponentials
 
 
 def k2_root(values, exp_rows):
@@ -339,6 +340,23 @@ class TestStreamedTargets:
             for want in (gpq._exp_log_am_gm(rows), matrix_log_am_gm(rows)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("reps, k", ((32, 4), (8, 15)))
+    def test_run_cell_shaped_batch_bit_for_bit(self, reps, k):
+        # The shape of a run_cell batch at M = 2000: each per-record array
+        # is 512 or 128 KB, and the one that exp_records yields is reused.
+        seeds = derive_seed_array(reps, np.arange(reps, dtype=np.uint64))[:, None]
+        ids = 2 * np.arange(2000, dtype=np.uint64)
+        got = gpq._exp_targets(seeds, ids, k)
+        # The stream oracle, read word by word: records are partial sums.
+        oracle = np.cumsum(stream_exponentials(seeds[..., None], ids[:, None],
+                                               0, k), axis=-1)
+        rows = np.ascontiguousarray(oracle.transpose(2, 0, 1))
+        np.testing.assert_array_equal(exp_record_matrix(seeds, ids, k), rows)
+        for want in (gpq._exp_log_am_gm(exp_record_matrix(seeds, ids, k)),
+                     matrix_log_am_gm(rows)):
+            assert got.shape == want.shape == (reps, 2000)
+            assert got.tobytes() == want.tobytes()
 
     def test_footprint_does_not_grow_with_k(self):
         # Measured at 7 float64 rows of the 8192 streams; the record

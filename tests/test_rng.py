@@ -2,14 +2,15 @@
 
 import numpy as np
 
+from weibrec.records import weibull_records
 from weibrec.rng import (
     GOLDEN,
     derive_seed,
     derive_seed_array,
     exp_record_matrix,
+    exp_records,
     mix64,
     stream_base,
-    words_to_uniforms,
 )
 
 
@@ -21,6 +22,12 @@ def stream_words(seed, stream_id: int, start: int, count: int):
     base = stream_base(seed, stream_id)
     counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     return mix64(base + counters * np.uint64(GOLDEN))
+
+
+def words_to_uniforms(words):
+    """Map 64-bit words to doubles strictly inside (0, 1): the top 53
+    bits, plus one half, over 2**53."""
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
 def stream_uniforms(seed, stream_id: int, start: int, count: int):
@@ -60,8 +67,12 @@ def test_uniforms_strictly_inside_unit_interval():
 
 def test_mix64_is_a_bijection_sample():
     words = np.arange(100_000, dtype=np.uint64)
-    mixed = mix64(words.copy())
+    mixed = mix64(words)
+    np.testing.assert_array_equal(words, np.arange(100_000, dtype=np.uint64))
     assert np.unique(mixed).size == words.size
+    # With a scratch array the words are mixed in place, to the same values.
+    assert mix64(words, np.empty_like(words)) is words
+    np.testing.assert_array_equal(words, mixed)
 
 
 def test_negative_and_huge_seeds_wrap():
@@ -113,3 +124,25 @@ def test_exp_record_rows_are_stream_partial_sums():
                 rows[:, s], np.cumsum(stream_exponentials(21, s, 0, k)))
         # record-major memory: the record axis is outermost
         assert rows.flags.c_contiguous
+
+
+def test_exp_records_yields_one_array_updated_in_place():
+    ids = np.arange(50)
+    yielded = [(record, record.copy()) for record in exp_records(3, ids, 6)]
+    assert all(record is yielded[0][0] for record, _ in yielded)
+    np.testing.assert_array_equal(yielded[0][0], yielded[-1][1])
+    steps = np.array([copy for _, copy in yielded])
+    np.testing.assert_array_equal(steps, exp_record_matrix(3, ids, 6))
+
+
+def test_consumers_that_keep_records_copy_them():
+    # Stacking the yielded array itself would give six equal rows.
+    rows = exp_record_matrix(3, np.arange(50), 6)
+    assert np.all(np.diff(rows, axis=0) > 0)
+    for s in (0, 49):
+        np.testing.assert_array_equal(
+            rows[:, s], np.cumsum(stream_exponentials(3, s, 0, 6)))
+    series = weibull_records(5, 2.0, 1.5, seed=3, stream_id=7).values
+    assert np.all(np.diff(series) > 0)
+    np.testing.assert_array_equal(
+        series, 2.0 * np.cumsum(stream_exponentials(3, 7, 0, 6)) ** (1.0 / 1.5))
