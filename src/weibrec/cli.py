@@ -114,10 +114,10 @@ def _draw(ns: argparse.Namespace, kind: str):
     """
     report, series = _load(ns, pair=True)
     seed = _resolve_seed(ns.seed)
-    threads = _resolve_threads(ns.threads)
+    # Checked as for simulate, though the draws run on one thread.
+    _resolve_threads(ns.threads)
     betas = shape_mle(series[0]), shape_mle(series[1])
-    draws = sample_pivotal(series[0], series[1], kind, ns.m, seed,
-                           threads=threads)
+    draws = sample_pivotal(series[0], series[1], kind, ns.m, seed)
     report.update(m=ns.m, seed=seed)
     return report, draws, betas
 
@@ -350,8 +350,10 @@ def _add_mc_options(sp: argparse.ArgumentParser, default_m: int,
     sp.add_argument("--seed", type=int,
                     help="master seed (default: generated and printed)")
     sp.add_argument("--threads", type=int,
-                    help=f"worker threads (default ${THREADS_ENV} or serial); "
-                         f"does not affect results")
+                    help=f"worker threads of simulate (default "
+                         f"${THREADS_ENV} or serial); ci-ratio, ci-diff "
+                         f"and test run on one thread; never affects "
+                         f"results")
 
 
 def build_parser() -> argparse.ArgumentParser:

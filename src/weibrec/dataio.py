@@ -87,7 +87,11 @@ def _parse_wide_csv(rows: list[list[str]]) -> Populations:
 
 def _parse_long_csv(rows: list[list[str]], kind: str) -> Populations:
     header = [cell.strip().lower() for cell in rows[0]]
-    idx = {name: header.index(name) for name in header}
+    idx: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name and name in idx:
+            raise InvalidDataError(f"header: column {name!r} is repeated")
+        idx[name] = i
     has_order = "order" in idx
     if kind == "raw" and not has_order:
         raise InvalidDataError(

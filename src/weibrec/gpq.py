@@ -45,28 +45,31 @@ ranks or straddle their threshold (:func:`_candidates`), re-drawing
 those draws' targets from their streams, and read the same values as a
 full solve, bit for bit.  The coverage simulator selects its draws with
 the same routine.  ``PivotalDraws.values`` is still the full solve,
-made on its first read.
+made on its first read.  Sampling, bracketing and polishing run in
+spans of ``_CHUNK`` draws on the calling thread; the coverage simulator
+is the only caller that spreads work over threads, a batch of whole
+replicates to each (see :mod:`weibrec.simulate`).
 
 Record arrays are record-major in every signature here and in memory:
 the records are the leading axis, so an observed ``d`` is ``(k,
 series)`` and a sum over records is ``k - 1`` vector adds across the
 whole batch instead of one short row sum per entry.  Targets, starts,
 lower bounds and roots are ``(series, draws)``.  Every sum over
-records adds them in index order (see ``_record_sum``), so each value
-is independent of the batch it is computed in.  The start table, each
-Newton pass and :func:`am_gm_ratio` evaluate log W through the one
-function ``_log_w``.  Every log W_exp(1) comes from ``_exp_log_am_gm``,
-which takes one record at a time, so simulated targets are reduced as
-their records are drawn (see ``_exp_targets``): no array has a record
-axis.  The draw updates one record array in place and the reduction
-adds it into its sums in place, so a batch of targets allocates a few
-arrays per call and none per record.
+records adds them in index order (see ``records._record_sum``, which
+the shape MLE shares), so each value is independent of the batch it is
+computed in.  The start table, each Newton pass and :func:`am_gm_ratio`
+evaluate log W through the one function ``_log_w``.  Every log
+W_exp(1) comes from ``_exp_log_am_gm``, which takes one record at a
+time, so simulated targets are reduced as their records are drawn (see
+``_exp_targets``): no array has a record axis.  The draw updates one
+record array in place and the reduction adds it into its sums in place,
+so a batch of targets allocates a few arrays per call and none per
+record.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,17 +77,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InsufficientDrawsError, InvalidDataError
-from .records import RecordSeries, log_to_max
+from .records import RecordSeries, _record_sum, log_to_max
 # exp_record_matrix is not called here, but perfbench/tracer.py wraps it
 # at this import site.
 from .rng import exp_record_matrix, exp_records  # noqa: F401
 
-# Draws per span when bracketing, and when solving draws in full.  The
-# solve's spans are smaller: each holds a (k, span) Newton buffer, and the
-# 6,000 to 10,000 draws an interval or p-value polishes at M = 1e5 still
-# spread over two threads.  At 8192 the CLI's peak RSS rose by about 2%.
+# Draws per span when bracketing, and when polishing draws.  A polish span
+# holds a (k, span) Newton buffer; at M = 1e5 an interval or p-value
+# polishes 6,000 to 10,000 draws, one or two spans.
 _CHUNK = 8192
-_POLISH_CHUNK = 4096
 
 # Start nodes of the root solve in units of 1 / gap, where h >= u.
 _START_NODES = np.geomspace(1e-3, 1e2, 128)
@@ -213,21 +214,6 @@ class TestResult:
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
             raise InvalidDataError("p-value must lie in [0, 1]")
-
-
-def _record_sum(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Sum over the leading (record) axis, adding rows in index order.
-
-    numpy picks its summation algorithm from the array's layout: a sum
-    over axis 0 of a (k, n) array adds rows in order, but the same sum
-    of a (k, 1) array is pairwise once k >= 8.  Spelling the order out
-    makes each entry's sum independent of how many entries share its
-    batch, which the draws' prefix and thread-count contract needs.
-    """
-    total = a[0] + a[1]
-    for row in a[2:]:
-        total += row
-    return total
 
 
 def _prep_log_records(values: NDArray[np.float64]):
@@ -607,17 +593,6 @@ def _pivot_targets(seed, draws, population: int, k: int) -> NDArray[np.float64]:
     return _exp_targets(seed, ids, k)
 
 
-def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
-    """``fn(start, stop)`` for each span of ``size`` covering ``[0, total)``,
-    in span order; spans run on ``threads`` threads but never depend on it.
-    """
-    spans = [(s, min(s + size, total)) for s in range(0, total, size)]
-    if threads is not None and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda span: fn(*span), spans))
-    return [fn(s, e) for s, e in spans]
-
-
 def _per_draw(fn, table: _StartTable, seed: int, population: int, reps):
     """``fn(table, target)`` at the :func:`_pivot_targets` of replicates
     ``reps``; a ``BracketError`` names the replicate.
@@ -683,22 +658,23 @@ def _candidates(below, above, ranks=(), pi0=None) -> NDArray[np.bool_]:
     return polish
 
 
-def _sample(kind: str, series: list[RecordSeries], m: int, seed: int,
-            threads: int | None) -> PivotalDraws:
+def _sample(kind: str, series: list[RecordSeries], m: int,
+            seed: int) -> PivotalDraws:
     """Bracket the ``m`` draws of ``kind``, one root from each series.
 
-    Each series' start table is built once and serves every chunk.
-    Every chunk of ``_CHUNK`` draws is bracketed into the two preallocated
-    bound arrays.  Nothing else per draw is kept: a draw that needs its
-    exact value re-draws its targets from its streams and is solved
-    again, which gives the same bracket start and then the same root,
-    because each root depends only on its series and target.
+    Each series' start table is built once and serves every span.  The
+    draws are bracketed ``_CHUNK`` at a time into the two preallocated
+    bound arrays, and polished ``_CHUNK`` at a time when read.  Nothing
+    else per draw is kept: a draw that needs its exact value re-draws
+    its targets from its streams and is solved again, which gives the
+    same bracket start and then the same root, because each root
+    depends only on its series and target.
     """
     tables = [_start_table(*_prep_log_records(s.values[:, None]))
               for s in series]
     below, above = np.empty(m), np.empty(m)
-
-    def bracket(start: int, stop: int) -> None:
+    for start in range(0, m, _CHUNK):
+        stop = min(start + _CHUNK, m)
         reps = np.arange(start, stop)
         highs, lows = zip(*(_per_draw(_bracket_roots, table, seed, p, reps)
                             for p, table in enumerate(tables)))
@@ -707,17 +683,13 @@ def _sample(kind: str, series: list[RecordSeries], m: int, seed: int,
 
     def solve(reps: NDArray[np.intp]) -> NDArray[np.float64]:
         out = np.empty(reps.size)
-
-        def polish(start: int, stop: int) -> None:
-            roots = [_per_draw(_solve_roots, table, seed, p,
-                               reps[start:stop])[0]
-                     for p, table in enumerate(tables)]
-            out[start:stop] = _combine(kind, roots)
-
-        _map_spans(polish, reps.size, _POLISH_CHUNK, threads)
+        for start in range(0, reps.size, _CHUNK):
+            span = reps[start:start + _CHUNK]
+            out[start:start + _CHUNK] = _combine(kind, [
+                _per_draw(_solve_roots, table, seed, p, span)[0]
+                for p, table in enumerate(tables)])
         return out
 
-    _map_spans(bracket, m, _CHUNK, threads)
     return PivotalDraws._bracketed(kind, m, seed, below, above, solve)
 
 
@@ -727,11 +699,11 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
 
     Replicate ``i`` of population ``p`` (1-based) reads the dedicated
     stream ``2 i + (p - 1)`` of ``seed``, so the draw vector is a pure
-    function of the inputs: any ``threads`` value, including None for
-    serial execution, yields bitwise-identical output.  A replicate
-    whose pivotal equation has no positive root aborts the whole sample
-    with ``BracketError``, because silently dropping replicates would
-    bias the pivotal distribution.
+    function of the inputs.  A replicate whose pivotal equation has no
+    positive root aborts the whole sample with ``BracketError``, because
+    silently dropping replicates would bias the pivotal distribution.
+    The sampler runs on the calling thread: ``threads`` is accepted, so
+    that callers which pass a thread count keep working, and not used.
 
     Every root is bracketed here, but none is polished: the draws hold
     their bounds, and their values are solved on first read of
@@ -742,16 +714,21 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
     if m < 1:
         raise InvalidDataError("m must be at least 1")
     _check_series(series1, series2)
-    return _sample(kind, [series1, series2], m, seed, threads)
+    return _sample(kind, [series1, series2], m, seed)
 
 
 def sample_shape_pivot(series: RecordSeries, m: int, seed: int,
                        threads: int | None = None) -> PivotalDraws:
-    """Monte Carlo draws of the single-population shape pivot."""
+    """Monte Carlo draws of the single-population shape pivot.
+
+    Replicate ``i`` reads stream ``2 i`` of ``seed``, as population 1
+    does in :func:`sample_pivotal`.  The sampler runs on the calling
+    thread; ``threads`` is accepted and not used.
+    """
     if m < 1:
         raise InvalidDataError("m must be at least 1")
     _check_series(series)
-    return _sample("single-shape", [series], m, seed, threads)
+    return _sample("single-shape", [series], m, seed)
 
 
 def _snap(x: float) -> float:

@@ -59,6 +59,23 @@ def log_to_max(values: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
+def _record_sum(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sum over the leading (record) axis, adding rows in index order.
+
+    numpy picks its summation algorithm from the array's layout: a sum
+    over axis 0 of a (k, n) array adds rows in order, but the same sum
+    of a (k, 1) array, or of a 1-d array, is pairwise once k >= 8.
+    Spelling the order out makes each entry's sum independent of how
+    many entries share its batch, and gives the shape MLE and the pivot
+    solver one rounding of one statistic.  The first row is copied, so
+    a single record is its own sum.
+    """
+    total = np.array(a[0])
+    for row in a[1:]:
+        total += row
+    return total
+
+
 def extract_upper_records(data: ArrayLike, label: str = "") -> RecordSeries:
     """Extract the upper record values from a raw observation sequence.
 

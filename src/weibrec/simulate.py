@@ -15,6 +15,11 @@ A replicate's roots, sort and interval width depend on that replicate
 alone, and the widths are summed once, exactly rounded, so neither the
 batch size nor the thread count can move a cell's report.
 
+This module holds the package's only thread fan-out: :func:`run_cell`
+spreads its batches of whole replicates over ``threads`` threads, where
+they pay (1.25-1.6x the serial rate at 2 threads on a 2-vCPU Xeon).  The
+pivot sampler in :mod:`weibrec.gpq` runs on the calling thread.
+
 A replicate's interval reads only two order statistics of its m pivot
 ratios.  Each root is bracketed first (``gpq._bracket_roots``), which
 bounds every ratio, and Newton polishes only the draws whose bounds can
@@ -39,14 +44,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_bracket_roots, _candidates, _draw_bounds, _map_spans,
-                  _newton, _pivot_targets, _prep_log_records, _start_table,
+from .gpq import (_bracket_roots, _candidates, _draw_bounds, _newton,
+                  _pivot_targets, _prep_log_records, _start_table,
                   percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
@@ -79,8 +85,17 @@ class SimConfig:
             raise InvalidDataError("record indices n1, n2 must be at least 1")
         for name in ("beta1", "beta2", "alpha1", "alpha2"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
+            if isinstance(v, bool) or not isinstance(
+                    v, (int, float, np.integer, np.floating)):
+                raise InvalidDataError(f"{name} must be a number, got {v!r}")
+            # Stored as float, so that 2 and 2.0 are one cell and one tag.
+            try:
+                v = float(v)
+            except OverflowError:
+                v = math.inf
+            if not (math.isfinite(v) and v > 0.0):
                 raise InvalidDataError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, v)
         if self.reps < 1:
             raise InvalidDataError("reps must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -181,8 +196,23 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     return covered, upper - lower
 
 
+def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
+    """``fn(start, stop)`` for each span of ``size`` covering ``[0, total)``,
+    in span order; spans run on ``threads`` threads but never depend on it.
+    """
+    spans = [(s, min(s + size, total)) for s in range(0, total, size)]
+    if threads is not None and threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda span: fn(*span), spans))
+    return [fn(s, e) for s, e in spans]
+
+
 def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
-    """Estimate coverage and expected interval length for one cell."""
+    """Estimate coverage and expected interval length for one cell.
+
+    Its batches of replicates run on ``threads`` threads (None or 1:
+    the calling thread); the report is the same for every count.
+    """
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
     batch = max(1, min(config.reps, _ELEMENT_BUDGET // (config.m * k_max)))

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDataError, InvalidDataError, SingularInformationError
-from .records import RecordSeries, log_to_max
+from .records import RecordSeries, _record_sum, log_to_max
 
 _FD_REL_STEP = 1e-4
 
@@ -90,8 +90,11 @@ def record_loglik(series: RecordSeries, params: WeibullParams) -> float:
 
 
 def _log_ratio_sum(series: RecordSeries) -> float:
-    """sum_j log(r_n / r_j) over j = 0..n (the j = n term is zero)."""
-    return -float(np.sum(log_to_max(series.values)))
+    """sum_j log(r_n / r_j) over j = 0..n (the j = n term is zero).
+
+    Summed in record order, as the pivot solver sums the same terms.
+    """
+    return -float(_record_sum(log_to_max(series.values)))
 
 
 def shape_mle(series: RecordSeries) -> float:

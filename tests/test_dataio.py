@@ -79,6 +79,45 @@ class TestRepeatedLabels:
         assert "'a'" in captured.err
 
 
+class TestRepeatedColumns:
+    """A long-CSV header names each column once, never a column dropped."""
+
+    @pytest.mark.parametrize("text, column", [
+        ("population,value,order,order\na,1,0,5\na,2,1,4\n", "order"),
+        ("population,value,value\na,1,9\na,2,8\n", "value"),
+        ("Population,value,POPULATION\na,1,b\na,2,b\n", "population"),
+        ("population,value,note,Note\na,1,x,y\na,2,x,y\n", "note"),
+    ])
+    def test_rejected_naming_the_column(self, tmp_path, text, column):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidDataError,
+                           match=f"column '{column}' is repeated"):
+            load_populations(str(path))
+
+    def test_blank_header_cells_name_no_column(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("population,value,,\na,1,,\na,2,,\n")
+        [(label, values)] = load_populations(str(path), kind="records")
+        assert label == "a" and values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("command, flag, text, column", [
+        ("extract", "--data",
+         "population,value,order,order\na,1,0,5\na,2,1,4\nb,1,0,0\nb,3,1,1\n",
+         "order"),
+        ("mle", "--records",
+         "population,value,value\na,1,9\na,2,8\nb,1,1\nb,3,3\n", "value"),
+    ])
+    def test_command_exits_2_naming_the_column(self, tmp_path, capsys,
+                                               command, flag, text, column):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        assert cli.main([command, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"column '{column}' is repeated" in captured.err
+
+
 class TestNoKeyDropped:
     """Every key of a JSON input is read or rejected, never dropped."""
 

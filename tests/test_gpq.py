@@ -857,7 +857,6 @@ class TestSelectivePolish:
 
         with monkeypatch.context() as patch:
             patch.setattr(gpq, "_CHUNK", chunk)
-            patch.setattr(gpq, "_POLISH_CHUNK", chunk)
             if tiny:
                 patch.setattr(gpq, "_exp_targets", shrunk)
             full = sample().values

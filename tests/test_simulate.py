@@ -81,6 +81,30 @@ class TestSimConfig:
                            match=rf"^{field} must be an integer, got"):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", True), ("beta2", False), ("alpha1", np.True_),
+        ("alpha2", True), ("beta1", "2.0"),
+    ])
+    def test_non_real_shapes_and_scales_are_rejected(self, field, value):
+        kwargs = dict(n1=3, n2=3, beta1=1.0, beta2=2.0)
+        kwargs[field] = value
+        with pytest.raises(InvalidDataError,
+                           match=rf"^{field} must be a number, got"):
+            SimConfig(**kwargs)
+
+    def test_integer_shapes_and_scales_are_the_float_cell(self):
+        # One cell whatever the spelling of its parameters: the same
+        # fields, the same tag and so the same streams and report.
+        spelled = SimConfig(n1=2, n2=2, beta1=2, beta2=np.int64(1),
+                            alpha1=np.float32(3.0), alpha2=1, **TINY)
+        floats = SimConfig(n1=2, n2=2, beta1=2.0, beta2=1.0, alpha1=3.0,
+                           alpha2=1.0, **TINY)
+        fields = ("beta1", "beta2", "alpha1", "alpha2")
+        assert all(type(getattr(spelled, f)) is float for f in fields)
+        assert [getattr(spelled, f) for f in fields] == [2.0, 1.0, 3.0, 1.0]
+        assert cell_tag(spelled) == cell_tag(floats)
+        assert run_cell(spelled) == run_cell(floats)
+
     def test_numpy_integers_are_accepted_as_ints(self):
         c = SimConfig(n1=np.int64(3), n2=np.int32(4), beta1=1.0, beta2=2.0,
                       m=np.uint16(200), reps=np.int8(4),

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weibrec import gpq
 from weibrec import (
     DegenerateDataError,
     InvalidDataError,
@@ -17,9 +20,10 @@ from weibrec import (
     pooled_mle,
     record_loglik,
     se_from_hessian,
+    shape_mle,
     weibull_cdf,
 )
-from weibrec.records import weibull_records
+from weibrec.records import log_to_max, weibull_records
 
 
 class TestWeibullParams:
@@ -122,6 +126,23 @@ class TestMle:
                 other = record_loglik(s, WeibullParams(
                     alpha=fit.params.alpha * da, beta=fit.params.beta * db))
                 assert other < best
+
+
+class TestSolverSum:
+    """The MLE sums the log spacings as the pivot solver does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.floats(1e-3, 1e3),
+           increments=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=39))
+    def test_shape_mle_divides_the_solvers_sum(self, start, increments):
+        values = np.cumsum([start, *increments])
+        series = RecordSeries(values)
+        k = len(values)
+        total = -gpq._record_sum(log_to_max(values))
+        assert shape_mle(series) == k / total
+        # A one-record series adds nothing to the pooled sum.
+        single = RecordSeries(values[:1])
+        assert pooled_mle(single, series).beta == (k + 1) / total
 
 
 class TestPooledMle:
