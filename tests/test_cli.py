@@ -509,19 +509,30 @@ class TestStartLookupOutput:
         assert code == 0, err
         assert indexed.encode() == searched.encode()
 
-    def test_one_table_per_population(self, capsys, monkeypatch):
+    def test_one_table_per_population(self, records34, records36, capsys,
+                                      monkeypatch):
+        m, seed, gamma = 100_000, 7, 0.05
+        # The draws the interval polishes, counted before the patches.
+        draws = gpq.sample_pivotal(records34, records36, "ratio", m, seed)
+        lo, hi = gpq.percentile_ranks(m, gamma)
+        polished = np.count_nonzero(
+            gpq._candidates(draws.below, draws.above, [lo - 1, hi - 1]))
+        assert polished > 0
         real, built, lookups = gpq._start_table, [], []
         lookup = gpq._node_index
         monkeypatch.setattr(gpq, "_start_table",
                             lambda d, gap: built.append(1) or real(d, gap))
         monkeypatch.setattr(gpq, "_node_index",
                             lambda *a: lookups.append(1) or lookup(*a))
-        code, _, err = run_cli(["ci-ratio", "--gamma", "0.05", "--data",
-                                str(REPO_DATA), "--M", "100000"], capsys)
+        code, _, err = run_cli(["ci-ratio", "--gamma", str(gamma), "--data",
+                                str(REPO_DATA), "--M", str(m),
+                                "--seed", str(seed)], capsys)
         assert code == 0, err
         assert len(built) == 2
-        # 13 bracket chunks and at least 1 polish chunk per population.
-        assert len(lookups) >= 2 * 14, len(lookups)
+        # One lookup per population for each bracket span (13 at M = 1e5)
+        # and each polish span, and none more.
+        spans = math.ceil(m / gpq._CHUNK) + math.ceil(polished / gpq._CHUNK)
+        assert len(lookups) == 2 * spans, (len(lookups), polished)
 
 
 class TestInputFormats:
