@@ -37,17 +37,16 @@ bound, the table node below the root less a slack for float error, and
 :func:`_newton` polishes from the start.
 
 An interval reads two order statistics of the draws and a p-value one
-tail count, so neither needs every root.  :func:`sample_pivotal`
-brackets every root and keeps only the resulting bounds on each ratio
-or difference (:func:`_draw_bounds`).  :func:`percentile_interval` and
-the p-values then polish just the draws whose bounds can reach their
-ranks or straddle their threshold (:func:`_candidates`), re-drawing
-those draws' targets from their streams, and read the same values as a
-full solve, bit for bit.  The coverage simulator selects its draws with
-the same routine.  ``PivotalDraws.values`` is still the full solve,
-made on its first read.  Sampling, bracketing and polishing run in
-spans of ``_CHUNK`` draws on the calling thread; the coverage simulator
-is the only caller that spreads work over threads, a batch of whole
+tail count, so neither needs every root.  One path serves the
+command-line draws and the coverage simulator: :func:`_bracket` draws
+the targets and bounds each ratio or difference, :func:`_candidates`
+picks the draws whose bounds can reach the ranks or straddle the
+threshold, and :func:`_polish` solves just those, giving the values of
+a full solve, bit for bit.  :func:`sample_pivotal` keeps only the
+bounds, and its candidates re-draw their targets when polished, in
+spans of ``_CHUNK`` draws.  ``PivotalDraws.values`` is still the full
+solve, made on its first read.  This module runs on the calling thread;
+the coverage simulator is the only caller that spreads work over threads, a batch of whole
 replicates to each (see :mod:`weibrec.simulate`).
 
 Record arrays are record-major in every signature here and in memory:
@@ -112,13 +111,15 @@ class PivotalDraws:
     values[i] <= above[i]``.  Draws built from explicit ``values`` have
     ``below`` and ``above`` equal to them.  Draws from
     :func:`sample_pivotal` or :func:`sample_shape_pivot` hold the bounds
-    from their roots' brackets and solve ``values`` in full on its first
-    read.  :func:`percentile_interval` and the p-values need neither:
-    they polish only the draws whose bounds can reach their order
-    statistics or straddle their threshold (see :func:`_candidates`).
+    from their roots' brackets and their series' start tables, and solve
+    ``values`` in full on its first read.  :func:`percentile_interval`
+    and the p-values need neither: they polish only the draws whose
+    bounds can reach their order statistics or straddle their threshold
+    (see :func:`_candidates`).  The draws are read-only.  They pickle and
+    copy, reporting as the original does, bit for bit; ``==`` is identity.
     """
 
-    __slots__ = ("kind", "m", "seed", "below", "above", "_solve", "_values")
+    __slots__ = ("kind", "m", "seed", "below", "above", "_tables", "_values")
 
     def __init__(self, values, kind: str, m: int, seed: int):
         if kind not in _KINDS:
@@ -130,25 +131,30 @@ class PivotalDraws:
             raise InvalidDataError("draws must be finite")
         if kind == "ratio" and np.any(arr <= 0.0):
             raise InvalidDataError("ratio draws must be strictly positive")
-        arr.flags.writeable = False
         self._set(kind, m, seed, arr, arr, None, arr)
 
     @classmethod
-    def _bracketed(cls, kind: str, m: int, seed: int, below, above, solve):
-        """Draws known by their bounds; ``solve(idx)`` gives ``values[idx]``."""
+    def _from_slots(cls, *slots):
+        """Draws with every slot given, in ``__slots__`` order."""
         draws = object.__new__(cls)
-        for bound in (below, above):
-            bound.flags.writeable = False
-        draws._set(kind, m, seed, below, above, solve, None)
+        draws._set(*slots)
         return draws
 
     def _set(self, *slots):
-        """Set every slot, in ``__slots__`` order, past the read-only guard."""
+        """Set every slot, in ``__slots__`` order, past the read-only guard;
+        arrays become read-only."""
         for name, value in zip(self.__slots__, slots):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PivotalDraws is read-only: cannot set {name!r}")
+
+    def __reduce__(self):
+        # Rebuilt through _from_slots, since the guard above refuses the
+        # default restore of each slot.
+        return self._from_slots, tuple(getattr(self, n) for n in self.__slots__)
 
     def __repr__(self):
         return f"PivotalDraws(kind={self.kind!r}, m={self.m}, seed={self.seed})"
@@ -161,6 +167,18 @@ class PivotalDraws:
             values.flags.writeable = False
             object.__setattr__(self, "_values", values)
         return self._values
+
+    def _solve(self, idx: NDArray[np.intp]) -> NDArray[np.float64]:
+        """The exact draws ``idx``: their targets re-drawn and polished in
+        ``_CHUNK`` spans, so that no M-sized target array is held."""
+        out = np.empty(idx.size)
+        for start in range(0, idx.size, _CHUNK):
+            span = idx[start:start + _CHUNK]
+            targets = [_pivot_targets([[self.seed]], span, p, len(table.d))
+                       for p, table in enumerate(self._tables)]
+            out[start:start + _CHUNK] = _polish(
+                self.kind, self._tables, np.zeros((1, 1), np.intp), targets)
+        return out
 
     def _settled(self, ranks=(), pi0=None) -> NDArray[np.float64]:
         """The draws, exact where they can reach ``ranks`` or straddle ``pi0``.
@@ -370,21 +388,23 @@ def _start_table(d, gap) -> _StartTable:
         np.flatnonzero(~ordered))
 
 
-def _node_index(table: _StartTable, target) -> NDArray[np.integer]:
+def _node_index(table: _StartTable, target, rows=None) -> NDArray[np.integer]:
     """How many entries of each row of ``table.h`` lie below each target.
 
-    ``target`` is ``(series, draws)`` and positive.  The result is
-    ``np.searchsorted(table.h[i], target[i])`` for every row ``i``, found
-    from the index of :func:`_start_table` in a few passes over the whole
+    ``target`` is positive, and target row ``i`` reads series ``rows[i,
+    0]`` (series ``i`` if ``rows`` is None).  The result is
+    ``np.searchsorted`` of each target in its series' ``h``, found from
+    the index of :func:`_start_table` in a few passes over the whole
     batch: the count below the target's bin, plus one for each of the
     next ``mult`` entries that lies below the target.  A target below a
     row's first bin or above its last reads the count of the nearest
-    one, which is the same.
+    one, which is the same.  A fallback series is searched directly,
+    with all of its targets as one key vector.
     """
-    rows = np.arange(len(table.h))[:, None]
+    rows = np.arange(len(table.h))[:, None] if rows is None else rows
     width = table.bins.shape[1]
     x = np.right_shift(target.view(np.int64), _BIN_SHIFT)
-    x -= table.bin_lo
+    x -= table.bin_lo[rows, 0]
     np.clip(x, 0, width - 1, out=x)
     x += rows * width
     j = table.bins.take(x)
@@ -400,7 +420,8 @@ def _node_index(table: _StartTable, target) -> NDArray[np.integer]:
         np.less(entry, target, out=below)
         j += below
     for i in table.fallback:
-        j[i] = np.searchsorted(table.h[i], target[i])
+        keys = np.broadcast_to(rows, target.shape) == i
+        j[keys] = np.searchsorted(table.h[i], target[keys])
     return j
 
 
@@ -438,13 +459,13 @@ def _require_roots(target, gap, k: int) -> None:
     )
 
 
-def _bracket_roots(table: _StartTable, target):
+def _bracket_roots(table: _StartTable, target, rows=None):
     """Start and certified lower bound of each root of log W_obs = target.
 
     ``table`` holds each observed series' ``d = log(r / max r)``, ``(k,
     series)``, its ``gap``, ``(series,)``, and its start table (see
-    :func:`_start_table`); ``target`` is ``(series, draws)``.  Returns
-    ``(start, lower)``, both ``(series, draws)``.
+    :func:`_start_table`); target row ``i`` reads series ``rows[i, 0]``,
+    as in :func:`_node_index`.  Returns ``(start, lower)`` like ``target``.
 
     With ``s = sum expm1(beta d)``, ``g(beta) = beta gap + log1p(s / k)
     - target`` is convex and increasing, and ``g >= 0`` at ``beta0 =
@@ -484,10 +505,10 @@ def _bracket_roots(table: _StartTable, target):
     from :func:`_certified_target` on.  The same bound puts the exact
     root below ``start * (1 + _SLACK)``.
     """
-    gap = table.gap[:, None]
+    gap = table.gap[:, None] if rows is None else table.gap[rows]
     k = len(table.d)
     _require_roots(target, gap, k)
-    j = _node_index(table, target)
+    j = _node_index(table, target, rows)
     start = _NODES_ABOVE[j]
     np.minimum(start, target + math.log(k), out=start)
     lower = _NODES_BELOW[j]
@@ -535,14 +556,15 @@ def _newton(d, gap, target, beta) -> NDArray[np.float64]:
             return beta
 
 
-def _solve_roots(table: _StartTable, target) -> NDArray[np.float64]:
-    """Roots of log W_obs(beta) = target, ``(series, draws)``.
+def _solve_roots(table: _StartTable, target, rows=None) -> NDArray[np.float64]:
+    """Roots of log W_obs(beta) = target, of the shape of ``target``.
 
     Arguments as in :func:`_bracket_roots`; each root is polished by
     :func:`_newton` from its start.
     """
-    start, _ = _bracket_roots(table, target)
-    return _newton(table.d[..., None], table.gap[:, None], target, start)
+    rows = np.arange(len(table.gap))[:, None] if rows is None else rows
+    start, _ = _bracket_roots(table, target, rows)
+    return _newton(table.d[:, rows], table.gap[rows], target, start)
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
@@ -593,18 +615,6 @@ def _pivot_targets(seed, draws, population: int, k: int) -> NDArray[np.float64]:
     return _exp_targets(seed, ids, k)
 
 
-def _per_draw(fn, table: _StartTable, seed: int, population: int, reps):
-    """``fn(table, target)`` at the :func:`_pivot_targets` of replicates
-    ``reps``; a ``BracketError`` names the replicate.
-    """
-    target = _pivot_targets(seed, reps, population, len(table.d))
-    try:
-        return fn(table, target[None])
-    except BracketError as exc:
-        rep = int(reps[exc.replicate or 0])
-        raise BracketError(f"replicate {rep}: {exc}", replicate=rep) from exc
-
-
 def _combine(kind: str, roots):
     """The draw from its populations' roots: U1 / U2, U1 - U2 or U1."""
     if kind == "ratio":
@@ -612,26 +622,41 @@ def _combine(kind: str, roots):
     return roots[0] - roots[1] if kind == "difference" else roots[0]
 
 
-def _draw_bounds(kind: str, lows, highs):
-    """``(below, above)``: bounds on each draw from its roots' brackets.
+def _bracket(kind: str, tables, seeds, rows, draws):
+    """``(below, above, targets)`` of ``draws``, each ``(rows, draws)``.
 
-    ``lows`` and ``highs`` hold each population's root bounds from
-    :func:`_bracket_roots`, and each float root lies between them.
-    Float division and subtraction are monotone in each argument, so the
-    float ratio U1 / U2 lies in ``[low1 / high2, high1 / low2]`` and the
-    float difference U1 - U2 in ``[low1 - high2, high1 - low2]``.  A draw
-    with an uncertified (NaN) lower root bound gets ``[-inf, inf]``,
-    written in place: for a single shape the bounds are ``lows[0]`` and
-    ``highs[0]`` themselves.
+    ``tables`` holds one :func:`_start_table` per population, and row
+    ``i`` reads series ``rows[i, 0]`` of each.  Draw ``i`` of series ``r``
+    of population ``p`` reads stream ``2 i + p`` of ``seeds[r]``.  A
+    ``BracketError`` names its population; its ``replicate`` is the flat
+    index of the rootless target.
     """
+    brackets = []
+    for p, table in enumerate(tables):
+        target = _pivot_targets(seeds[rows], draws, p, len(table.d))
+        try:
+            brackets.append((target, *_bracket_roots(table, target, rows)))
+        except BracketError as exc:
+            raise BracketError(f"population {p + 1}: {exc}",
+                               replicate=exc.replicate) from exc
+    targets, highs, lows = zip(*brackets)
+    # Each float root lies in its bracket, and float division and
+    # subtraction are monotone in each argument, so U1 / U2 lies in [low1 /
+    # high2, high1 / low2] and U1 - U2 in [low1 - high2, high1 - low2].  An
+    # uncertified (NaN) low root makes the draw's bounds [-inf, inf].
     below = _combine(kind, [lows[0], *highs[1:]])
     above = _combine(kind, [highs[0], *lows[1:]])
-    uncertified = np.isnan(lows[0])
-    for low in lows[1:]:
-        uncertified |= np.isnan(low)
+    uncertified = np.logical_or.reduce([np.isnan(low) for low in lows])
     np.copyto(below, -np.inf, where=uncertified)
     np.copyto(above, np.inf, where=uncertified)
-    return below, above
+    return below, above, targets
+
+
+def _polish(kind: str, tables, rows, targets) -> NDArray[np.float64]:
+    """The exact draws of ``kind`` at ``targets``, arguments as in
+    :func:`_bracket`; each root depends only on its series and target."""
+    return _combine(kind, [_solve_roots(table, target, rows)
+                           for table, target in zip(tables, targets)])
 
 
 def _candidates(below, above, ranks=(), pi0=None) -> NDArray[np.bool_]:
@@ -664,33 +689,21 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
 
     Each series' start table is built once and serves every span.  The
     draws are bracketed ``_CHUNK`` at a time into the two preallocated
-    bound arrays, and polished ``_CHUNK`` at a time when read.  Nothing
-    else per draw is kept: a draw that needs its exact value re-draws
-    its targets from its streams and is solved again, which gives the
-    same bracket start and then the same root, because each root
-    depends only on its series and target.
+    bound arrays, and only the bounds and the tables are kept (see
+    :meth:`PivotalDraws._solve`).
     """
     tables = [_start_table(*_prep_log_records(s.values[:, None]))
               for s in series]
     below, above = np.empty(m), np.empty(m)
     for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
-        reps = np.arange(start, stop)
-        highs, lows = zip(*(_per_draw(_bracket_roots, table, seed, p, reps)
-                            for p, table in enumerate(tables)))
-        below[start:stop], above[start:stop] = (
-            bound[0] for bound in _draw_bounds(kind, lows, highs))
-
-    def solve(reps: NDArray[np.intp]) -> NDArray[np.float64]:
-        out = np.empty(reps.size)
-        for start in range(0, reps.size, _CHUNK):
-            span = reps[start:start + _CHUNK]
-            out[start:start + _CHUNK] = _combine(kind, [
-                _per_draw(_solve_roots, table, seed, p, span)[0]
-                for p, table in enumerate(tables)])
-        return out
-
-    return PivotalDraws._bracketed(kind, m, seed, below, above, solve)
+        try:
+            below[start:start + _CHUNK], above[start:start + _CHUNK], _ = _bracket(
+                kind, tables, np.asarray([seed]), np.zeros((1, 1), np.intp),
+                np.arange(start, min(start + _CHUNK, m)))
+        except BracketError as exc:
+            rep = start + (exc.replicate or 0)
+            raise BracketError(f"replicate {rep}, {exc}", replicate=rep) from exc
+    return PivotalDraws._from_slots(kind, m, seed, below, above, tables, None)
 
 
 def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,

@@ -21,15 +21,15 @@ they pay (1.25-1.6x the serial rate at 2 threads on a 2-vCPU Xeon).  The
 pivot sampler in :mod:`weibrec.gpq` runs on the calling thread.
 
 A replicate's interval reads only two order statistics of its m pivot
-ratios.  Each root is bracketed first (``gpq._bracket_roots``), which
-bounds every ratio, and Newton polishes only the draws whose bounds can
-reach either rank, about a tenth of them, chosen by the same routine
-that serves the command-line intervals (see :func:`_batch_sums`).  A
-batch holds about 2**18 / k elements in each per-draw array (targets,
-root brackets, ratio bounds), for k the larger record count; these are
-its largest temporaries, so that the working set of each thread stays
-near the cache.  The pivot targets are drawn one record at a time, and
-the (k, draws) Newton buffer covers only the polished draws.
+ratios.  A batch takes the bracket-and-polish path of the command-line
+intervals: ``gpq._bracket`` bounds every ratio, and ``gpq._polish``
+solves only the draws whose bounds can reach either rank, about a tenth
+of them (see :func:`_batch_sums`).  A batch holds about 2**18 / k
+elements in each per-draw array (targets, root brackets, ratio bounds),
+for k the larger record count; these are its largest temporaries, so
+that the working set of each thread stays near the cache.  The pivot
+targets are drawn one record at a time, and the (k, draws) Newton
+buffer covers only the polished draws.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -51,9 +51,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_bracket_roots, _candidates, _draw_bounds, _newton,
-                  _pivot_targets, _prep_log_records, _start_table,
-                  percentile_ranks)
+from .gpq import (_bracket, _candidates, _polish, _prep_log_records,
+                  _start_table, percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
 _ELEMENT_BUDGET = 2 ** 18
@@ -150,12 +149,12 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     Neither alpha nor beta enters the solve, which therefore cannot
     overflow at extreme shapes.
 
-    Only the draws that can hold rank lo or rank hi are polished: each
-    float ratio U1 / U2 lies inside the bounds that ``gpq._draw_bounds``
-    forms from the root brackets, and ``gpq._candidates`` picks the
-    draws whose bounds can reach either rank.  Every other draw keeps
-    its lower bound, and the sort reads the same two ratios as a full
-    solve would, bit for bit.
+    Only the draws that can hold rank lo or rank hi are polished:
+    ``gpq._bracket`` bounds each ratio, ``gpq._candidates`` picks the
+    draws whose bounds can reach either rank, and ``gpq._polish`` solves
+    them at the targets that ``_bracket`` returned.  Every other draw
+    keeps its lower bound, and the sort reads the same two ratios as a
+    full solve would, bit for bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
@@ -163,48 +162,31 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     lo_rank, hi_rank = percentile_ranks(config.m, config.gamma)
     ranks = [lo_rank - 1, hi_rank - 1]
 
-    pops = []
-    for pop, n in enumerate((config.n1, config.n2)):
-        k = n + 1
-        d, gap = _prep_log_records(exp_record_matrix(data_seeds, pop, k))
-        target = _pivot_targets(pivot_seeds[:, None], np.arange(config.m),
-                                pop, k)
-        try:
-            high, low = _bracket_roots(_start_table(d, gap), target)
-        except BracketError as exc:
-            rep, draw = divmod(exc.replicate or 0, config.m)
-            raise BracketError(
-                f"outer replicate {start + rep}, pivotal draw {draw}, "
-                f"population {pop + 1}: {exc}", replicate=start + rep,
-            ) from exc
-        pops.append((d, gap, target, high, low))
-
-    (*_, high1, low1), (*_, high2, low2) = pops
-    below, above = _draw_bounds("ratio", (low1, low2), (high1, high2))
+    tables = [_start_table(*_prep_log_records(
+                  exp_record_matrix(data_seeds, pop, n + 1)))
+              for pop, n in enumerate((config.n1, config.n2))]
+    try:
+        below, above, targets = _bracket(
+            "ratio", tables, pivot_seeds, np.arange(stop - start)[:, None],
+            np.arange(config.m))
+    except BracketError as exc:
+        rep, draw = divmod(exc.replicate or 0, config.m)
+        raise BracketError(
+            f"outer replicate {start + rep}, pivotal draw {draw}, {exc}",
+            replicate=start + rep,
+        ) from exc
     rows, cols = np.nonzero(_candidates(below, above, ranks))
-    u1, u2 = (_newton(d[:, rows], gap[rows], target[rows, cols], high[rows, cols])
-              for d, gap, target, high, _ in pops)
 
     # Every other draw keeps its lower bound, which leaves both ranks'
     # values as the full solve has them.
     ratio = below
-    ratio[rows, cols] = u1 / u2
+    ratio[rows, cols] = _polish("ratio", tables, rows[:, None],
+                                [t[rows, cols, None] for t in targets])[:, 0]
     ratio.sort(axis=1)
     lower = ratio[:, lo_rank - 1]
     upper = ratio[:, hi_rank - 1]
     covered = int(np.count_nonzero((lower < 1.0) & (1.0 < upper)))
     return covered, upper - lower
-
-
-def _map_spans(fn, total: int, size: int, threads: int | None) -> list:
-    """``fn(start, stop)`` for each span of ``size`` covering ``[0, total)``,
-    in span order; spans run on ``threads`` threads but never depend on it.
-    """
-    spans = [(s, min(s + size, total)) for s in range(0, total, size)]
-    if threads is not None and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda span: fn(*span), spans))
-    return [fn(s, e) for s, e in spans]
 
 
 def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
@@ -216,9 +198,16 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
     batch = max(1, min(config.reps, _ELEMENT_BUDGET // (config.m * k_max)))
-    sums = _map_spans(
-        lambda start, stop: _batch_sums(config, base_seed, start, stop),
-        config.reps, batch, threads)
+    starts = range(0, config.reps, batch)
+
+    def batch_sums(start):
+        return _batch_sums(config, base_seed, start, min(start + batch, config.reps))
+
+    if threads is not None and threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sums = list(pool.map(batch_sums, starts))
+    else:
+        sums = [batch_sums(start) for start in starts]
     covered = sum(c for c, _ in sums)
     # One exactly rounded sum over every replicate, whatever the batches.
     width_sum = math.fsum(np.concatenate([w for _, w in sums]))

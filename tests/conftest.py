@@ -16,11 +16,14 @@ def record_criterion(name: str, passed: bool, detail: str) -> None:
     _criteria.append((name, passed, detail))
 
 
-def searchsorted_index(table, target):
+def searchsorted_index(table, target, rows=None):
     """Reference start lookup for ``gpq._node_index``: one binary search
-    of each row's start table per row of targets."""
-    return np.array([np.searchsorted(h, row)
-                     for h, row in zip(table.h, target)])
+    of its series' start table per row of targets, the row's targets as
+    one key vector.  Target row ``i`` reads series ``rows[i, 0]``, or
+    series ``i`` without ``rows``."""
+    series = range(len(target)) if rows is None else rows[:, 0]
+    return np.array([np.searchsorted(table.h[i], row)
+                     for i, row in zip(series, target)])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

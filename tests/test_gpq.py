@@ -1,6 +1,8 @@
 """Pivotal statistic, root solving, sampling, intervals, p-values."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import mpmath
@@ -542,6 +544,33 @@ class TestBracket:
             assert low[i] <= exact <= high[i] * (1 + gpq._SLACK), i
             assert abs(roots[i] - exact) <= gpq._SLACK * exact, i
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 16), series=st.integers(1, 4),
+           rows=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_gather_equals_own_series(self, k, series, rows, seed):
+        # Target row i read through rows[i] is bracketed and solved, bit
+        # for bit, as against a table of its series alone.
+        rows = np.array(rows)[:, None] % series
+        gen = np.random.default_rng(seed)
+        values = (np.cumsum(gen.uniform(0.01, 3.0, (k, series)), axis=0)
+                  * 10.0 ** gen.uniform(-9.0, 9.0, series))
+        table = gpq._start_table(*gpq._prep_log_records(values))
+        assume(table.fallback.size == 0)
+        ids = np.arange(rows.size * 40, dtype=np.uint64).reshape(-1, 40)
+        # Scaled down to below the certified range and up past the table.
+        target = (gpq._exp_targets(seed, ids, k)
+                  * 10.0 ** gen.uniform(-20.0, 2.0, ids.shape))
+        start, lower = gpq._bracket_roots(table, target, rows)
+        roots = gpq._solve_roots(table, target, rows)
+        for i, r in enumerate(rows[:, 0]):
+            own = gpq._start_table(*gpq._prep_log_records(values[:, [r]]))
+            want_start, want_lower = gpq._bracket_roots(own, target[i:i + 1])
+            assert start[i].tobytes() == want_start[0].tobytes()
+            assert lower[i].tobytes() == want_lower[0].tobytes()
+            assert (roots[i].tobytes()
+                    == gpq._solve_roots(own, target[i:i + 1])[0].tobytes())
+
     def test_certified_target_grows_with_k(self):
         mins = [gpq._certified_target(k) for k in (2, 8, 16, 100, 1000)]
         assert 0.0 < mins[0] and mins == sorted(mins)
@@ -928,6 +957,43 @@ class TestPivotalDraws:
                              m=2, seed=0)
         with pytest.raises(ValueError):
             draws.values[0] = 0.0
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda draws: pickle.loads(pickle.dumps(draws)), copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("kind", ["ratio", "difference"])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["explicit", "sampled"])
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_copies_report_bit_for_bit(self, duplicate, kind, sampled, read,
+                                       records34, records36):
+        m = 3000
+        if sampled:
+            draws = sample_pivotal(records34, records36, kind, m, seed=11)
+        else:
+            values = np.random.default_rng(3).normal(size=m)
+            draws = PivotalDraws(np.exp(values) if kind == "ratio" else values,
+                                 kind, m, seed=0)
+        if read:
+            draws.values
+        twin = duplicate(draws)
+        assert twin is not draws and twin != draws
+
+        def reports(d):
+            ci = percentile_interval(d, 0.05)
+            pi0 = float(np.median(d.below))
+            return (ci.lower.hex(), ci.upper.hex(),
+                    p_value_one_sided(d, pi0).p_value.hex(),
+                    p_value_two_sided(d, pi0).p_value.hex())
+
+        # The twin reports first, so that an unread twin reads its bounds.
+        assert reports(twin) == reports(draws)
+        assert (twin.kind, twin.m, twin.seed) == (draws.kind, draws.m, draws.seed)
+        assert twin.values.tobytes() == draws.values.tobytes()
+        for array in (twin.below, twin.above, twin.values):
+            assert not array.flags.writeable
+        with pytest.raises(AttributeError, match="read-only"):
+            twin.kind = "difference"
 
 
 class TestPercentileInterval:

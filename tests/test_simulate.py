@@ -290,13 +290,13 @@ class TestPolishSelection:
     def test_polishes_under_a_quarter_of_draws(self, monkeypatch):
         # Measured at 9% for this cell; a bracket that certified nothing
         # would polish every draw.
-        real, polished = simulate._newton, []
+        real, polished = gpq._newton, []
 
         def counting(d, gap, target, beta):
             polished.append(beta.size)
             return real(d, gap, target, beta)
 
-        monkeypatch.setattr(simulate, "_newton", counting)
+        monkeypatch.setattr(gpq, "_newton", counting)
         config = SimConfig(n1=7, n2=7, beta1=1.0, beta2=2.0, m=2000, reps=60,
                            seed=5)
         run_cell(config)
