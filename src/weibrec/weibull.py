@@ -97,17 +97,44 @@ def _log_ratio_sum(series: RecordSeries) -> float:
     return -float(_record_sum(log_to_max(series.values)))
 
 
+def _common_shape(series: Sequence[RecordSeries]) -> float:
+    """``K / sum_i S_i`` over series sharing one shape, with ``K`` records
+    in all and ``S_i`` the log-ratio sum of series ``i``."""
+    s = sum(_log_ratio_sum(x) for x in series)
+    if s == 0.0:
+        raise DegenerateDataError(
+            "at least two record values are needed to estimate the shape"
+        )
+    return sum(len(x) for x in series) / s
+
+
+def _common_shape_fit(series: Sequence[RecordSeries]
+                      ) -> tuple[float, float, list[tuple[float, float]], float]:
+    """Closed-form fit of record series sharing one shape.
+
+    Returns ``beta_hat``, ``se_beta``, one ``(alpha_hat, se_alpha)`` per
+    series and the summed log-likelihood at the optimum.
+    """
+    beta = _common_shape(series)
+    big_k = sum(len(x) for x in series)
+    scales = []
+    for x in series:
+        k = len(x)
+        alpha = float(x.values[-1]) / k ** (1.0 / beta)
+        scales.append((alpha, alpha * math.sqrt(
+            1.0 / k + math.log(k) ** 2 / big_k) / beta))
+    loglik = sum(record_loglik(x, WeibullParams(alpha=alpha, beta=beta))
+                 for x, (alpha, _) in zip(series, scales))
+    return beta, beta / math.sqrt(big_k), scales, loglik
+
+
 def shape_mle(series: RecordSeries) -> float:
     """Closed-form shape estimate ``(n+1) / sum_j log(r_n / r_j)``.
 
     Cheaper than :func:`mle_records` when standard errors are not
     needed, and robust on series whose curvature is ill-conditioned.
     """
-    if series.n == 0:
-        raise DegenerateDataError(
-            "at least two record values are needed to estimate the shape"
-        )
-    return (series.n + 1) / _log_ratio_sum(series)
+    return _common_shape([series])
 
 
 def mle_records(series: RecordSeries) -> WeibullFit:
@@ -117,16 +144,9 @@ def mle_records(series: RecordSeries) -> WeibullFit:
     ``alpha_hat = r_n / (n+1)**(1/beta_hat)``.  Standard errors are the
     closed-form inverse observed information at the optimum.
     """
-    beta = shape_mle(series)
-    k = series.n + 1
-    alpha = float(series.values[-1]) / k ** (1.0 / beta)
-    params = WeibullParams(alpha=alpha, beta=beta)
-    return WeibullFit(
-        params=params,
-        se_alpha=alpha * math.sqrt((1.0 + math.log(k) ** 2) / k) / beta,
-        se_beta=beta / math.sqrt(k),
-        loglik=record_loglik(series, params),
-    )
+    beta, se_beta, [(alpha, se_alpha)], loglik = _common_shape_fit([series])
+    return WeibullFit(params=WeibullParams(alpha=alpha, beta=beta),
+                      se_alpha=se_alpha, se_beta=se_beta, loglik=loglik)
 
 
 def pooled_loglik(series1: RecordSeries, series2: RecordSeries,
@@ -143,26 +163,10 @@ def pooled_mle(series1: RecordSeries, series2: RecordSeries) -> PooledFit:
     per-series log-ratio sum, and each scale keeps its one-sample form
     evaluated at the pooled shape.
     """
-    if series1.n == 0 and series2.n == 0:
-        raise DegenerateDataError(
-            "at least one series needs two or more record values"
-        )
-    s = _log_ratio_sum(series1) + _log_ratio_sum(series2)
-    if s <= 0.0:
-        raise DegenerateDataError("pooled log-ratio sum must be positive")
-    k1, k2 = series1.n + 1, series2.n + 1
-    beta = (k1 + k2) / s
-    alpha1 = float(series1.values[-1]) / k1 ** (1.0 / beta)
-    alpha2 = float(series2.values[-1]) / k2 ** (1.0 / beta)
-    return PooledFit(
-        beta=beta,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        se_beta=beta / math.sqrt(k1 + k2),
-        se_alpha1=alpha1 * math.sqrt(1.0 / k1 + math.log(k1) ** 2 / (k1 + k2)) / beta,
-        se_alpha2=alpha2 * math.sqrt(1.0 / k2 + math.log(k2) ** 2 / (k1 + k2)) / beta,
-        loglik=pooled_loglik(series1, series2, beta, alpha1, alpha2),
-    )
+    beta, se_beta, [(alpha1, se1), (alpha2, se2)], loglik = \
+        _common_shape_fit([series1, series2])
+    return PooledFit(beta=beta, alpha1=alpha1, alpha2=alpha2, se_beta=se_beta,
+                     se_alpha1=se1, se_alpha2=se2, loglik=loglik)
 
 
 def _fd_steps(at: NDArray[np.float64]) -> NDArray[np.float64]:
