@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .errors import (
     BracketError,
     DegenerateDataError,
+    FloatRangeError,
     InsufficientDrawsError,
     InvalidDataError,
     SingularInformationError,
@@ -65,6 +66,7 @@ __all__ = [
     "BracketError",
     "CellError",
     "DegenerateDataError",
+    "FloatRangeError",
     "InsufficientDrawsError",
     "IntervalEstimate",
     "InvalidDataError",

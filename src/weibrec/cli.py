@@ -11,7 +11,8 @@ JSON output is byte-identical for identical seed and inputs regardless
 of thread count.
 
 Exit codes: 0 success, 2 invalid input or request, 3 numerical failure
-(for example a pivotal equation without a positive root).
+(a pivotal equation without a positive root, or a fitted scale or
+standard error outside the float range).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from . import __version__
 from .dataio import (Populations, load_populations, populations_digest,
                      records_from_populations)
-from .errors import BracketError, InvalidDataError
+from .errors import BracketError, FloatRangeError, InvalidDataError
 from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
                   percentile_ranks, sample_pivotal)
 from .records import RecordSeries
@@ -450,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BracketError as exc:
+    except (BracketError, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     # A simulate cell that failed is reported in its row and exits 3.

@@ -45,5 +45,13 @@ class BracketError(WeibullRecordsError):
         self.replicate = replicate
 
 
+class FloatRangeError(WeibullRecordsError):
+    """An estimate of valid data lies outside the range of a float.
+
+    The closed-form scale estimate can round to zero, and its standard
+    error can overflow; the message gives the estimate's logarithm.
+    """
+
+
 class InsufficientDrawsError(InvalidDataError):
     """Too few Monte Carlo draws for the requested percentile bounds."""

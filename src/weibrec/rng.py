@@ -16,6 +16,7 @@ scalars are promoted to 1-element arrays internally).
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import reduce
 
 import numpy as np
 from numpy.typing import NDArray
@@ -130,10 +131,7 @@ def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Fold integer tags into a seed, yielding an independent child seed."""
-    s = _u64(seed)
-    for tag in tags:
-        s = mix64((s + _GOLDEN) ^ mix64(_u64(tag) ^ _DERIVE_SALT))
-    return int(s[0])
+    return int(reduce(derive_seed_array, tags, _u64(seed))[0])
 
 
 def derive_seed_array(seed, tags) -> NDArray[np.uint64]:

@@ -6,12 +6,19 @@ the hazard, giving the log-likelihood
     l(alpha, beta) = (n+1) log beta - beta (n+1) log alpha
                      + (beta - 1) sum_j log r_j - (r_n / alpha)**beta
 
-which admits closed-form maximum likelihood estimates.  Because
-(r_n / alpha)**beta = k = n + 1 at the MLE, the inverse observed
-information is closed-form too: se_beta = beta / sqrt(k) and
-se_alpha = alpha sqrt((1 + ln(k)**2) / k) / beta.  Under a common shape,
-with K = k1 + k2, se_beta = beta / sqrt(K) and
-se_alpha_i = alpha_i sqrt(1 / k_i + ln(k_i)**2 / K) / beta.
+which admits closed-form maximum likelihood estimates.  Series
+i = 1..m with k_i = n_i + 1 records that share one shape fit as
+
+    beta = K / sum_i S_i,   alpha_i = r_n,i / k_i**(1/beta),
+
+where K = sum_i k_i and S_i = sum_j log(r_n,i / r_ij).  The separate
+fit is the case m = 1, so K = k; the pooled fit is m = 2.  Because
+(r_n,i / alpha_i)**beta = k_i at the MLE, the inverse observed
+information is closed-form too: se_beta = beta / sqrt(K) and
+se_alpha_i = alpha_i sqrt(1 / k_i + ln(k_i)**2 / K) / beta, and the
+log-likelihood is sum_i [k_i log(beta k_i) - k_i - beta S_i -
+sum_j log r_ij].  An alpha_i that rounds to zero, or a standard error
+that overflows, raises FloatRangeError.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateDataError, InvalidDataError, SingularInformationError
+from .errors import (DegenerateDataError, FloatRangeError, InvalidDataError,
+                     SingularInformationError)
 from .records import RecordSeries, _record_sum, log_to_max
 
 _FD_REL_STEP = 1e-4
@@ -117,14 +125,26 @@ def _common_shape_fit(series: Sequence[RecordSeries]
     """
     beta = _common_shape(series)
     big_k = sum(len(x) for x in series)
-    scales = []
+    scales, loglik = [], 0.0
     for x in series:
-        k = len(x)
-        alpha = float(x.values[-1]) / k ** (1.0 / beta)
-        scales.append((alpha, alpha * math.sqrt(
-            1.0 / k + math.log(k) ** 2 / big_k) / beta))
-    loglik = sum(record_loglik(x, WeibullParams(alpha=alpha, beta=beta))
-                 for x, (alpha, _) in zip(series, scales))
+        k, r_n = len(x), float(x.values[-1])
+        # alpha_hat = r_n / k**(1/beta_hat) = r_n * 2**-e, scaled by the
+        # fraction of e first and its integer part last, so it can
+        # underflow but never overflow.
+        e = math.log2(k) / beta
+        n = math.floor(e)
+        alpha = math.ldexp(r_n * 2.0 ** (n - e), -n)
+        se_alpha = alpha * math.sqrt(1.0 / k + math.log(k) ** 2 / big_k) / beta
+        if alpha == 0.0 or not math.isfinite(se_alpha):
+            who = f"population {x.label!r}" if x.label else "a series"
+            raise FloatRangeError(
+                f"the scale estimate of {who}, "
+                f"exp({math.log(r_n) - math.log(k) / beta:.6g}), or its "
+                f"standard error lies outside the float range")
+        scales.append((alpha, se_alpha))
+        # record_loglik at the optimum, where (r_n / alpha_hat)**beta_hat = k.
+        loglik += (k * math.log(beta * k) - k - beta * _log_ratio_sum(x)
+                   - float(np.sum(np.log(x.values))))
     return beta, beta / math.sqrt(big_k), scales, loglik
 
 

@@ -1,14 +1,19 @@
 """End-to-end command line behavior."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from weibrec import cli, gpq
 from weibrec.datasets import INSULATING_FLUID
@@ -114,6 +119,22 @@ class TestMle:
         assert code == 2
         assert "two record" in err
 
+    def test_small_shape_with_a_normal_scale_answers(self, capsys):
+        # k ** (1 / beta_hat) overflows a float here; alpha_hat does not.
+        code, out, err = run_cli(
+            ["mle", "--records", "a:1e-300,1e-299,1e300,1.7e308"], capsys)
+        assert code == 0, err
+        pop = json.loads(out)["populations"][0]
+        assert pop["alpha"] == pytest.approx(1.3531485571662604e-116, rel=1e-13)
+        for key in ("alpha", "se_alpha", "beta", "se_beta", "loglik"):
+            assert math.isfinite(pop[key])
+
+    def test_scale_below_the_float_range_exits_3(self, capsys):
+        code, out, err = run_cli(
+            ["mle", "--records", "a:5e-324,1e-323,1.5e-323,1e-300"], capsys)
+        assert (code, out) == (3, "")
+        assert "outside the float range" in err and "-745.95" in err
+
 
 class TestPooledMle:
     def test_worked_example(self, fluid_csv, capsys):
@@ -145,6 +166,91 @@ class TestPooledMle:
             ["pooled-mle", "--records", "a:1,2;b:1,3;c:1,4"], capsys)
         assert code == 2
         assert "exactly 2" in err
+
+    def test_standard_error_above_the_float_range_exits_3(self, capsys):
+        # A one-record population keeps alpha_hat = r_n, but its standard
+        # error r_n / beta_hat overflows at the small pooled shape.
+        code, out, err = run_cli(
+            ["pooled-mle", "--records", "a:1.7e308;b:1e-300,1e300"], capsys)
+        assert (code, out) == (3, "")
+        assert "outside the float range" in err
+
+
+def _edge_records(draw, kind: str, k: int) -> list[float]:
+    """k records of one kind: values spread over the float range, 1-3-ulp
+    near ties, or unit-exponential-like records at a scale 10**+-300."""
+    if kind == "wide":
+        logs = draw(st.lists(st.floats(-323.0, 308.2), min_size=k, max_size=k))
+        values = [10.0 ** x for x in logs]
+    elif kind == "tied":
+        value = 10.0 ** draw(st.floats(-320.0, 308.0))
+        values = [value]
+        for steps in draw(st.lists(st.integers(1, 3), min_size=k - 1,
+                                   max_size=k - 1)):
+            for _ in range(steps):
+                value = math.nextafter(value, math.inf)
+            values.append(value)
+    else:
+        scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+        increments = draw(st.lists(st.floats(1e-3, 10.0), min_size=k,
+                                   max_size=k))
+        values = [float(v) for v in scale * np.cumsum(increments)]
+    return sorted(set(values))
+
+
+@st.composite
+def edge_pairs(draw) -> list[list[float]]:
+    """Two valid record series of 2 to 8 values, each of one edge kind."""
+    pair = []
+    for _ in range(2):
+        values = _edge_records(draw, draw(st.sampled_from(
+            ["wide", "tied", "scaled"])), draw(st.integers(2, 8)))
+        assume(len(values) >= 2)
+        pair.append(values)
+    return pair
+
+
+def _exact_log_alphas(pair: list[list[float]], pooled: bool) -> list:
+    """log alpha_hat of each series in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        logs = [[mpmath.log(mpmath.mpf(v)) for v in values] for values in pair]
+        sums = [mpmath.fsum(x[-1] - y for y in x) for x in logs]
+        if pooled:
+            betas = [sum(map(len, pair)) / mpmath.fsum(sums)] * 2
+        else:
+            betas = [len(x) / s for x, s in zip(pair, sums)]
+        return [x[-1] - mpmath.log(len(x)) / b for x, b in zip(logs, betas)]
+
+
+class TestFitAtFloatEdges:
+    """mle and pooled-mle answer wherever each alpha_hat is a normal float
+    and exit 3 with a range error wherever one is below every subnormal."""
+
+    NORMAL = -1022 * math.log(2.0) + 1e-9
+    BELOW_SUBNORMAL = -1075 * math.log(2.0) - 1e-9
+
+    @settings(max_examples=250, deadline=None)
+    @given(pair=edge_pairs())
+    @example(pair=[[1e-300, 1e-299, 1e300, 1.7e308], [1.0, 2.0]])
+    @example(pair=[[5e-324, 1e-323, 1.5e-323, 1e-300], [1.0, 2.0]])
+    def test_answer_or_range_error(self, pair):
+        records = ";".join(f"{label}:" + ",".join(map(repr, values))
+                           for label, values in zip("ab", pair))
+        for command, pooled in (("mle", False), ("pooled-mle", True)):
+            lowest = min(_exact_log_alphas(pair, pooled))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([command, "--records", records])
+            if lowest > self.NORMAL:
+                assert code == 0, (command, err.getvalue())
+                text = out.getvalue()
+                assert "NaN" not in text and "Infinity" not in text
+                json.loads(text)
+            elif lowest < self.BELOW_SUBNORMAL:
+                assert code == 3, (command, err.getvalue())
+                assert "outside the float range" in err.getvalue()
+            else:
+                assert code in (0, 3), (command, err.getvalue())
 
 
 class TestCiAndTest:

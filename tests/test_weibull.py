@@ -1,7 +1,9 @@
 """Likelihood, closed-form estimation, and information-matrix checks."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 from weibrec import gpq
 from weibrec import (
     DegenerateDataError,
+    FloatRangeError,
     InvalidDataError,
     RecordSeries,
     SingularInformationError,
     WeibullParams,
+    WeibullRecordsError,
     mle_records,
     observed_information,
     pooled_loglik,
@@ -262,3 +266,49 @@ class TestInformation:
         info = observed_information(
             surface, [fit.params.alpha, fit.params.beta])
         np.testing.assert_array_equal(info, info.T)
+
+
+class TestFloatRange:
+    """The closed forms at the edges of the float range."""
+
+    def test_small_shape_scale_matches_mpmath(self):
+        values = [1e-300, 1e-299, 1e300, 1.7e308]
+        fit = mle_records(RecordSeries(np.array(values)))
+        with mpmath.workdps(60):
+            logs = [mpmath.log(mpmath.mpf(v)) for v in values]
+            beta = 4 / mpmath.fsum(logs[-1] - x for x in logs)
+            alpha = mpmath.exp(logs[-1] - mpmath.log(4) / beta)
+        assert fit.params.alpha == pytest.approx(float(alpha), rel=1e-13)
+        assert math.isfinite(fit.se_alpha) and math.isfinite(fit.loglik)
+
+    def test_scale_below_the_float_range(self):
+        series = RecordSeries(np.array([5e-324, 1e-323, 1.5e-323, 1e-300]))
+        with pytest.raises(FloatRangeError, match=r"exp\(-745\.95"):
+            mle_records(series)
+        with pytest.raises(FloatRangeError, match="outside the float range"):
+            pooled_mle(series, series)
+
+    def test_subnormal_scale_still_answers(self):
+        # log alpha_hat = log(1e-310) - log(2) / beta_hat is about -720.
+        series = RecordSeries(np.array([1e-318, 1e-310]))
+        alpha = mle_records(series).params.alpha
+        assert 0.0 < alpha < sys.float_info.min
+
+    def test_overflowing_standard_error(self):
+        with pytest.raises(FloatRangeError, match="outside the float range"):
+            pooled_mle(RecordSeries(np.array([1.7e308])),
+                       RecordSeries(np.array([1e-300, 1e300])))
+
+    def test_range_error_is_not_a_data_error(self):
+        assert issubclass(FloatRangeError, WeibullRecordsError)
+        assert not issubclass(FloatRangeError, InvalidDataError)
+
+    def test_loglik_is_the_likelihood_at_the_optimum(self, records34,
+                                                     records36):
+        fit = mle_records(records34)
+        assert fit.loglik == pytest.approx(
+            record_loglik(records34, fit.params), abs=math.ulp(fit.loglik))
+        pooled = pooled_mle(records34, records36)
+        want = pooled_loglik(records34, records36,
+                             pooled.beta, pooled.alpha1, pooled.alpha2)
+        assert pooled.loglik == pytest.approx(want, abs=math.ulp(want))
