@@ -16,9 +16,10 @@ fit is the case m = 1, so K = k; the pooled fit is m = 2.  Because
 (r_n,i / alpha_i)**beta = k_i at the MLE, the inverse observed
 information is closed-form too: se_beta = beta / sqrt(K) and
 se_alpha_i = alpha_i sqrt(1 / k_i + ln(k_i)**2 / K) / beta, and the
-log-likelihood is sum_i [k_i log(beta k_i) - k_i - beta S_i -
-sum_j log r_ij].  An alpha_i that rounds to zero, or a standard error
-that overflows, raises FloatRangeError.
+log-likelihood, in which beta sum_i S_i = K, is
+sum_i [k_i log(beta k_i) - 2 k_i - sum_j log r_ij].  An alpha_i that
+rounds to zero, or a standard error that overflows, raises
+FloatRangeError.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ def _common_shape_fit(series: Sequence[RecordSeries]
                 f"exp({math.log(r_n) - math.log(k) / beta:.6g}), or its "
                 f"standard error lies outside the float range")
         scales.append((alpha, se_alpha))
-        # record_loglik at the optimum, where (r_n / alpha_hat)**beta_hat = k.
-        loglik += (k * math.log(beta * k) - k - beta * _log_ratio_sum(x)
-                   - float(np.sum(np.log(x.values))))
+        # record_loglik at the optimum, where (r_n / alpha_hat)**beta_hat
+        # = k and beta_hat sum_i S_i = K.
+        loglik += k * math.log(beta * k) - 2 * k - float(np.sum(np.log(x.values)))
     return beta, beta / math.sqrt(big_k), scales, loglik
 
 

@@ -119,22 +119,6 @@ class TestMle:
         assert code == 2
         assert "two record" in err
 
-    def test_small_shape_with_a_normal_scale_answers(self, capsys):
-        # k ** (1 / beta_hat) overflows a float here; alpha_hat does not.
-        code, out, err = run_cli(
-            ["mle", "--records", "a:1e-300,1e-299,1e300,1.7e308"], capsys)
-        assert code == 0, err
-        pop = json.loads(out)["populations"][0]
-        assert pop["alpha"] == pytest.approx(1.3531485571662604e-116, rel=1e-13)
-        for key in ("alpha", "se_alpha", "beta", "se_beta", "loglik"):
-            assert math.isfinite(pop[key])
-
-    def test_scale_below_the_float_range_exits_3(self, capsys):
-        code, out, err = run_cli(
-            ["mle", "--records", "a:5e-324,1e-323,1.5e-323,1e-300"], capsys)
-        assert (code, out) == (3, "")
-        assert "outside the float range" in err and "-745.95" in err
-
 
 class TestPooledMle:
     def test_worked_example(self, fluid_csv, capsys):
@@ -229,7 +213,7 @@ class TestFitAtFloatEdges:
     NORMAL = -1022 * math.log(2.0) + 1e-9
     BELOW_SUBNORMAL = -1075 * math.log(2.0) - 1e-9
 
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(pair=edge_pairs())
     @example(pair=[[1e-300, 1e-299, 1e300, 1.7e308], [1.0, 2.0]])
     @example(pair=[[5e-324, 1e-323, 1.5e-323, 1e-300], [1.0, 2.0]])

@@ -17,7 +17,6 @@ from weibrec import (
     RecordSeries,
     SingularInformationError,
     WeibullParams,
-    WeibullRecordsError,
     mle_records,
     observed_information,
     pooled_loglik,
@@ -293,15 +292,6 @@ class TestFloatRange:
         series = RecordSeries(np.array([1e-318, 1e-310]))
         alpha = mle_records(series).params.alpha
         assert 0.0 < alpha < sys.float_info.min
-
-    def test_overflowing_standard_error(self):
-        with pytest.raises(FloatRangeError, match="outside the float range"):
-            pooled_mle(RecordSeries(np.array([1.7e308])),
-                       RecordSeries(np.array([1e-300, 1e300])))
-
-    def test_range_error_is_not_a_data_error(self):
-        assert issubclass(FloatRangeError, WeibullRecordsError)
-        assert not issubclass(FloatRangeError, InvalidDataError)
 
     def test_loglik_is_the_likelihood_at_the_optimum(self, records34,
                                                      records36):
