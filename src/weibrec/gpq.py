@@ -311,9 +311,9 @@ class _StartTable(NamedTuple):
 
     ``d`` is ``(k, series)`` and ``gap`` ``(series,)``, as from
     :func:`_prep_log_records`.  ``h_pad`` is ``(series,
-    len(_START_NODES) + mult)``: ``h``, log W at the nodes
-    ``_START_NODES / gap``, then ``mult`` NaN entries.  The
-    other fields are the index that :func:`_node_index` reads; see
+    len(_START_NODES) + mult)``: ``h``, the running maximum of log W
+    over the nodes ``_START_NODES / gap``, then ``mult`` NaN entries.
+    The other fields are the index that :func:`_node_index` reads; see
     :func:`_start_table`.
     """
 
@@ -324,8 +324,6 @@ class _StartTable(NamedTuple):
     bin_lo: NDArray[np.int64]
     # (series, bins): how many entries of the row lie below each bin.
     bins: NDArray[np.integer]
-    # The rows whose float h is out of order, searched directly.
-    fallback: NDArray[np.intp]
 
     @property
     def h(self) -> NDArray[np.float64]:
@@ -336,10 +334,12 @@ class _StartTable(NamedTuple):
 def _start_table(d, gap) -> _StartTable:
     """The start table of each series and a bin index over it.
 
-    ``d`` is ``(k, series)`` and ``gap`` is ``(series,)``.  ``h`` is
+    ``d`` is ``(k, series)`` and ``gap`` is ``(series,)``.  log W is
     evaluated at the nodes ``u / gap`` by :func:`_log_w`, as in
-    :func:`_newton`.  One table serves every bracket and polish chunk of
-    its series' draws.
+    :func:`_newton`, and ``h`` is its running maximum along the row.  So
+    every row is sorted, and the first node whose ``h`` reaches a target
+    is the first whose log W does.  One table serves every bracket and
+    polish chunk of its series' draws.
 
     The index bins a positive float ``x`` by ``x.view(int64) >> 48``: its
     exponent and four leading mantissa bits.  This key is monotone in
@@ -349,26 +349,21 @@ def _start_table(d, gap) -> _StartTable:
     least 9.5% and a bin holds at most one node.  Each row keeps, from
     its first bin ``bin_lo`` on, ``bins[c]``: the number of its entries
     below bin ``bin_lo + c``.  Entries with ``h <= 0`` count below every
-    bin and NaN entries below none.  The entries inside a bin follow
-    those below it, so the entries below a target number its bin's count
-    plus those of the next ``mult`` entries that lie below the target
-    (see :func:`_node_index`).  ``mult`` is the largest number of entries
-    measured in one bin, so the lookup's correctness never rests on the
-    convexity argument; the argument only keeps ``mult`` at about 1.
-    ``h_pad`` is ``h`` followed by ``mult`` NaN entries, which lie below
-    no target, so the comparisons never leave their row.
-
-    The count equals ``np.searchsorted(h[i], target)`` wherever the
-    float ``h`` of row ``i`` does not decrease, NaN last.  A row whose
-    rounding breaks that order is listed in ``fallback`` and searched
-    with ``np.searchsorted``.  A node past the float range (log gap below
-    6e-307) is inf and its ``h`` NaN, so such entries lie above every
-    target.
+    bin.  The entries inside a bin follow those below it, so the entries
+    below a target number its bin's count plus those of the next
+    ``mult`` entries that lie below the target (see :func:`_node_index`).
+    ``mult`` is the largest number of entries measured in one bin, so the
+    lookup's correctness never rests on the convexity argument; the
+    argument only keeps ``mult`` at about 1.  ``h_pad`` is ``h``
+    followed by ``mult`` NaN entries, which lie below no target, so the
+    comparisons never leave their row.  The count equals
+    ``np.searchsorted(h[i], target)``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Records tied in float give a zero gap and a NaN row; see _require_roots.
+    with np.errstate(divide="ignore", invalid="ignore"):
         h, _ = _log_w(_START_NODES / gap[:, None], d[..., None], gap[:, None],
                       np.empty(d.shape + _START_NODES.shape))
-    ordered = np.all((h[:, :-1] <= h[:, 1:]) | np.isnan(h[:, 1:]), axis=1)
+    np.maximum.accumulate(h, axis=1, out=h)
     positive = h > 0.0
     key = h.view(np.int64) >> _BIN_SHIFT
     # A row with no positive entry gets a first bin above every target's.
@@ -379,13 +374,12 @@ def _start_table(d, gap) -> _StartTable:
     rows = np.arange(len(h))[:, None]
     hist = np.bincount((rows * width + col)[positive],
                        minlength=rows.size * width).reshape(-1, width)
-    mult = int(hist[ordered].max(initial=0))
+    mult = int(hist.max(initial=0))
     below = np.cumsum(hist, axis=1)
     below += np.count_nonzero(h <= 0.0, axis=1)[:, None]
     return _StartTable(
         d, gap, np.concatenate([h, np.full((len(h), mult), np.nan)], axis=1),
-        lo, below.astype(np.min_scalar_type(h.shape[1])),
-        np.flatnonzero(~ordered))
+        lo, below.astype(np.min_scalar_type(h.shape[1])))
 
 
 def _node_index(table: _StartTable, target, rows=None) -> NDArray[np.integer]:
@@ -398,8 +392,8 @@ def _node_index(table: _StartTable, target, rows=None) -> NDArray[np.integer]:
     batch: the count below the target's bin, plus one for each of the
     next ``mult`` entries that lies below the target.  A target below a
     row's first bin or above its last reads the count of the nearest
-    one, which is the same.  A fallback series is searched directly,
-    with all of its targets as one key vector.
+    one, which is the same.  Each count reads only its own target and
+    row, so it does not depend on the batch.
     """
     rows = np.arange(len(table.h))[:, None] if rows is None else rows
     width = table.bins.shape[1]
@@ -419,9 +413,6 @@ def _node_index(table: _StartTable, target, rows=None) -> NDArray[np.integer]:
         np.take(flat[r:], x, out=entry, mode="clip")
         np.less(entry, target, out=below)
         j += below
-    for i in table.fallback:
-        keys = np.broadcast_to(rows, target.shape) == i
-        j[keys] = np.searchsorted(table.h[i], target[keys])
     return j
 
 
@@ -436,20 +427,18 @@ def _certified_target(k: int) -> float:
     return c * math.log(k) / (_SLACK - c) if c < _SLACK else math.inf
 
 
-def _require_roots(target, gap, k: int) -> None:
+def _require_roots(target, gap) -> None:
     """Raise ``BracketError`` unless every target has a finite positive root.
 
-    That holds where ``target > 0`` and ``beta0 = (target + log k) / gap``
-    is finite.  ``target`` is ``(series, draws)`` and ``gap`` ``(series,
-    1)``.  Float addition and division are monotone, so each row's
-    smallest and largest target decide for the whole row.
+    That holds where ``target > 0`` and ``gap > 0``.  A positive gap is
+    at least ``2**-53 / k`` (see ``log_to_max``), so every node and
+    every ``(target + log k) / gap`` is finite.  The gap is ``-0.0``
+    where the records tie in float, as simulated records can.
+    ``target`` is ``(series, draws)`` and ``gap`` ``(series, 1)``.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        if (np.all(target.min(axis=1) > 0.0)
-                and np.all((target.max(axis=1) + math.log(k)) / gap[:, 0]
-                           < np.inf)):
-            return
-        solvable = (target > 0.0) & ((target + math.log(k)) / gap < np.inf)
+    solvable = (target > 0.0) & (gap > 0.0)
+    if np.all(solvable):
+        return
     idx = int(np.argmin(solvable))
     row, col = np.unravel_index(idx, target.shape)
     raise BracketError(
@@ -507,14 +496,13 @@ def _bracket_roots(table: _StartTable, target, rows=None):
     """
     gap = table.gap[:, None] if rows is None else table.gap[rows]
     k = len(table.d)
-    _require_roots(target, gap, k)
+    _require_roots(target, gap)
     j = _node_index(table, target, rows)
     start = _NODES_ABOVE[j]
     np.minimum(start, target + math.log(k), out=start)
     lower = _NODES_BELOW[j]
-    with np.errstate(over="ignore"):
-        start /= gap
-        lower /= gap
+    start /= gap
+    lower /= gap
     lower *= 1.0 - _SLACK
     np.copyto(lower, np.nan, where=target < _certified_target(k))
     return start, lower

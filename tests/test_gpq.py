@@ -405,23 +405,6 @@ class TestNewtonStart:
         np.testing.assert_allclose(got, self._k2_root(gap, target),
                                    rtol=1e-10, atol=0.0)
 
-    def test_nodes_past_the_float_range(self):
-        # A log gap near 1e-307 (run_cell at beta1 = 1e307) makes the
-        # upper nodes u / gap overflow to inf with a nan h, which must
-        # raise no warning and leave the roots scaling with the gap.
-        k, scale = 4, 1e307
-        d, gap = gpq._prep_log_records(
-            exp_record_matrix(31, np.arange(5, dtype=np.uint64), k))
-        target = gpq._exp_log_am_gm(
-            exp_record_matrix(32, np.arange(200, dtype=np.uint64), k))
-        assert np.any(np.isnan(gpq._start_table(d / scale, gap / scale).h))
-        targets = np.broadcast_to(target, (5, 200))
-        got = gpq._solve_roots(gpq._start_table(d / scale, gap / scale),
-                               targets)
-        want = gpq._solve_roots(gpq._start_table(d, gap), targets)
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got / scale, want, rtol=1e-12, atol=0.0)
-
     def test_table_is_increasing(self):
         for k in (2, 4, 8, 15):
             rows = exp_record_matrix(9, np.arange(20, dtype=np.uint64), k)
@@ -556,7 +539,6 @@ class TestBracket:
         values = (np.cumsum(gen.uniform(0.01, 3.0, (k, series)), axis=0)
                   * 10.0 ** gen.uniform(-9.0, 9.0, series))
         table = gpq._start_table(*gpq._prep_log_records(values))
-        assume(table.fallback.size == 0)
         ids = np.arange(rows.size * 40, dtype=np.uint64).reshape(-1, 40)
         # Scaled down to below the certified range and up past the table.
         target = (gpq._exp_targets(seed, ids, k)
@@ -571,6 +553,14 @@ class TestBracket:
             assert (roots[i].tobytes()
                     == gpq._solve_roots(own, target[i:i + 1])[0].tobytes())
 
+    def test_zero_gap_has_no_root(self):
+        # Two records that tie in float give the log gap -0.0: no beta
+        # solves the pivotal equation, and the table raises no warning.
+        d, gap = gpq._prep_log_records(np.array([[1.0], [1.0]]))
+        table = gpq._start_table(d, gap)
+        with pytest.raises(BracketError, match="observed log gap"):
+            gpq._bracket_roots(table, np.array([[0.5]]))
+
     def test_certified_target_grows_with_k(self):
         mins = [gpq._certified_target(k) for k in (2, 8, 16, 100, 1000)]
         assert 0.0 < mins[0] and mins == sorted(mins)
@@ -582,11 +572,9 @@ class TestBracket:
 def lookup_batch(draw):
     """Series of one k, as ``(d, gap)``, with targets for each.
 
-    The series are adversarial or subnormal records.  The batch may be
-    scaled down so that upper nodes overflow to inf with a nan ``h``
-    (log gap below 6e-307).  Targets run from the subnormals and 1e-300
-    past the last node, and sit on, just above and just below the
-    nodes' ``h``.
+    The series are adversarial or subnormal records.  Targets run from
+    the subnormals and 1e-300 past the last node, and sit on, just above
+    and just below the nodes' ``h``.
     """
     k = draw(st.one_of(st.integers(2, 20), st.integers(21, 1000)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -598,10 +586,6 @@ def lookup_batch(draw):
             steps = rng.integers(1, 1000, k)
             series.append(np.cumsum(steps) * 5e-324)
     d, gap = gpq._prep_log_records(np.array(series).T)
-    if draw(st.booleans()):
-        scale = 10.0 ** -draw(st.floats(0.0, 320.0))
-        assume(np.all(gap * scale > 0.0))
-        d, gap = d * scale, gap * scale
     h = gpq._start_table(d, gap).h
     targets = []
     for row in h:
@@ -651,29 +635,43 @@ class TestStartLookup:
         h = np.array([row, np.geomspace(1e-3, 1e3, 128)])
         table = self._table(monkeypatch, h)
         assert table.h_pad.shape[1] - h.shape[1] == 5
-        assert table.fallback.size == 0
         target = self._targets(h)
         np.testing.assert_array_equal(gpq._node_index(table, target),
                                       searchsorted_index(table, target))
 
-    def test_out_of_order_rows_keep_searchsorted(self, monkeypatch):
+    def test_out_of_order_rows_read_their_running_maximum(self, monkeypatch):
+        # Rows whose float h is out of order: a swapped pair, and dips to
+        # an earlier entry and to zero.  Each target's start is the first
+        # node whose own h reaches it, whatever other keys share its batch.
         ordered = np.geomspace(1e-6, 1e2, 128)
-        swapped, gapped = ordered.copy(), ordered.copy()
+        swapped, dipped = ordered.copy(), ordered.copy()
         swapped[[40, 41]] = swapped[[41, 40]]
-        gapped[70] = np.nan
-        h = np.array([ordered, swapped, gapped])
-        table = self._table(monkeypatch, h)
-        np.testing.assert_array_equal(table.fallback, [1, 2])
+        dipped[[70, 71, 90]] = dipped[50], dipped[69], 0.0
+        h = np.array([ordered, swapped, dipped])
+        table = self._table(monkeypatch, h.copy())
+        np.testing.assert_array_equal(table.h,
+                                      np.maximum.accumulate(h, axis=1))
         target = self._targets(h)
-        np.testing.assert_array_equal(gpq._node_index(table, target),
-                                      searchsorted_index(table, target))
+        reached = h[:, :, None] >= target[:, None, :]
+        first = np.where(reached.any(axis=1), reached.argmax(axis=1),
+                         h.shape[1])
+        np.testing.assert_array_equal(gpq._node_index(table, target), first)
+        # Each key alone, then every key in one permuted batch.
+        rows = np.broadcast_to(np.arange(len(h))[:, None], target.shape)
+        rows, keys = rows.reshape(-1, 1), target.reshape(-1, 1)
+        want = first.ravel()
+        alone = [gpq._node_index(table, keys[i:i + 1], rows[i:i + 1])[0, 0]
+                 for i in range(len(keys))]
+        np.testing.assert_array_equal(alone, want)
+        perm = np.random.default_rng(3).permutation(len(keys))
+        np.testing.assert_array_equal(
+            gpq._node_index(table, keys[perm], rows[perm])[:, 0], want[perm])
 
     @pytest.mark.parametrize("k", (2, 4, 15, 1000))
     def test_one_node_per_bin(self, k):
         rows = exp_record_matrix(9, np.arange(500, dtype=np.uint64), k)
         table = gpq._start_table(*gpq._prep_log_records(rows))
         assert table.h_pad.shape == (500, gpq._START_NODES.size + 1)
-        assert table.fallback.size == 0
 
     def test_bracket_footprint(self):
         # tracemalloc peak of building the table and bracketing a

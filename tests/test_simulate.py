@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,37 @@ class TestRunGrid:
         [result] = run_grid([config])
         assert isinstance(result, CellError)
         assert "outer replicate 0, pivotal draw 7, population 1" in result.error
+
+    def test_tied_data_records_are_a_cell_error(self, monkeypatch):
+        # Replicate 0's two data records tie in float, so its log gap is
+        # -0.0 and none of its pivotal equations has a root.
+        real = simulate.exp_record_matrix
+
+        def tied(seed, stream, k):
+            rows = real(seed, stream, k)
+            if k == 2:
+                rows[1, 0] = rows[0, 0]
+            return rows
+
+        monkeypatch.setattr(simulate, "exp_record_matrix", tied)
+        config = SimConfig(n1=1, n2=3, beta1=1.0, beta2=2.0, m=200, reps=4,
+                           seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            [result] = run_grid([config])
+        assert isinstance(result, CellError)
+        assert "outer replicate 0" in result.error
+        assert "no finite positive root" in result.error
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a stream whose records 3.19816785 and "
+                       "3.19816793 nearly tie rounds its log W_exp(1) to 0 "
+                       "(ROADMAP item 4)")
+    def test_near_tied_target_is_answered(self):
+        config = SimConfig(n1=1, n2=1, beta1=1e307, beta2=2.0, m=172, reps=2,
+                           gamma=0.125, seed=893)
+        [result] = run_grid([config])
+        assert isinstance(result, SimReport), result
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidDataError):
