@@ -17,19 +17,22 @@ batch size nor the thread count can move a cell's report.
 
 This module holds the package's only thread fan-out: :func:`run_cell`
 spreads its batches of whole replicates over ``threads`` threads, where
-they pay (1.25-1.6x the serial rate at 2 threads on a 2-vCPU Xeon).  The
+they pay (1.3-1.7x the serial rate at 2 threads on a 2-vCPU Xeon).  The
 pivot sampler in :mod:`weibrec.gpq` runs on the calling thread.
 
 A replicate's interval reads only two order statistics of its m pivot
 ratios.  A batch takes the bracket-and-polish path of the command-line
 intervals: ``gpq._bracket`` bounds every ratio, and ``gpq._polish``
 solves only the draws whose bounds can reach either rank, about a tenth
-of them (see :func:`_batch_sums`).  A batch holds about 2**18 / k
-elements in each per-draw array (targets, root brackets, ratio bounds),
-for k the larger record count; these are its largest temporaries, so
-that the working set of each thread stays near the cache.  The pivot
-targets are drawn one record at a time, and the (k, draws) Newton
-buffer covers only the polished draws.
+of them (see :func:`_batch_sums`).  A batch is sized by its largest
+array, which holds at most ``_ELEMENT_BUDGET`` (2**16) elements: the
+per-draw arrays (targets, root brackets, ratio bounds) of m elements a
+replicate, or the start-table buffer of 128 k, for k the larger record
+count, which is the larger only for k > 15.  The pivot targets are
+drawn one record at a time, so no other array grows with k, and the
+polish solves its draws in spans whose (k, span) Newton buffer keeps to
+the same count.  At m = 2000 every cell of the study runs 32 replicates
+a batch, arrays large enough that a second thread gains on them.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -51,11 +54,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_bracket, _candidates, _polish, _prep_log_records,
-                  _start_table, percentile_ranks)
+from .gpq import (_START_NODES, _bracket, _candidates, _polish,
+                  _prep_log_records, _start_table, percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
-_ELEMENT_BUDGET = 2 ** 18
+# Elements in a batch's largest array: its (reps, m) per-draw arrays, its
+# (k, reps, 128) start-table buffer or its (k, span) Newton buffer.  On a
+# 2-vCPU Xeon, two threads ran a uint64 shift-xor-multiply pass at 0.56x
+# the serial speed on 2**13 elements, 1.5x on 2**16 and 1.9x on 2**18; a
+# budget of 2**17 raised the benchmark's sim-slice peak RSS by a fifth.
+_ELEMENT_BUDGET = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -152,9 +160,12 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     Only the draws that can hold rank lo or rank hi are polished:
     ``gpq._bracket`` bounds each ratio, ``gpq._candidates`` picks the
     draws whose bounds can reach either rank, and ``gpq._polish`` solves
-    them at the targets that ``_bracket`` returned.  Every other draw
-    keeps its lower bound, and the sort reads the same two ratios as a
-    full solve would, bit for bit.
+    them at the targets that ``_bracket`` returned, in spans of
+    ``_ELEMENT_BUDGET // k`` draws for k the larger record count, so that
+    the (k, span) Newton buffer and the gathered records keep to the
+    budget.  Each root depends only on its own series and target, so the
+    spans move no bit.  Every other draw keeps its lower bound, and the
+    sort reads the same two ratios as a full solve would, bit for bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
@@ -180,8 +191,11 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     # Every other draw keeps its lower bound, which leaves both ranks'
     # values as the full solve has them.
     ratio = below
-    ratio[rows, cols] = _polish("ratio", tables, rows[:, None],
-                                [t[rows, cols, None] for t in targets])[:, 0]
+    span = max(1, _ELEMENT_BUDGET // (max(config.n1, config.n2) + 1))
+    for i in range(0, rows.size, span):
+        r, c = rows[i:i + span], cols[i:i + span]
+        ratio[r, c] = _polish("ratio", tables, r[:, None],
+                              [t[r, c, None] for t in targets])[:, 0]
     ratio.sort(axis=1)
     lower = ratio[:, lo_rank - 1]
     upper = ratio[:, hi_rank - 1]
@@ -193,11 +207,15 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     """Estimate coverage and expected interval length for one cell.
 
     Its batches of replicates run on ``threads`` threads (None or 1:
-    the calling thread); the report is the same for every count.
+    the calling thread); the report is the same for every count.  A
+    batch holds as many replicates as keep its largest array, m per-draw
+    values or 128 start-table values per record of each replicate, within
+    ``_ELEMENT_BUDGET`` elements.
     """
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
-    batch = max(1, min(config.reps, _ELEMENT_BUDGET // (config.m * k_max)))
+    batch = max(1, min(config.reps, _ELEMENT_BUDGET
+                       // max(config.m, _START_NODES.size * k_max)))
     starts = range(0, config.reps, batch)
 
     def batch_sums(start):

@@ -167,7 +167,7 @@ class TestRunCell:
 
     def test_threads_do_not_change_report(self, monkeypatch):
         # shrink batches so several run even at tiny scale
-        monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 40_000)
+        monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 8_000)
         config = SimConfig(n1=3, n2=5, beta1=1.5, beta2=2.0, **TINY)
         serial = run_cell(config)
         threaded = run_cell(config, threads=4)
@@ -177,9 +177,10 @@ class TestRunCell:
     @pytest.mark.parametrize("cell", [(3, 5, 1.5), (9, 7, 0.7)])
     def test_batch_size_and_threads_do_not_change_report(self, cell,
                                                          monkeypatch):
-        # At (9, 7), k = 10 and m = 200 give one batch of 300 at 2e6
-        # elements, three at 2**18 and 38 at 16_000; k >= 8 is where
-        # record sums need their fixed order.
+        # At (9, 7), k = 10 and m = 200, the (k, reps, 128) start-table
+        # buffer sets the batch: one of 300 at 2e6 elements, two at 2**18,
+        # six at 2**16 and 25 at 16_000; k >= 8 is where record sums need
+        # their fixed order.
         n1, n2, beta1 = cell
         config = SimConfig(n1=n1, n2=n2, beta1=beta1, beta2=2.0, m=200,
                            reps=300, seed=4)
@@ -210,11 +211,12 @@ class TestRunCell:
                 for r in reports]
         assert max(unit) - min(unit) <= 1e-15 * unit[0]
 
-    def test_batch_footprint(self):
+    @pytest.mark.parametrize("n", [3, 7, 14])
+    def test_batch_footprint(self, n):
         # 250 replicates at m = 2000, k = 4 were one 2e6-element batch,
-        # which peaked at 57.3 MiB; 2**18-element batches peak at 7.4 MiB.
-        # The bound leaves a margin of about twice that.
-        config = SimConfig(n1=3, n2=3, beta1=0.5, beta2=2.0, m=2000,
+        # which peaked at 57.3 MiB; batches of 32 replicates peak at about
+        # 5.1 MiB for each n.  The bound leaves a margin of about three.
+        config = SimConfig(n1=n, n2=n, beta1=0.5, beta2=2.0, m=2000,
                            reps=250, seed=1)
         tracemalloc.start()
         try:
@@ -223,6 +225,36 @@ class TestRunCell:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [3, 14])
+    def test_batches_are_sized_by_their_largest_array(self, n, monkeypatch):
+        # The (reps, m) per-draw arrays are the largest whatever k is, so
+        # every cell of the study runs 32 replicates a batch at m = 2000.
+        sizes = []
+
+        def spy(config, base_seed, start, stop):
+            sizes.append(stop - start)
+            return 0, np.zeros(stop - start)
+
+        monkeypatch.setattr(simulate, "_batch_sums", spy)
+        run_cell(SimConfig(n1=n, n2=n, beta1=1.0, beta2=2.0, m=2000,
+                           reps=100, seed=1))
+        assert sizes == [32, 32, 32, 4]
+
+    def test_start_table_buffer_stays_within_budget(self, monkeypatch):
+        # At k = 41 the (k, reps, 128) buffer of the start table outgrows
+        # the (reps, m) arrays, so it sets the batch size.
+        real, buffers = simulate._start_table, []
+
+        def spy(d, gap):
+            buffers.append(d.size * gpq._START_NODES.size)
+            return real(d, gap)
+
+        monkeypatch.setattr(simulate, "_start_table", spy)
+        run_cell(SimConfig(n1=40, n2=40, beta1=1.0, beta2=2.0, m=200,
+                           reps=30, seed=2))
+        assert len(buffers) > 2
+        assert max(buffers) <= simulate._ELEMENT_BUDGET
 
     def test_pivot_draws_never_build_the_record_matrix(self, monkeypatch):
         real, streams = simulate.exp_record_matrix, []
@@ -253,7 +285,7 @@ class TestPolishSelection:
     @given(k1=st.integers(2, 16), k2=st.integers(2, 16),
            m=st.integers(40, 2000), gamma=st.floats(0.02, 0.2),
            beta1=st.sampled_from([1e-3, 1e307]), reps=st.integers(1, 6),
-           budget=st.sampled_from([16_000, 2 ** 18, 2_000_000]),
+           budget=st.sampled_from([2_000, 16_000, 2 ** 18, 2_000_000]),
            threads=st.sampled_from([1, 2, 3]),
            seed=st.integers(0, 2 ** 64 - 1), tiny=st.booleans())
     def test_equals_full_polish_bit_for_bit(self, k1, k2, m, gamma, beta1,
@@ -287,6 +319,37 @@ class TestPolishSelection:
                 patch.setattr(gpq, "_exp_targets", shrunk)
             run_cell(config, threads=threads)
         assert sum(stop - start for start, stop in spans) == reps
+
+    def test_polish_spans_stay_within_budget(self, monkeypatch):
+        # A budget of 150 elements polishes 10 draws a span, so each
+        # one-replicate batch polishes its candidates in several spans.
+        real_newton, real_sums = gpq._newton, simulate._batch_sums
+        buffers, batches = [], []
+
+        def newton(d, gap, target, beta):
+            buffers.append(len(d) * beta.size)
+            return real_newton(d, gap, target, beta)
+
+        def sums(config, base_seed, start, stop):
+            calls = len(buffers)
+            got = real_sums(config, base_seed, start, stop)
+            batches.append((base_seed, start, stop, got, len(buffers) - calls))
+            return got
+
+        config = SimConfig(n1=14, n2=9, beta1=1.0, beta2=2.0, m=200, reps=4,
+                           seed=6)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_ELEMENT_BUDGET", 150)
+            patch.setattr(gpq, "_newton", newton)
+            patch.setattr(simulate, "_batch_sums", sums)
+            run_cell(config)
+        assert max(buffers) <= 150
+        for base_seed, start, stop, got, calls in batches:
+            # One Newton call per population in each span.
+            assert calls >= 2 * 2
+            want = full_polish_sums(config, base_seed, start, stop)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_polishes_under_a_quarter_of_draws(self, monkeypatch):
         # Measured at 9% for this cell; a bracket that certified nothing
