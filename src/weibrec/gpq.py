@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -732,30 +733,23 @@ def sample_shape_pivot(series: RecordSeries, m: int, seed: int,
     return _sample("single-shape", [series], m, seed)
 
 
-def _snap(x: float) -> float:
-    """Remove float noise from rank products like 0.975 * 100000."""
-    nearest = round(x)
-    if abs(x - nearest) <= 1e-6 * max(1.0, abs(x)):
-        return float(nearest)
-    return x
-
-
 def percentile_ranks(m: int, gamma: float) -> tuple[int, int]:
     """One-based order-statistic ranks of the equal-tail interval.
 
-    Returns ``(ceil(gamma m / 2), floor((1 - gamma/2) m))`` after
-    snapping away float noise in the products, so mathematically
-    integral ranks are hit exactly.
+    Returns ``(ceil(gamma m / 2), floor((1 - gamma/2) m))``, computed
+    exactly on the decimal that ``repr(gamma)`` prints, so that 0.05
+    times 100000 gives the integral rank 2500 and 0.050000001 times
+    10**6 the rank 25001.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidDataError("gamma must be in (0, 1)")
-    half = _snap(gamma * m / 2.0)
-    if half < 1.0:
+    half = Fraction(repr(float(gamma))) * m / 2
+    if half < 1:
         raise InsufficientDrawsError(
-            f"need m * gamma / 2 >= 1 (got {half:g}); "
+            f"need m * gamma / 2 >= 1 (got {float(half):g}); "
             f"increase the draw count or gamma"
         )
-    return math.ceil(half), math.floor(_snap((1.0 - gamma / 2.0) * m))
+    return math.ceil(half), math.floor(m - half)
 
 
 def percentile_interval(draws: PivotalDraws, gamma: float) -> IntervalEstimate:

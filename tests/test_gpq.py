@@ -1007,6 +1007,15 @@ class TestPercentileInterval:
         assert percentile_ranks(10_000, 0.05) == (250, 9750)
         assert percentile_ranks(2000, 0.05) == (50, 1950)
 
+    @pytest.mark.parametrize("m, gamma, ranks", [
+        (10 ** 6, 0.050000001, (25001, 974999)),
+        (10 ** 7, 0.0500000001, (250001, 9749999)),
+        (10 ** 8, 0.05000000001, (2500001, 97499999)),
+    ])
+    def test_ranks_are_exact_near_integral_products(self, m, gamma, ranks):
+        # gamma m / 2 lies 5e-4 above an integer, far above float noise.
+        assert percentile_ranks(m, gamma) == ranks
+
     def test_non_integral_ranks_round_inward(self):
         # gamma m / 2 = 2.5 -> lower rank 3; (1 - gamma/2) m = 97.5 -> 97
         assert percentile_ranks(100, 0.05) == (3, 97)
