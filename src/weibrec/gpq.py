@@ -59,15 +59,18 @@ the shape MLE shares), so each value is independent of the batch it is
 computed in.  The start table, each Newton pass and :func:`am_gm_ratio`
 evaluate log W through the one function ``_log_w``.  Every log
 W_exp(1) comes from ``_exp_log_am_gm``, which takes one record at a
-time, so simulated targets are reduced as their records are drawn (see
-``_exp_targets``): no array has a record axis.  The draw updates one
-record array in place and the reduction adds it into its sums in place,
-so a batch of targets allocates a few arrays per call and none per
-record.
+time.  A simulated target is log W at beta = 1 of ``(1, U_1, ...,
+U_{k-1})``, ``k - 1`` uniforms of its stream, which has the law of the
+target of ``k`` exponential records (see ``_exp_targets``); the
+uniforms are reduced as they are drawn, so no array has a record axis.
+The draw updates one array in place and the reduction adds it into its
+sums in place, so a batch of targets allocates a few arrays per call
+and none per value.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +83,7 @@ from .errors import BracketError, InsufficientDrawsError, InvalidDataError
 from .records import RecordSeries, _record_sum, log_to_max
 # exp_record_matrix is not called here, but perfbench/tracer.py wraps it
 # at this import site.
-from .rng import exp_record_matrix, exp_records  # noqa: F401
+from .rng import exp_record_matrix, uniforms  # noqa: F401
 
 # Draws per span when bracketing, and when polishing draws.  A polish span
 # holds a (k, span) Newton buffer; at M = 1e5 an interval or p-value
@@ -566,15 +569,16 @@ def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> floa
 
 
 def _exp_log_am_gm(records) -> NDArray[np.float64]:
-    """log W at beta = 1 of each stream of exponential records.
+    """log W at beta = 1 of each stream of positive values.
 
-    ``records`` yields one record of every stream at a time, as a
-    record-major ``(k,) + streams`` array does, and may yield one array
-    updated in place (see :func:`exp_records`).  They are added in
-    :func:`_record_sum` order, so a stream's value does not depend on its
-    batch.  The first record is copied into the running sum; every later
-    add, and the result, are in place in the sums' two arrays and one
-    scratch array.
+    The values are exponential records, or the uniform stream of
+    :func:`_exp_targets`.  ``records`` yields one value of every stream
+    at a time, as a record-major ``(k,) + streams`` array does, and may
+    yield one array updated in place (see :func:`_exp_targets`).  They
+    are added in :func:`_record_sum` order, so a stream's value does not
+    depend on its batch.  The first value is copied into the running
+    sum; every later add, and the result, are in place in the sums' two
+    arrays and one scratch array.
     """
     records = iter(records)
     total = np.array(next(records), dtype=np.float64)
@@ -590,12 +594,22 @@ def _exp_log_am_gm(records) -> NDArray[np.float64]:
 
 
 def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
-    """log W_exp(1) of each stream, its ``k`` records drawn one at a time.
+    """log W_exp(1) of each stream, from ``k - 1`` of its uniforms.
 
-    The records are drawn into one array and reduced as they are drawn,
-    so neither the draw nor the reduction allocates per record.
+    For unit-exponential records ``r_1 < ... < r_k``, the ratios ``r_j /
+    r_k`` (``j < k``) are the order statistics of ``k - 1`` independent
+    uniforms.  log W_exp(1) is scale free and symmetric in the records,
+    so it has the law of log W at beta = 1 of ``v = (1, U_1, ...,
+    U_{k-1})``, with ``U_j`` word ``j`` of the stream mapped into (0, 1]
+    (:func:`uniforms`), unsorted.  That takes ``k - 1`` words and one log
+    per value, and the uniforms are reduced as they are drawn, so
+    neither the draw nor the reduction allocates per value.
     """
-    return _exp_log_am_gm(exp_records(seed, stream_ids, k))
+    u = uniforms(seed, stream_ids, k - 1)
+    # The generator's one array, read by the reducer before it advances.
+    first = next(u)
+    ones = np.broadcast_to(1.0, first.shape)
+    return _exp_log_am_gm(itertools.chain((ones, first), u))
 
 
 def _pivot_targets(seed, draws, population: int, k: int) -> NDArray[np.float64]:

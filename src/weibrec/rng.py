@@ -8,6 +8,11 @@ bitwise reproducible no matter how work is chunked across threads:
 threads only decide *who* computes a word, never *which* word is
 computed.
 
+Word ``j`` of a stream maps to one float in (0, 1] (see
+``_unit_floats``).  :func:`uniforms` yields those floats, from which the
+pivot targets are drawn; :func:`exp_records` turns them into the
+exponential records of the simulated data series.
+
 All integer arithmetic is done on uint64 numpy arrays, where overflow
 wraps silently mod 2**64 (numpy warns on scalar uint64 overflow, so
 scalars are promoted to 1-element arrays internally).
@@ -74,6 +79,47 @@ def stream_base(seed, stream_ids) -> NDArray[np.uint64]:
     return mix64(z, np.empty_like(z))
 
 
+def _unit_floats(word, out, scale) -> NDArray[np.float64]:
+    """``out = (top 53 bits of word + 0.5) * scale``, ``word`` shifted in place.
+
+    This is the one map from words to floats.  With ``scale = 2**-53`` it
+    gives a uniform ``u`` in (0, 1]: ``word >> 11`` is below 2**53, so its
+    int64 view converts exactly, and faster than uint64, but the half
+    rounds to even above 2**52, so the top three shifted words 2**53 - 3,
+    2**53 - 2 and 2**53 - 1 give ``1 - 2**-52``, ``1 - 2**-52`` and
+    exactly 1.0.  A power-of-two scale is exact, so ``-2**-53`` gives
+    ``-u`` at no extra pass.
+    """
+    word >>= _SHIFT_11
+    np.add(word.view(np.int64), 0.5, out=out)
+    out *= scale
+    return out
+
+
+def _mapped_words(base, n_values: int, scale) -> Iterator[NDArray[np.float64]]:
+    """Words 1 to ``n_values`` of the streams keyed by ``base``, through
+    :func:`_unit_floats`, each yielded in one float array updated in place."""
+    word = np.empty_like(base)
+    scratch = np.empty_like(base)
+    x = scratch.view(np.float64)
+    for step in np.arange(1, n_values + 1, dtype=np.uint64) * _GOLDEN:
+        mix64(np.add(base, step, out=word), scratch)
+        yield _unit_floats(word, x, scale)
+
+
+def uniforms(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]]:
+    """Uniforms in (0, 1], one word of every stream at a time.
+
+    Word ``j`` (from 1) of each (seed, stream) pair maps to ``u_j = (top
+    53 bits + 0.5) / 2**53``, as in :func:`exp_records`; the top three
+    words round to ``1 - 2**-52`` and 1.0 (see :func:`_unit_floats`).
+    The seed and stream arguments broadcast against each other.  Every
+    step yields the same array, updated in place, and allocates nothing;
+    a call holds three arrays of the broadcast shape.
+    """
+    return _mapped_words(stream_base(seed, stream_ids), n_values, _U01_SCALE)
+
+
 def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]]:
     """Unit-rate exponential record values, one record at a time.
 
@@ -88,24 +134,15 @@ def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]
     holds four arrays of the broadcast shape -- the base keys, a word
     buffer, a scratch buffer that also holds the negated uniforms, and
     the record -- and each step allocates nothing.  Word ``j`` of a
-    stream maps to ``u_j = (top 53 bits + 0.5) / 2**53`` in (0, 1), and
-    its exponential is ``-log1p(-u_j)``.
+    stream maps to the uniform ``u_j`` in (0, 1] of :func:`uniforms`,
+    and its exponential is ``-log1p(-u_j)``, which is ``inf`` for the
+    one word that maps to 1.0.
     """
     base = stream_base(seed, stream_ids)
-    word = np.empty_like(base)
-    scratch = np.empty_like(base)
-    x = scratch.view(np.float64)
     # Not np.zeros: a fresh page of it faults once when read and again
     # when written.
     record = np.full(base.shape, 0.0)
-    for step in np.arange(1, n_values + 1, dtype=np.uint64) * _GOLDEN:
-        mix64(np.add(base, step, out=word), scratch)
-        word >>= _SHIFT_11
-        # Below 2**53, so the int64 view converts exactly, and faster than
-        # uint64.  Then x = -u for u = (word + 0.5) / 2**53 in (0, 1): a
-        # power-of-two scale is exact, so the negation costs no pass.
-        np.add(word.view(np.int64), 0.5, out=x)
-        x *= -_U01_SCALE
+    for x in _mapped_words(base, n_values, -_U01_SCALE):
         record -= np.log1p(x, out=x)
         yield record
 
@@ -117,8 +154,8 @@ def exp_record_matrix(seed, stream_ids, n_values: int) -> NDArray[np.float64]:
     The result is record-major and C-ordered, so a sum over records is
     ``n_values - 1`` vector adds.  Stream ``s`` of ``seed`` holds the
     cumulative sum of the standard exponentials ``-log1p(-u_j)``, where
-    ``u_j`` is word ``j`` (from 1) of the stream mapped into (0, 1).  The
-    pivot targets do not use this matrix: they reduce :func:`exp_records`
+    ``u_j`` is word ``j`` (from 1) of the stream mapped into (0, 1].  The
+    pivot targets do not use this matrix: they reduce :func:`uniforms`
     as it runs.
     """
     out = None

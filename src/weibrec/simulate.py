@@ -29,7 +29,7 @@ array, which holds at most ``_ELEMENT_BUDGET`` (2**16) elements: the
 per-draw arrays (targets, root brackets, ratio bounds) of m elements a
 replicate, or the start-table buffer of 128 k, for k the larger record
 count, which is the larger only for k > 15.  The pivot targets are
-drawn one record at a time, so no other array grows with k, and the
+drawn one uniform at a time, so no other array grows with k, and the
 polish solves its draws in spans whose (k, span) Newton buffer keeps to
 the same count.  At m = 2000 every cell of the study runs 32 replicates
 a batch, arrays large enough that a second thread gains on them.

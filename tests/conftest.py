@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from weibrec import RecordSeries, extract_upper_records, gpq
+from weibrec import RecordSeries, extract_upper_records, gpq, rng
 from weibrec.datasets import INSULATING_FLUID
 
 _criteria: list[tuple[str, bool, str]] = []
@@ -24,6 +24,16 @@ def searchsorted_index(table, target, rows=None):
     series = range(len(target)) if rows is None else rows[:, 0]
     return np.array([np.searchsorted(table.h[i], row)
                      for i, row in zip(series, target)])
+
+
+def target_rows(seed, stream_ids, k: int):
+    """The floats whose log W_exp(1) is each stream's pivot target.
+
+    Record-major, ``(k,) + streams``: the constant 1, then uniforms 1 to
+    ``k - 1`` of the stream, each copied out of ``rng.uniforms``.
+    """
+    u = [x.copy() for x in rng.uniforms(seed, stream_ids, k - 1)]
+    return np.stack([np.ones_like(u[0])] + u)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

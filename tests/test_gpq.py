@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.stats import ks_2samp, kstest
 
 from weibrec import (
     BracketError,
@@ -33,10 +34,10 @@ from weibrec import (
 from weibrec import gpq, rng
 from weibrec.datasets import INSULATING_FLUID
 from weibrec.records import extract_upper_records
-from weibrec.rng import derive_seed_array, exp_record_matrix
+from weibrec.rng import derive_seed_array, exp_record_matrix, exp_records
 
-from conftest import searchsorted_index
-from test_rng import stream_exponentials
+from conftest import searchsorted_index, target_rows
+from test_rng import stream_uniforms
 
 
 def k2_root(values, exp_rows):
@@ -273,7 +274,7 @@ class TestSolveShapePivot:
         m, seed = 20_000, 5
         series = RecordSeries(np.array(values))
         got = sample_shape_pivot(series, m, seed=seed).values
-        exp_rows = exp_record_matrix(seed, 2 * np.arange(m, dtype=np.uint64), 2)
+        exp_rows = target_rows(seed, 2 * np.arange(m, dtype=np.uint64), 2)
         want = k2_root(series.values, exp_rows)
         assert np.all(np.isfinite(got)) and np.all(got > 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
@@ -330,7 +331,8 @@ class TestRecordOrderDeterminism:
 
 
 class TestStreamedTargets:
-    """Targets drawn one record at a time are those of the record matrix."""
+    """Targets drawn one uniform at a time are those of the stream matrix
+    ``(1, U_1, ..., U_{k-1})``."""
 
     @pytest.mark.parametrize("k", (2, 4, 7, 8, 9, 15, 16, 40))
     def test_equals_matrix_route_bit_for_bit(self, k):
@@ -338,24 +340,24 @@ class TestStreamedTargets:
         seeds = derive_seed_array(k, np.arange(5, dtype=np.uint64))[:, None]
         for seed, stream_ids in ((k, ids), (seeds, ids[:200])):
             got = gpq._exp_targets(seed, stream_ids, k)
-            rows = exp_record_matrix(seed, stream_ids, k)
+            rows = target_rows(seed, stream_ids, k)
             for want in (gpq._exp_log_am_gm(rows), matrix_log_am_gm(rows)):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("reps, k", ((32, 4), (8, 15)))
     def test_run_cell_shaped_batch_bit_for_bit(self, reps, k):
-        # The shape of a run_cell batch at M = 2000: each per-record array
-        # is 512 or 128 KB, and the one that exp_records yields is reused.
+        # The shape of a run_cell batch at M = 2000: each per-value array
+        # is 512 or 128 KB, and the one that uniforms yields is reused.
         seeds = derive_seed_array(reps, np.arange(reps, dtype=np.uint64))[:, None]
         ids = 2 * np.arange(2000, dtype=np.uint64)
         got = gpq._exp_targets(seeds, ids, k)
-        # The stream oracle, read word by word: records are partial sums.
-        oracle = np.cumsum(stream_exponentials(seeds[..., None], ids[:, None],
-                                               0, k), axis=-1)
-        rows = np.ascontiguousarray(oracle.transpose(2, 0, 1))
-        np.testing.assert_array_equal(exp_record_matrix(seeds, ids, k), rows)
-        for want in (gpq._exp_log_am_gm(exp_record_matrix(seeds, ids, k)),
+        # The stream oracle, read word by word.
+        oracle = stream_uniforms(seeds[..., None], ids[:, None], 0, k - 1)
+        rows = np.concatenate([np.ones((1, reps, 2000)),
+                               oracle.transpose(2, 0, 1)])
+        np.testing.assert_array_equal(target_rows(seeds, ids, k), rows)
+        for want in (gpq._exp_log_am_gm(target_rows(seeds, ids, k)),
                      matrix_log_am_gm(rows)):
             assert got.shape == want.shape == (reps, 2000)
             assert got.tobytes() == want.tobytes()
@@ -382,6 +384,39 @@ class TestStreamedTargets:
         draws = sample_pivotal(records34, records36, "ratio", 9000, seed=2,
                                threads=2)
         assert draws.m == 9000
+
+
+class TestTargetLaw:
+    """Targets from k - 1 uniforms have the law of targets from k records."""
+
+    N = 200_000
+
+    def test_k2_matches_the_exact_law(self):
+        # With two values the target is T(U) = log((1 + U) / 2) - log(U) / 2,
+        # decreasing in U, so P(T <= t) = 1 - u(t) with T(u(t)) = t:
+        # sqrt(u) = e^t - sqrt(e^(2t) - 1).
+        t = gpq._exp_targets(2101, np.arange(self.N, dtype=np.uint64), 2)
+
+        def cdf(t):
+            return 1.0 - (np.exp(t) - np.sqrt(np.expm1(2.0 * t))) ** 2
+
+        assert kstest(t, cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k", (4, 8, 15))
+    def test_matches_the_record_recipe(self, k):
+        ids = np.arange(self.N, dtype=np.uint64)
+        t = gpq._exp_targets(2100 + k, ids, k)
+        records = gpq._exp_log_am_gm(exp_records(3100 + k, ids, k))
+        assert ks_2samp(t, records).pvalue > 1e-3
+
+    def test_k2_target_is_positive_below_the_top_three_words(self):
+        # The top three words give the uniforms 1 - 2**-52 and 1.0 (see
+        # test_rng); the 10**5 words below them give positive targets, and
+        # a target only grows as U falls further below 1.
+        words = np.arange(2 ** 53 - 100_003, 2 ** 53 - 3, dtype=np.uint64)
+        u = rng._unit_floats(words << np.uint64(11), np.empty(words.size),
+                             2.0 ** -53)
+        assert np.all(gpq._exp_log_am_gm(np.stack([np.ones_like(u), u])) > 0.0)
 
 
 class TestNewtonStart:

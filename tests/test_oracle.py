@@ -25,6 +25,8 @@ from weibrec import (SimConfig, gpq, percentile_ranks, run_cell,
                      sample_pivotal, simulate)
 from weibrec.rng import derive_seed, derive_seed_array, exp_record_matrix
 
+from conftest import target_rows
+
 DPS = 40
 M, SEED = 300, 42
 TARGET_BOUND = 4 * 8.8e-14
@@ -33,7 +35,7 @@ DRAW_BOUND = 4 * 4.4e-14
 
 def consumed(seed, stream_ids, k: int) -> np.ndarray:
     """The floats whose log W_exp(1) is each stream's target, record-major."""
-    return exp_record_matrix(seed, stream_ids, k)
+    return target_rows(seed, stream_ids, k)
 
 
 def exact_target(column) -> mpmath.mpf:

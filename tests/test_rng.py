@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from weibrec import rng
 from weibrec.records import weibull_records
 from weibrec.rng import (
     GOLDEN,
@@ -11,6 +12,7 @@ from weibrec.rng import (
     exp_records,
     mix64,
     stream_base,
+    uniforms,
 )
 
 
@@ -25,8 +27,9 @@ def stream_words(seed, stream_id: int, start: int, count: int):
 
 
 def words_to_uniforms(words):
-    """Map 64-bit words to doubles strictly inside (0, 1): the top 53
-    bits, plus one half, over 2**53."""
+    """Map 64-bit words to doubles in (0, 1]: the top 53 bits, plus one
+    half, over 2**53.  The half rounds to even above 2**52, so the top
+    word gives exactly 1.0."""
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
@@ -146,3 +149,29 @@ def test_consumers_that_keep_records_copy_them():
     assert np.all(np.diff(series) > 0)
     np.testing.assert_array_equal(
         series, 2.0 * np.cumsum(stream_exponentials(3, 7, 0, 6)) ** (1.0 / 1.5))
+
+
+def test_uniforms_yield_one_array_of_the_stream_words():
+    ids = np.arange(50)
+    yielded = [(u, u.copy()) for u in uniforms(3, ids, 6)]
+    assert all(u is yielded[0][0] for u, _ in yielded)
+    steps = np.array([copy for _, copy in yielded])
+    for s in (0, 17, 49):
+        np.testing.assert_array_equal(steps[:, s], stream_uniforms(3, s, 0, 6))
+    seeds = derive_seed_array(5, np.arange(3))[:, None]
+    grid = np.array([u.copy() for u in uniforms(seeds, ids, 4)])
+    assert grid.shape == (4, 3, 50)
+    np.testing.assert_array_equal(grid[:, 1, 7], stream_uniforms(seeds[1], 7, 0, 4))
+
+
+def test_top_three_words_map_to_one_minus_ulp_and_one():
+    # Above 2**52 the half rounds to even: shifted words 2**53 - 3 and
+    # 2**53 - 2 give 1 - 2**-52, and 2**53 - 1 gives exactly 1.0, whose
+    # exponential -log1p(-1.0) is inf.
+    words = (np.arange(2 ** 53 - 4, 2 ** 53, dtype=np.uint64) << np.uint64(11)
+             | np.uint64(0x7FF))
+    want = [1.0 - 2.0 ** -51, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52, 1.0]
+    for scale, sign in ((2.0 ** -53, 1.0), (-(2.0 ** -53), -1.0)):
+        got = rng._unit_floats(words.copy(), np.empty(4), scale)
+        assert got.tolist() == [sign * w for w in want]
+    assert words_to_uniforms(words).tolist() == want

@@ -450,12 +450,23 @@ class TestRunGrid:
         assert "no finite positive root" in result.error
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a stream whose records 3.19816785 and "
-                       "3.19816793 nearly tie rounds its log W_exp(1) to 0 "
+                       reason="the uniform 1 - 2**-52, which the shifted "
+                       "words 2**53 - 3 and 2**53 - 2 give, rounds a "
+                       "two-value log W_exp(1) to 0, where it is 6.2e-33 "
                        "(ROADMAP item 4)")
-    def test_near_tied_target_is_answered(self):
-        config = SimConfig(n1=1, n2=1, beta1=1e307, beta2=2.0, m=172, reps=2,
-                           gamma=0.125, seed=893)
+    def test_near_tied_target_is_answered(self, monkeypatch):
+        # Pivotal draw 7 of population 1 reads stream 2 * 7, and its one
+        # uniform is set to 1 - 2**-52.
+        real = gpq.uniforms
+
+        def near_one(seed, stream_ids, n_values):
+            hit = np.asarray(stream_ids) == 2 * 7
+            for u in real(seed, stream_ids, n_values):
+                u[..., hit] = 1.0 - 2.0 ** -52
+                yield u
+
+        monkeypatch.setattr(gpq, "uniforms", near_one)
+        config = SimConfig(n1=1, n2=3, beta1=1.0, beta2=2.0, **TINY)
         [result] = run_grid([config])
         assert isinstance(result, SimReport), result
 
