@@ -33,13 +33,8 @@ TARGET_BOUND = 4 * 8.8e-14
 DRAW_BOUND = 4 * 4.4e-14
 
 
-def consumed(seed, stream_ids, k: int) -> np.ndarray:
-    """The floats whose log W_exp(1) is each stream's target, record-major."""
-    return target_rows(seed, stream_ids, k)
-
-
 def exact_target(column) -> mpmath.mpf:
-    """log(mean v) - mean(log v) of the floats ``column``, exactly rounded."""
+    """log(mean v) - mean(log v) of the floats ``column``, in working precision."""
     v = [mpmath.mpf(float(x)) for x in column]
     return (mpmath.log(mpmath.fsum(v) / len(v))
             - mpmath.fsum(mpmath.log(x) for x in v) / len(v))
@@ -68,7 +63,7 @@ def exact_root(records, target, start) -> mpmath.mpf:
 
 def exact_roots(records, seed, stream_ids, floats) -> tuple[list, list]:
     """Exact targets and roots of ``stream_ids``, Newton started at ``floats``."""
-    v = consumed(seed, stream_ids, len(records))
+    v = target_rows(seed, stream_ids, len(records))
     targets = [exact_target(v[:, i]) for i in range(v.shape[1])]
     return targets, [exact_root(records, t, f) for t, f in zip(targets, floats)]
 
@@ -104,13 +99,14 @@ def test_insulating_draws_are_near_exact(kind, insulating_roots, records34,
                                          records36):
     draws = sample_pivotal(records34, records36, kind, M, SEED).values
     (_, _, _, u1), (_, _, _, u2) = insulating_roots
+    errs = []
     with mpmath.workdps(DPS):
-        # A difference is held to the size of its terms, the scale at
-        # which the roots carry their error.
-        errs = [float(abs(mpmath.mpf(float(x)) - (a / b if kind == "ratio"
-                                                   else a - b))
-                      / (abs(a / b) if kind == "ratio" else abs(a) + abs(b)))
-                for x, a, b in zip(draws, u1, u2)]
+        for x, a, b in zip(draws, u1, u2):
+            # A difference is held to the size of its terms, the scale at
+            # which the roots carry their error.
+            want, scale = ((a / b, a / b) if kind == "ratio"
+                           else (a - b, abs(a) + abs(b)))
+            errs.append(float(abs(mpmath.mpf(float(x)) - want) / scale))
     assert max(errs) <= DRAW_BOUND, max(errs)
 
 
@@ -130,16 +126,20 @@ def test_run_cell_order_statistics_are_near_exact(monkeypatch):
     report = run_cell(config)
     [ratios] = held
 
-    rep_seed = derive_seed_array(derive_seed(config.seed, simulate.cell_tag(config)), 0)
+    # Replicate 0's seeds, as _batch_sums derives them.
+    base_seed = derive_seed(config.seed, simulate.cell_tag(config))
+    rep_seed = derive_seed_array(base_seed, 0)
+    data_seed = derive_seed_array(rep_seed, 1)
     pivot_seed = derive_seed_array(rep_seed, 2)
     draws = np.arange(config.m, dtype=np.uint64)
     with mpmath.workdps(DPS):
         roots = []
         for p, n in enumerate((config.n1, config.n2)):
-            records = exp_record_matrix(derive_seed_array(rep_seed, 1), p, n + 1)[:, 0]
+            records = exp_record_matrix(data_seed, p, n + 1)[:, 0]
             table = gpq._start_table(*gpq._prep_log_records(records[:, None]))
             ids = 2 * draws + np.uint64(p)
-            floats = gpq._solve_roots(table, gpq._exp_targets(pivot_seed, ids, n + 1)[None])[0]
+            targets = gpq._exp_targets(pivot_seed, ids, n + 1)
+            floats = gpq._solve_roots(table, targets[None])[0]
             roots.append(exact_roots(records, pivot_seed, ids, floats)[1])
         exact = sorted(a / b for a, b in zip(*roots))
         lo, hi = percentile_ranks(config.m, config.gamma)
