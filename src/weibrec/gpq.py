@@ -293,18 +293,34 @@ def pivotal_equation(observed: RecordSeries, exp_records: RecordSeries,
     return am_gm_ratio(observed, beta) - am_gm_ratio(exp_records, 1.0)
 
 
+def _carve(row, shape):
+    """A float64 array of ``shape`` on a 1-d workspace row.
+
+    The array is a view of the row's leading elements, so the row must
+    hold at least ``prod(shape)`` of them.  Without a row (None) there is
+    no array, and the callee allocates a fresh one, as numpy's ``out=None``
+    does.
+    """
+    return None if row is None else row[:math.prod(shape)].reshape(shape)
+
+
+def _view(a, dtype):
+    """``a`` viewed as ``dtype``, or None for a fresh array, as ``_carve``."""
+    return None if a is None else a.view(dtype)
+
+
 def _log_w(beta, d, gap, buf):
     """``(h, s)``: ``h`` is log W_obs at ``beta``.
 
     ``d`` is record-major and broadcasts against ``beta`` into ``buf``,
-    ``(k,) + beta.shape``; ``gap`` broadcasts against ``beta``.  With
-    ``s = sum expm1(beta d)``, ``h = beta gap + log1p(s / k)``.  The
-    start table and each Newton pass both evaluate ``h`` here, so a
-    table entry with ``h >= target`` has ``g = h - target >= 0`` in the
-    Newton pass at that beta too.  ``buf`` is left holding
-    ``expm1(beta d)``.
+    ``(k,) + beta.shape``, or into a fresh array if ``buf`` is None;
+    ``gap`` broadcasts against ``beta``.  With ``s = sum expm1(beta d)``,
+    ``h = beta gap + log1p(s / k)``.  The start table and each Newton
+    pass both evaluate ``h`` here, so a table entry with ``h >= target``
+    has ``g = h - target >= 0`` in the Newton pass at that beta too.
+    ``buf`` is left holding ``expm1(beta d)``.
     """
-    np.multiply(beta, d, out=buf)
+    buf = np.multiply(beta, d, out=buf)
     np.expm1(buf, out=buf)
     s = _record_sum(buf)
     return beta * gap + np.log1p(s / len(d)), s
@@ -335,7 +351,7 @@ class _StartTable(NamedTuple):
         return self.h_pad[:, :_START_NODES.size]
 
 
-def _start_table(d, gap) -> _StartTable:
+def _start_table(d, gap, work=None) -> _StartTable:
     """The start table of each series and a bin index over it.
 
     ``d`` is ``(k, series)`` and ``gap`` is ``(series,)``.  log W is
@@ -343,7 +359,9 @@ def _start_table(d, gap) -> _StartTable:
     :func:`_newton`, and ``h`` is its running maximum along the row.  So
     every row is sorted, and the first node whose ``h`` reaches a target
     is the first whose log W does.  One table serves every bracket and
-    polish chunk of its series' draws.
+    polish chunk of its series' draws.  The ``(k, series, 128)`` buffer
+    of that evaluation is carved from the workspace row ``work`` (see
+    :func:`_carve`).
 
     The index bins a positive float ``x`` by ``x.view(int64) >> 48``: its
     exponent and four leading mantissa bits.  This key is monotone in
@@ -366,7 +384,7 @@ def _start_table(d, gap) -> _StartTable:
     # Records tied in float give a zero gap and a NaN row; see _require_roots.
     with np.errstate(divide="ignore", invalid="ignore"):
         h, _ = _log_w(_START_NODES / gap[:, None], d[..., None], gap[:, None],
-                      np.empty(d.shape + _START_NODES.shape))
+                      _carve(work, d.shape + _START_NODES.shape))
     np.maximum.accumulate(h, axis=1, out=h)
     positive = h > 0.0
     key = h.view(np.int64) >> _BIN_SHIFT
@@ -386,7 +404,8 @@ def _start_table(d, gap) -> _StartTable:
         lo, below.astype(np.min_scalar_type(h.shape[1])))
 
 
-def _node_index(table: _StartTable, target, rows=None) -> NDArray[np.integer]:
+def _node_index(table: _StartTable, target, rows=None, out=None,
+                scratch=(None, None)) -> NDArray[np.integer]:
     """How many entries of each row of ``table.h`` lie below each target.
 
     ``target`` is positive, and target row ``i`` reads series ``rows[i,
@@ -398,17 +417,24 @@ def _node_index(table: _StartTable, target, rows=None) -> NDArray[np.integer]:
     row's first bin or above its last reads the count of the nearest
     one, which is the same.  Each count reads only its own target and
     row, so it does not depend on the batch.
+
+    The counts are returned in the bins' small type, or copied into the
+    int64 view of ``out``, which ``np.take`` reads as indices without
+    converting them.  The two ``scratch`` arrays hold the flat indices,
+    in their int64 view, and the entries read.  ``out`` and ``scratch``
+    are float arrays like ``target``, or None for fresh ones.
     """
     rows = np.arange(len(table.h))[:, None] if rows is None else rows
     width = table.bins.shape[1]
-    x = np.right_shift(target.view(np.int64), _BIN_SHIFT)
+    x = np.right_shift(target.view(np.int64), _BIN_SHIFT,
+                       out=_view(scratch[0], np.int64))
     x -= table.bin_lo[rows, 0]
     np.clip(x, 0, width - 1, out=x)
     x += rows * width
     j = table.bins.take(x)
     # x now indexes the row's first entry in the target's bin.
     np.add(j, rows * table.h_pad.shape[1], out=x)
-    entry = np.empty(target.shape)
+    entry = np.empty(target.shape) if scratch[1] is None else scratch[1]
     below = np.empty(target.shape, dtype=bool)
     flat = table.h_pad.ravel()
     for r in range(table.h_pad.shape[1] - table.h.shape[1]):
@@ -417,7 +443,11 @@ def _node_index(table: _StartTable, target, rows=None) -> NDArray[np.integer]:
         np.take(flat[r:], x, out=entry, mode="clip")
         np.less(entry, target, out=below)
         j += below
-    return j
+    if out is None:
+        return j
+    counts = out.view(np.int64)
+    counts[...] = j
+    return counts
 
 
 def _certified_target(k: int) -> float:
@@ -429,6 +459,12 @@ def _certified_target(k: int) -> float:
     """
     c = 8.0 * 2.0 ** -52 * k * (k + 9)
     return c * math.log(k) / (_SLACK - c) if c < _SLACK else math.inf
+
+
+def _gather(nodes, j, out=None):
+    """``nodes[j]``: fresh, or written into ``out`` by ``np.take``, which
+    with "clip" writes there directly (the counts are in range)."""
+    return nodes[j] if out is None else np.take(nodes, j, out=out, mode="clip")
 
 
 def _require_roots(target, gap) -> None:
@@ -452,13 +488,17 @@ def _require_roots(target, gap) -> None:
     )
 
 
-def _bracket_roots(table: _StartTable, target, rows=None):
+def _bracket_roots(table: _StartTable, target, rows=None, out=(None, None),
+                   scratch=(None,) * 3):
     """Start and certified lower bound of each root of log W_obs = target.
 
     ``table`` holds each observed series' ``d = log(r / max r)``, ``(k,
     series)``, its ``gap``, ``(series,)``, and its start table (see
     :func:`_start_table`); target row ``i`` reads series ``rows[i, 0]``,
-    as in :func:`_node_index`.  Returns ``(start, lower)`` like ``target``.
+    as in :func:`_node_index`.  Returns ``(start, lower)`` like
+    ``target``, into the arrays ``out``; the three ``scratch`` arrays
+    hold the lookup's counts, its flat indices and then ``target + log
+    k``, and its entries.  Each is fresh where None.
 
     With ``s = sum expm1(beta d)``, ``g(beta) = beta gap + log1p(s / k)
     - target`` is convex and increasing, and ``g >= 0`` at ``beta0 =
@@ -501,10 +541,10 @@ def _bracket_roots(table: _StartTable, target, rows=None):
     gap = table.gap[:, None] if rows is None else table.gap[rows]
     k = len(table.d)
     _require_roots(target, gap)
-    j = _node_index(table, target, rows)
-    start = _NODES_ABOVE[j]
-    np.minimum(start, target + math.log(k), out=start)
-    lower = _NODES_BELOW[j]
+    j = _node_index(table, target, rows, scratch[0], scratch[1:])
+    start = _gather(_NODES_ABOVE, j, out[0])
+    np.minimum(start, np.add(target, math.log(k), out=scratch[1]), out=start)
+    lower = _gather(_NODES_BELOW, j, out[1])
     start /= gap
     lower /= gap
     lower *= 1.0 - _SLACK
@@ -512,7 +552,7 @@ def _bracket_roots(table: _StartTable, target, rows=None):
     return start, lower
 
 
-def _newton(d, gap, target, beta) -> NDArray[np.float64]:
+def _newton(d, gap, target, beta, buf=None) -> NDArray[np.float64]:
     """Newton descent onto log W_obs(beta) = target from ``beta``.
 
     ``beta`` holds starts from :func:`_bracket_roots` and is overwritten
@@ -526,14 +566,15 @@ def _newton(d, gap, target, beta) -> NDArray[np.float64]:
     Each entry stops on its own values, so a root never depends on the
     other entries in a batch.
 
-    The work buffer is record-major, ``(k,) + beta.shape``, so each
-    pass sums records with ``k - 1`` adds over the whole batch; the sums
-    run in the fixed order of :func:`_record_sum`, so a root is the same
-    whether it is solved alone or in a batch of any shape.
+    The work buffer ``buf`` is record-major, ``(k,) + beta.shape``, and
+    fresh if not given, so each pass sums records with ``k - 1`` adds
+    over the whole batch; the sums run in the fixed order of
+    :func:`_record_sum`, so a root is the same whether it is solved alone
+    or in a batch of any shape.
     """
     k = len(d)
     active = np.ones(beta.shape, dtype=bool)
-    buf = np.empty((k,) + beta.shape)
+    buf = np.empty((k,) + beta.shape) if buf is None else buf
     while True:
         h, s = _log_w(beta, d, gap, buf)
         g = h - target
@@ -548,15 +589,23 @@ def _newton(d, gap, target, beta) -> NDArray[np.float64]:
             return beta
 
 
-def _solve_roots(table: _StartTable, target, rows=None) -> NDArray[np.float64]:
+def _solve_roots(table: _StartTable, target, rows=None,
+                 work=(None, None)) -> NDArray[np.float64]:
     """Roots of log W_obs(beta) = target, of the shape of ``target``.
 
     Arguments as in :func:`_bracket_roots`; each root is polished by
-    :func:`_newton` from its start.
+    :func:`_newton` from its start.  The records gathered for the rows
+    and the Newton buffer, ``(k,) + rows.shape`` and ``(k,) +
+    target.shape``, go into the two workspace rows ``work`` (see
+    :func:`_carve`).
     """
     rows = np.arange(len(table.gap))[:, None] if rows is None else rows
     start, _ = _bracket_roots(table, target, rows)
-    return _newton(table.d[:, rows], table.gap[rows], target, start)
+    k = len(table.d)
+    d = np.take(table.d, rows, axis=1, out=_carve(work[0], (k,) + rows.shape),
+                mode="clip")
+    return _newton(d, table.gap[rows], target, start,
+                   _carve(work[1], (k,) + target.shape))
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
@@ -568,7 +617,8 @@ def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> floa
     return float(_solve_roots(_start_table(d, gap), target[None])[0, 0])
 
 
-def _exp_log_am_gm(records) -> NDArray[np.float64]:
+def _exp_log_am_gm(records, out=None,
+                   scratch=(None, None)) -> NDArray[np.float64]:
     """log W at beta = 1 of each stream of positive values.
 
     The values are exponential records, or the uniform stream of
@@ -578,22 +628,26 @@ def _exp_log_am_gm(records) -> NDArray[np.float64]:
     are added in :func:`_record_sum` order, so a stream's value does not
     depend on its batch.  The first value is copied into the running
     sum; every later add, and the result, are in place in the sums' two
-    arrays and one scratch array.
+    arrays and one array of logs.  The sum and the result are ``out``,
+    and the log sum and the logs are ``scratch``; each is fresh if None.
     """
     records = iter(records)
-    total = np.array(next(records), dtype=np.float64)
-    log_total = np.log(total)
-    scratch = np.empty_like(total)
+    first = next(records)
+    total = np.empty(np.shape(first)) if out is None else out
+    total[...] = first
+    log_total = np.log(total, out=scratch[0])
+    logs = np.empty_like(total) if scratch[1] is None else scratch[1]
     k = 1
     for k, r in enumerate(records, 2):
         total += r
-        log_total += np.log(r, out=scratch)
+        log_total += np.log(r, out=logs)
     total /= k
     log_total /= k
     return np.subtract(np.log(total, out=total), log_total, out=total)
 
 
-def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
+def _exp_targets(seed, stream_ids, k: int, out=None,
+                 scratch=(None,) * 4) -> NDArray[np.float64]:
     """log W_exp(1) of each stream, from ``k - 1`` of its uniforms.
 
     For unit-exponential records ``r_1 < ... < r_k``, the ratios ``r_j /
@@ -604,28 +658,57 @@ def _exp_targets(seed, stream_ids, k: int) -> NDArray[np.float64]:
     (:func:`uniforms`), unsorted.  That takes ``k - 1`` words and one log
     per value, and the uniforms are reduced as they are drawn, so
     neither the draw nor the reduction allocates per value.
+
+    The targets go into ``out``, and the four ``scratch`` arrays hold the
+    base keys, the words and then their uniforms' logs, the mixed words
+    and their uniforms, and the log sums; each is a float array of the
+    targets' shape, viewed as uint64 where it holds words, or None for a
+    fresh one.
     """
-    u = uniforms(seed, stream_ids, k - 1)
+    base, word, mixed, log_total = scratch
+    u = uniforms(seed, stream_ids, k - 1,
+                 [_view(a, np.uint64) for a in (base, word, mixed)])
     # The generator's one array, read by the reducer before it advances.
     first = next(u)
     ones = np.broadcast_to(1.0, first.shape)
-    return _exp_log_am_gm(itertools.chain((ones, first), u))
+    # The words are free while the reducer reads a uniform, so their
+    # array holds the uniform's log.
+    return _exp_log_am_gm(itertools.chain((ones, first), u), out,
+                          (log_total, word))
 
 
-def _pivot_targets(seed, draws, population: int, k: int) -> NDArray[np.float64]:
-    """Targets of ``draws``; draw ``i`` of population ``p`` reads stream 2 i + p."""
+def _pivot_targets(seed, draws, population: int, k: int,
+                   *work) -> NDArray[np.float64]:
+    """Targets of ``draws``; draw ``i`` of population ``p`` reads stream 2 i + p.
+
+    ``work``, if given, is the ``out`` and ``scratch`` of :func:`_exp_targets`.
+    """
     ids = 2 * np.asarray(draws, dtype=np.uint64) + np.uint64(population)
-    return _exp_targets(seed, ids, k)
+    return _exp_targets(seed, ids, k, *work)
 
 
-def _combine(kind: str, roots):
-    """The draw from its populations' roots: U1 / U2, U1 - U2 or U1."""
+def _combine(kind: str, roots, out=None):
+    """The draw from its populations' roots: U1 / U2, U1 - U2 or U1.
+
+    A ratio or difference goes into ``out`` if given; U1 is ``roots[0]``.
+    """
     if kind == "ratio":
-        return roots[0] / roots[1]
-    return roots[0] - roots[1] if kind == "difference" else roots[0]
+        return np.divide(roots[0], roots[1], out=out)
+    if kind == "difference":
+        return np.subtract(roots[0], roots[1], out=out)
+    return roots[0]
 
 
-def _bracket(kind: str, tables, seeds, rows, draws):
+# Rows of a workspace: the most per-draw arrays that _bracket holds at once.
+_WORK_ROWS = 8
+# The rows of _bracket's workspace that hold population p's target, start
+# and lower bound; rows 0 to 3 are the scratch of each population's target
+# draw and bracket.  Row 4 or 7 (a target) is read by the polish, and rows 5
+# and 6 take the draws' upper and lower bounds.
+_BRACKET_ROWS = ((4, 5, 6), (7, 3, 1))
+
+
+def _bracket(kind: str, tables, seeds, rows, draws, work=None):
     """``(below, above, targets)`` of ``draws``, each ``(rows, draws)``.
 
     ``tables`` holds one :func:`_start_table` per population, and row
@@ -633,12 +716,26 @@ def _bracket(kind: str, tables, seeds, rows, draws):
     of population ``p`` reads stream ``2 i + p`` of ``seeds[r]``.  A
     ``BracketError`` names its population; its ``replicate`` is the flat
     index of the rootless target.
+
+    ``work``, if given, is ``_WORK_ROWS`` workspace rows of at least
+    ``rows.size * draws.size`` elements each, and every per-draw array
+    lives in them (see ``_BRACKET_ROWS``); without it each is fresh.  ``below`` and
+    ``above`` are written over population 1's lower bound and start.
     """
+    if work is not None:
+        work = [_carve(row, (len(rows), len(draws))) for row in work]
     brackets = []
     for p, table in enumerate(tables):
-        target = _pivot_targets(seeds[rows], draws, p, len(table.d))
+        target_work, roots_work = (), ()
+        if work is not None:
+            t, s, lo = _BRACKET_ROWS[p]
+            target_work = work[t], work[:4]
+            roots_work = (work[s], work[lo]), work[:3]
+        target = _pivot_targets(seeds[rows], draws, p, len(table.d),
+                                *target_work)
         try:
-            brackets.append((target, *_bracket_roots(table, target, rows)))
+            brackets.append((target, *_bracket_roots(table, target, rows,
+                                                     *roots_work)))
         except BracketError as exc:
             raise BracketError(f"population {p + 1}: {exc}",
                                replicate=exc.replicate) from exc
@@ -646,23 +743,40 @@ def _bracket(kind: str, tables, seeds, rows, draws):
     # Each float root lies in its bracket, and float division and
     # subtraction are monotone in each argument, so U1 / U2 lies in [low1 /
     # high2, high1 / low2] and U1 - U2 in [low1 - high2, high1 - low2].  An
-    # uncertified (NaN) low root makes the draw's bounds [-inf, inf].
-    below = _combine(kind, [lows[0], *highs[1:]])
-    above = _combine(kind, [highs[0], *lows[1:]])
+    # uncertified (NaN) low root makes the draw's bounds [-inf, inf]; the
+    # mask is taken before the bounds overwrite population 1's brackets.
     uncertified = np.logical_or.reduce([np.isnan(low) for low in lows])
+    below = _combine(kind, [lows[0], *highs[1:]], out=lows[0])
+    above = _combine(kind, [highs[0], *lows[1:]], out=highs[0])
     np.copyto(below, -np.inf, where=uncertified)
     np.copyto(above, np.inf, where=uncertified)
     return below, above, targets
 
 
-def _polish(kind: str, tables, rows, targets) -> NDArray[np.float64]:
+def _polish(kind: str, tables, rows, targets,
+            work=(None, None)) -> NDArray[np.float64]:
     """The exact draws of ``kind`` at ``targets``, arguments as in
-    :func:`_bracket`; each root depends only on its series and target."""
-    return _combine(kind, [_solve_roots(table, target, rows)
+    :func:`_bracket`; each root depends only on its series and target.
+    Each population's solve reuses the two workspace rows ``work`` (see
+    :func:`_solve_roots`)."""
+    return _combine(kind, [_solve_roots(table, target, rows, work)
                            for table, target in zip(tables, targets)])
 
 
-def _candidates(below, above, ranks=(), pi0=None) -> NDArray[np.bool_]:
+def _at_ranks(bound, ranks, row=None) -> NDArray[np.float64]:
+    """The values at zero-based ``ranks`` of ``bound`` sorted along its
+    last axis.  The sorted copy is fresh and freed on return, or is the
+    workspace row ``row`` (see :func:`_carve`)."""
+    if row is None:
+        return np.sort(bound, axis=-1)[..., ranks]
+    copy = _carve(row, bound.shape)
+    np.copyto(copy, bound)
+    copy.sort(axis=-1)
+    return copy[..., ranks]
+
+
+def _candidates(below, above, ranks=(), pi0=None,
+                work=(None, None)) -> NDArray[np.bool_]:
     """The draws to polish, given bounds ``below <= draw <= above``.
 
     Draws run along the last axis.  With ``pi0``, these are the draws
@@ -674,12 +788,13 @@ def _candidates(below, above, ranks=(), pi0=None) -> NDArray[np.bool_]:
     range stays on its side of the rank-r draw wherever it lies inside
     them.  So setting every other draw to any value inside its bounds
     leaves the rank-r values, and the counts on either side of ``pi0``,
-    as the exact draws have them.
+    as the exact draws have them.  The sorted copies of ``below`` and
+    ``above`` go into the two workspace rows ``work`` (see :func:`_at_ranks`).
     """
     if pi0 is not None:
         return (below <= pi0) & (pi0 <= above)
-    lows = np.sort(below, axis=-1)[..., ranks]
-    highs = np.sort(above, axis=-1)[..., ranks]
+    lows, highs = (_at_ranks(bound, ranks, row)
+                   for bound, row in zip((below, above), work))
     polish = np.zeros(below.shape, dtype=bool)
     for j in range(len(ranks)):
         polish |= (above >= lows[..., j, None]) & (below <= highs[..., j, None])

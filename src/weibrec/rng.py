@@ -72,11 +72,15 @@ def mix64(z: NDArray[np.uint64], scratch=None) -> NDArray[np.uint64]:
     return z
 
 
-def stream_base(seed, stream_ids) -> NDArray[np.uint64]:
-    """Hash (seed, stream_id) pairs into per-stream base keys."""
+def stream_base(seed, stream_ids, out=None, scratch=None) -> NDArray[np.uint64]:
+    """Hash (seed, stream_id) pairs into per-stream base keys.
+
+    The keys, of the broadcast shape, go into the uint64 array ``out``,
+    mixed through ``scratch``; each is fresh when not given.
+    """
     s = mix64(_u64(seed) + _GOLDEN)
-    z = s ^ mix64(_u64(stream_ids) ^ _STREAM_SALT)
-    return mix64(z, np.empty_like(z))
+    z = np.bitwise_xor(s, mix64(_u64(stream_ids) ^ _STREAM_SALT), out=out)
+    return mix64(z, np.empty_like(z) if scratch is None else scratch)
 
 
 def _unit_floats(word, out, scale) -> NDArray[np.float64]:
@@ -96,28 +100,39 @@ def _unit_floats(word, out, scale) -> NDArray[np.float64]:
     return out
 
 
-def _mapped_words(base, n_values: int, scale) -> Iterator[NDArray[np.float64]]:
+def _mapped_words(base, n_values: int, scale, word=None,
+                  scratch=None) -> Iterator[NDArray[np.float64]]:
     """Words 1 to ``n_values`` of the streams keyed by ``base``, through
-    :func:`_unit_floats`, each yielded in one float array updated in place."""
-    word = np.empty_like(base)
-    scratch = np.empty_like(base)
+    :func:`_unit_floats`, each yielded in one float array updated in place.
+
+    The words are formed in ``word`` and mixed through ``scratch``, whose
+    float view is the yielded array; both are uint64 arrays like ``base``,
+    fresh when not given.  ``word`` is free while a value is yielded.
+    """
+    word = np.empty_like(base) if word is None else word
+    scratch = np.empty_like(base) if scratch is None else scratch
     x = scratch.view(np.float64)
     for step in np.arange(1, n_values + 1, dtype=np.uint64) * _GOLDEN:
         mix64(np.add(base, step, out=word), scratch)
         yield _unit_floats(word, x, scale)
 
 
-def uniforms(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]]:
+def uniforms(seed, stream_ids, n_values: int,
+             scratch=(None, None, None)) -> Iterator[NDArray[np.float64]]:
     """Uniforms in (0, 1], one word of every stream at a time.
 
     Word ``j`` (from 1) of each (seed, stream) pair maps to ``u_j = (top
     53 bits + 0.5) / 2**53``, as in :func:`exp_records`; the top three
     words round to ``1 - 2**-52`` and 1.0 (see :func:`_unit_floats`).
     The seed and stream arguments broadcast against each other.  Every
-    step yields the same array, updated in place, and allocates nothing;
-    a call holds three arrays of the broadcast shape.
+    step yields the same array, updated in place, and allocates nothing.
+    A call holds three uint64 arrays of the broadcast shape, ``scratch``
+    if given: the base keys, the words, which are free while a value is
+    yielded, and the mixed words, whose float view is yielded.
     """
-    return _mapped_words(stream_base(seed, stream_ids), n_values, _U01_SCALE)
+    base, word, mixed = scratch
+    return _mapped_words(stream_base(seed, stream_ids, base, mixed), n_values,
+                         _U01_SCALE, word, mixed)
 
 
 def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]]:

@@ -17,7 +17,7 @@ batch size nor the thread count can move a cell's report.
 
 This module holds the package's only thread fan-out: :func:`run_cell`
 spreads its batches of whole replicates over ``threads`` threads, where
-they pay (1.3-1.7x the serial rate at 2 threads on a 2-vCPU Xeon).  The
+they pay (1.3-1.5x the serial rate at 2 threads on a 2-vCPU Xeon).  The
 pivot sampler in :mod:`weibrec.gpq` runs on the calling thread.
 
 A replicate's interval reads only two order statistics of its m pivot
@@ -32,7 +32,10 @@ count, which is the larger only for k > 15.  The pivot targets are
 drawn one uniform at a time, so no other array grows with k, and the
 polish solves its draws in spans whose (k, span) Newton buffer keeps to
 the same count.  At m = 2000 every cell of the study runs 32 replicates
-a batch, arrays large enough that a second thread gains on them.
+a batch, arrays large enough that a second thread gains on them.  Each
+worker keeps every such array of its batches in one workspace of
+``gpq._WORK_ROWS`` rows, allocated once per cell, so no batch faults in
+fresh pages for them.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -54,15 +57,17 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_START_NODES, _bracket, _candidates, _polish,
+from .gpq import (_START_NODES, _WORK_ROWS, _bracket, _candidates, _polish,
                   _prep_log_records, _start_table, percentile_ranks)
 from .rng import derive_seed, derive_seed_array, exp_record_matrix
 
 # Elements in a batch's largest array: its (reps, m) per-draw arrays, its
-# (k, reps, 128) start-table buffer or its (k, span) Newton buffer.  On a
-# 2-vCPU Xeon, two threads ran a uint64 shift-xor-multiply pass at 0.56x
-# the serial speed on 2**13 elements, 1.5x on 2**16 and 1.9x on 2**18; a
-# budget of 2**17 raised the benchmark's sim-slice peak RSS by a fifth.
+# (k, reps, 128) start-table buffer or its (k, span) Newton buffer.  Each
+# is one row of its worker's workspace, so the budget also sets the row
+# length.  On a 2-vCPU Xeon, two threads ran a uint64 shift-xor-multiply
+# pass at 0.56x the serial speed on 2**13 elements, 1.5x on 2**16 and 1.9x
+# on 2**18; a budget of 2**17 raised the benchmark's sim-slice peak RSS by
+# a fifth.
 _ELEMENT_BUDGET = 2 ** 16
 
 
@@ -144,8 +149,14 @@ def cell_tag(config: SimConfig) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _batch_sums(config: SimConfig, base_seed: int, start: int,
-                stop: int) -> tuple[int, NDArray[np.float64]]:
+def _polish_span(config: SimConfig) -> int:
+    """Draws a polish span solves: its (k, span) Newton buffer and gathered
+    records keep to ``_ELEMENT_BUDGET``, for k the larger record count."""
+    return max(1, _ELEMENT_BUDGET // (max(config.n1, config.n2) + 1))
+
+
+def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
+                work: NDArray[np.float64]) -> tuple[int, NDArray[np.float64]]:
     """Coverage count and unit-shape widths of replicates [start, stop).
 
     Records are alpha * E**(1 / beta), so ``d`` and ``gap`` of a series
@@ -166,6 +177,14 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     budget.  Each root depends only on its own series and target, so the
     spans move no bit.  Every other draw keeps its lower bound, and the
     sort reads the same two ratios as a full solve would, bit for bit.
+
+    ``work`` is the worker's ``(_WORK_ROWS, length)`` workspace, every row
+    as long as the batch's largest array, and every batch-sized array
+    lives in it: row 0 holds the start-table buffer, rows 0 to 7 the
+    per-draw arrays of ``gpq._bracket``, rows 0 and 2 the sorted copies
+    of ``gpq._candidates`` and then the polish's gathered records and
+    Newton buffer.  Each row is written before it is read, so what an
+    earlier batch left in it moves no bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
@@ -174,28 +193,30 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
     ranks = [lo_rank - 1, hi_rank - 1]
 
     tables = [_start_table(*_prep_log_records(
-                  exp_record_matrix(data_seeds, pop, n + 1)))
+                  exp_record_matrix(data_seeds, pop, n + 1)), work[0])
               for pop, n in enumerate((config.n1, config.n2))]
     try:
         below, above, targets = _bracket(
             "ratio", tables, pivot_seeds, np.arange(stop - start)[:, None],
-            np.arange(config.m))
+            np.arange(config.m), work)
     except BracketError as exc:
         rep, draw = divmod(exc.replicate or 0, config.m)
         raise BracketError(
             f"outer replicate {start + rep}, pivotal draw {draw}, {exc}",
             replicate=start + rep,
         ) from exc
-    rows, cols = np.nonzero(_candidates(below, above, ranks))
+    rows, cols = np.nonzero(_candidates(below, above, ranks,
+                                        work=(work[0], work[2])))
 
     # Every other draw keeps its lower bound, which leaves both ranks'
     # values as the full solve has them.
     ratio = below
-    span = max(1, _ELEMENT_BUDGET // (max(config.n1, config.n2) + 1))
+    span = _polish_span(config)
     for i in range(0, rows.size, span):
         r, c = rows[i:i + span], cols[i:i + span]
         ratio[r, c] = _polish("ratio", tables, r[:, None],
-                              [t[r, c, None] for t in targets])[:, 0]
+                              [t[r, c, None] for t in targets],
+                              (work[0], work[2]))[:, 0]
     ratio.sort(axis=1)
     lower = ratio[:, lo_rank - 1]
     upper = ratio[:, hi_rank - 1]
@@ -206,29 +227,51 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int,
 def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     """Estimate coverage and expected interval length for one cell.
 
-    Its batches of replicates run on ``threads`` threads (None or 1:
-    the calling thread); the report is the same for every count.  A
-    batch holds as many replicates as keep its largest array, m per-draw
+    Its batches of replicates run on ``threads`` workers (None or 1: the
+    calling thread); the report is the same for every count.  A batch
+    holds as many replicates as keep its largest array, m per-draw
     values or 128 start-table values per record of each replicate, within
     ``_ELEMENT_BUDGET`` elements.
+
+    Each worker runs every ``workers``-th batch, in order, on its own
+    workspace (see :func:`_batch_sums`): one float64 block, allocated
+    here before any batch runs and freed when the cell returns, so that
+    no batch allocates, and faults in, fresh pages for its arrays.  If
+    batches fail, the first failing batch's error is raised, as a serial
+    run raises it.
     """
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
     batch = max(1, min(config.reps, _ELEMENT_BUDGET
                        // max(config.m, _START_NODES.size * k_max)))
     starts = range(0, config.reps, batch)
+    workers = max(1, min(threads or 1, len(starts)))
+    length = max(batch * max(config.m, _START_NODES.size * k_max),
+                 k_max * _polish_span(config))
+    blocks = [np.empty((_WORK_ROWS, length)) for _ in range(workers)]
+    sums, failed = {}, {}
 
-    def batch_sums(start):
-        return _batch_sums(config, base_seed, start, min(start + batch, config.reps))
+    def run(worker):
+        for start in starts[worker::workers]:
+            try:
+                sums[start] = _batch_sums(config, base_seed, start,
+                                          min(start + batch, config.reps),
+                                          blocks[worker])
+            except Exception as exc:
+                # Carried to the caller, which raises the first batch's.
+                failed[start] = exc
+                return
 
-    if threads is not None and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(batch_sums, starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(workers)))
     else:
-        sums = [batch_sums(start) for start in starts]
-    covered = sum(c for c, _ in sums)
+        run(0)
+    if failed:
+        raise failed[min(failed)]
+    covered = sum(c for c, _ in sums.values())
     # One exactly rounded sum over every replicate, whatever the batches.
-    width_sum = math.fsum(np.concatenate([w for _, w in sums]))
+    width_sum = math.fsum(np.concatenate([w for _, w in sums.values()]))
     coverage = covered / config.reps
     return SimReport(
         coverage=coverage,

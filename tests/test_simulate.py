@@ -226,13 +226,38 @@ class TestRunCell:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    @pytest.mark.parametrize("n", [3, 7, 14])
+    def test_batches_allocate_no_per_draw_array(self, n, monkeypatch):
+        # Every per-draw array of a batch lives in its worker's workspace,
+        # which run_cell allocates before the first batch.  Measured at
+        # 0.75-0.98 MiB above each batch's starting size; batches that
+        # allocated their own arrays peaked at 4.59 MiB.
+        real, peaks = simulate._batch_sums, []
+
+        def spy(*args):
+            current, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            got = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
+            return got
+
+        monkeypatch.setattr(simulate, "_batch_sums", spy)
+        tracemalloc.start()
+        try:
+            run_cell(SimConfig(n1=n, n2=n, beta1=1.0, beta2=2.0, m=2000,
+                               reps=128, seed=3))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks) < 1.5 * 2 ** 20, peaks
+
     @pytest.mark.parametrize("n", [3, 14])
     def test_batches_are_sized_by_their_largest_array(self, n, monkeypatch):
         # The (reps, m) per-draw arrays are the largest whatever k is, so
         # every cell of the study runs 32 replicates a batch at m = 2000.
         sizes = []
 
-        def spy(config, base_seed, start, stop):
+        def spy(config, base_seed, start, stop, work):
             sizes.append(stop - start)
             return 0, np.zeros(stop - start)
 
@@ -246,9 +271,9 @@ class TestRunCell:
         # the (reps, m) arrays, so it sets the batch size.
         real, buffers = simulate._start_table, []
 
-        def spy(d, gap):
+        def spy(d, gap, work=None):
             buffers.append(d.size * gpq._START_NODES.size)
-            return real(d, gap)
+            return real(d, gap, work)
 
         monkeypatch.setattr(simulate, "_start_table", spy)
         run_cell(SimConfig(n1=40, n2=40, beta1=1.0, beta2=2.0, m=200,
@@ -297,15 +322,15 @@ class TestPolishSelection:
         real, exp_targets = simulate._batch_sums, gpq._exp_targets
         spans = []
 
-        def shrunk(seed, stream_ids, k):
+        def shrunk(seed, stream_ids, k, *work):
             # Every 7th pivot target below the certified range: its root
             # has no certified lower bound and must be polished.
-            target = exp_targets(seed, stream_ids, k)
+            target = exp_targets(seed, stream_ids, k, *work)
             target[..., np.asarray(stream_ids) % 7 == 0] *= 1e-12
             return target
 
-        def checked(config, base_seed, start, stop):
-            got = real(config, base_seed, start, stop)
+        def checked(config, base_seed, start, stop, work):
+            got = real(config, base_seed, start, stop, work)
             want = full_polish_sums(config, base_seed, start, stop)
             assert got[0] == want[0], (start, stop)
             assert got[1].tobytes() == want[1].tobytes(), (start, stop)
@@ -320,19 +345,51 @@ class TestPolishSelection:
             run_cell(config, threads=threads)
         assert sum(stop - start for start, stop in spans) == reps
 
+    @pytest.mark.parametrize("poison", ["nan", "previous batch"])
+    @pytest.mark.parametrize("budget", [150, 8_000, simulate._ELEMENT_BUDGET])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("k1, k2", [(a, b) for a in (2, 5, 15)
+                                        for b in (2, 5, 15)])
+    def test_poisoned_workspace_moves_no_bit(self, k1, k2, threads, budget,
+                                             poison, monkeypatch):
+        # Before each batch every workspace row holds NaN, or the bytes
+        # that the last batch to finish left in its own workspace: a row
+        # read before it is written would move a report.
+        config = SimConfig(n1=k1 - 1, n2=k2 - 1, beta1=1.0, beta2=2.0,
+                           m=300, reps=40, seed=k1 * 100 + k2)
+        real, left, spans = simulate._batch_sums, [], []
+
+        def poisoned(config, base_seed, start, stop, work):
+            if poison == "nan" or not left:
+                work.fill(np.nan)
+            else:
+                np.copyto(work, left[-1])
+            got = real(config, base_seed, start, stop, work)
+            left.append(work.copy())
+            want = full_polish_sums(config, base_seed, start, stop)
+            assert got[0] == want[0], (start, stop)
+            assert got[1].tobytes() == want[1].tobytes(), (start, stop)
+            spans.append(stop - start)
+            return got
+
+        monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", budget)
+        monkeypatch.setattr(simulate, "_batch_sums", poisoned)
+        run_cell(config, threads=threads)
+        assert sum(spans) == config.reps
+
     def test_polish_spans_stay_within_budget(self, monkeypatch):
         # A budget of 150 elements polishes 10 draws a span, so each
         # one-replicate batch polishes its candidates in several spans.
         real_newton, real_sums = gpq._newton, simulate._batch_sums
         buffers, batches = [], []
 
-        def newton(d, gap, target, beta):
+        def newton(d, gap, target, beta, buf=None):
             buffers.append(len(d) * beta.size)
-            return real_newton(d, gap, target, beta)
+            return real_newton(d, gap, target, beta, buf)
 
-        def sums(config, base_seed, start, stop):
+        def sums(config, base_seed, start, stop, work):
             calls = len(buffers)
-            got = real_sums(config, base_seed, start, stop)
+            got = real_sums(config, base_seed, start, stop, work)
             batches.append((base_seed, start, stop, got, len(buffers) - calls))
             return got
 
@@ -356,9 +413,9 @@ class TestPolishSelection:
         # would polish every draw.
         real, polished = gpq._newton, []
 
-        def counting(d, gap, target, beta):
+        def counting(d, gap, target, beta, buf=None):
             polished.append(beta.size)
-            return real(d, gap, target, beta)
+            return real(d, gap, target, beta, buf)
 
         monkeypatch.setattr(gpq, "_newton", counting)
         config = SimConfig(n1=7, n2=7, beta1=1.0, beta2=2.0, m=2000, reps=60,
@@ -399,10 +456,10 @@ class TestRunGrid:
         good2 = SimConfig(n1=4, n2=4, beta1=1.0, beta2=2.0, **TINY)
         real = simulate._batch_sums
 
-        def flaky(config, base_seed, start, stop):
+        def flaky(config, base_seed, start, stop, work):
             if config.n1 == 5:
                 raise BracketError("forced failure")
-            return real(config, base_seed, start, stop)
+            return real(config, base_seed, start, stop, work)
 
         monkeypatch.setattr(simulate, "_batch_sums", flaky)
         results = run_grid([good1, bad, good2])
@@ -411,8 +468,27 @@ class TestRunGrid:
         assert "forced failure" in results[1].error
         assert isinstance(results[2], SimReport)
 
+    def test_first_failing_batch_is_reported(self, monkeypatch):
+        # Batches of 15 replicates start at 0, 15 and 30, and the last two
+        # fail.  With two workers, worker 0 meets batch 30 and worker 1
+        # batch 15; every thread count reports batch 15, as a serial run
+        # meets it first.
+        monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 8_000)
+        real = simulate._batch_sums
+
+        def failing(config, base_seed, start, stop, work):
+            if start > 0:
+                raise BracketError(f"batch at {start}")
+            return real(config, base_seed, start, stop, work)
+
+        monkeypatch.setattr(simulate, "_batch_sums", failing)
+        config = SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, **TINY)
+        for threads in (None, 2, 3):
+            with pytest.raises(BracketError, match="^batch at 15$"):
+                run_cell(config, threads=threads)
+
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(config, base_seed, start, stop):
+        def broken(config, base_seed, start, stop, work):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(simulate, "_batch_sums", broken)
@@ -459,9 +535,9 @@ class TestRunGrid:
         # uniform is set to 1 - 2**-52.
         real = gpq.uniforms
 
-        def near_one(seed, stream_ids, n_values):
+        def near_one(seed, stream_ids, n_values, *scratch):
             hit = np.asarray(stream_ids) == 2 * 7
-            for u in real(seed, stream_ids, n_values):
+            for u in real(seed, stream_ids, n_values, *scratch):
                 u[..., hit] = 1.0 - 2.0 ** -52
                 yield u
 
