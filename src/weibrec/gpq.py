@@ -49,6 +49,14 @@ solve, made on its first read.  This module runs on the calling thread;
 the coverage simulator is the only caller that spreads work over threads, a batch of whole
 replicates to each (see :mod:`weibrec.simulate`).
 
+Every bracket runs in a workspace, one float64 block of ``_WORK_ROWS``
+rows: :func:`_sample` allocates one per call, ``simulate.run_cell`` one
+per worker, and :func:`_carve` turns a block and a row number into an
+array.  Only this module names rows (see ``_WORK_ROWS``).  The start
+table, the polish and the rank sort take the whole block, or None for
+fresh arrays where theirs are not chunk-sized, as on the command-line
+path.
+
 Record arrays are record-major in every signature here and in memory:
 the records are the leading axis, so an observed ``d`` is ``(k,
 series)`` and a sum over records is ``k - 1`` vector adds across the
@@ -293,19 +301,22 @@ def pivotal_equation(observed: RecordSeries, exp_records: RecordSeries,
     return am_gm_ratio(observed, beta) - am_gm_ratio(exp_records, 1.0)
 
 
-def _carve(row, shape):
-    """A float64 array of ``shape`` on a 1-d workspace row.
+def _carve(work, row, shape):
+    """A float64 array of ``shape`` on row ``row`` of the workspace ``work``.
 
-    The array is a view of the row's leading elements, so the row must
-    hold at least ``prod(shape)`` of them.  Without a row (None) there is
-    no array, and the callee allocates a fresh one, as numpy's ``out=None``
-    does.
+    ``work`` is a ``(_WORK_ROWS, length)`` block, and the array is a view
+    of the row's leading elements, so the row must hold at least
+    ``prod(shape)`` of them.  Without a block (None) the array is fresh.
+    This is the one place that turns a block and a row into an array.
     """
-    return None if row is None else row[:math.prod(shape)].reshape(shape)
+    if work is None:
+        return np.empty(shape)
+    return work[row, :math.prod(shape)].reshape(shape)
 
 
 def _view(a, dtype):
-    """``a`` viewed as ``dtype``, or None for a fresh array, as ``_carve``."""
+    """``a`` viewed as ``dtype``, or None where ``a`` is None: the callee
+    then allocates a fresh array, as numpy's ``out=None`` does."""
     return None if a is None else a.view(dtype)
 
 
@@ -313,12 +324,11 @@ def _log_w(beta, d, gap, buf):
     """``(h, s)``: ``h`` is log W_obs at ``beta``.
 
     ``d`` is record-major and broadcasts against ``beta`` into ``buf``,
-    ``(k,) + beta.shape``, or into a fresh array if ``buf`` is None;
-    ``gap`` broadcasts against ``beta``.  With ``s = sum expm1(beta d)``,
-    ``h = beta gap + log1p(s / k)``.  The start table and each Newton
-    pass both evaluate ``h`` here, so a table entry with ``h >= target``
-    has ``g = h - target >= 0`` in the Newton pass at that beta too.
-    ``buf`` is left holding ``expm1(beta d)``.
+    ``(k,) + beta.shape``; ``gap`` broadcasts against ``beta``.  With
+    ``s = sum expm1(beta d)``, ``h = beta gap + log1p(s / k)``.  The
+    start table and each Newton pass both evaluate ``h`` here, so a table
+    entry with ``h >= target`` has ``g = h - target >= 0`` in the Newton
+    pass at that beta too.  ``buf`` is left holding ``expm1(beta d)``.
     """
     buf = np.multiply(beta, d, out=buf)
     np.expm1(buf, out=buf)
@@ -360,8 +370,8 @@ def _start_table(d, gap, work=None) -> _StartTable:
     every row is sorted, and the first node whose ``h`` reaches a target
     is the first whose log W does.  One table serves every bracket and
     polish chunk of its series' draws.  The ``(k, series, 128)`` buffer
-    of that evaluation is carved from the workspace row ``work`` (see
-    :func:`_carve`).
+    of that evaluation is row 0 of the workspace ``work``, or fresh
+    without one (see :func:`_carve`).
 
     The index bins a positive float ``x`` by ``x.view(int64) >> 48``: its
     exponent and four leading mantissa bits.  This key is monotone in
@@ -384,7 +394,7 @@ def _start_table(d, gap, work=None) -> _StartTable:
     # Records tied in float give a zero gap and a NaN row; see _require_roots.
     with np.errstate(divide="ignore", invalid="ignore"):
         h, _ = _log_w(_START_NODES / gap[:, None], d[..., None], gap[:, None],
-                      _carve(work, d.shape + _START_NODES.shape))
+                      _carve(work, 0, d.shape + _START_NODES.shape))
     np.maximum.accumulate(h, axis=1, out=h)
     positive = h > 0.0
     key = h.view(np.int64) >> _BIN_SHIFT
@@ -590,22 +600,22 @@ def _newton(d, gap, target, beta, buf=None) -> NDArray[np.float64]:
 
 
 def _solve_roots(table: _StartTable, target, rows=None,
-                 work=(None, None)) -> NDArray[np.float64]:
+                 work=None) -> NDArray[np.float64]:
     """Roots of log W_obs(beta) = target, of the shape of ``target``.
 
     Arguments as in :func:`_bracket_roots`; each root is polished by
-    :func:`_newton` from its start.  The records gathered for the rows
-    and the Newton buffer, ``(k,) + rows.shape`` and ``(k,) +
-    target.shape``, go into the two workspace rows ``work`` (see
-    :func:`_carve`).
+    :func:`_newton` from its start, which is bracketed in fresh arrays.
+    The records gathered for the rows and the Newton buffer, ``(k,) +
+    rows.shape`` and ``(k,) + target.shape``, are rows 0 and 2 of the
+    workspace ``work``, or fresh without one (see :func:`_carve`).
     """
     rows = np.arange(len(table.gap))[:, None] if rows is None else rows
     start, _ = _bracket_roots(table, target, rows)
     k = len(table.d)
-    d = np.take(table.d, rows, axis=1, out=_carve(work[0], (k,) + rows.shape),
+    d = np.take(table.d, rows, axis=1, out=_carve(work, 0, (k,) + rows.shape),
                 mode="clip")
     return _newton(d, table.gap[rows], target, start,
-                   _carve(work[1], (k,) + target.shape))
+                   _carve(work, 2, (k,) + target.shape))
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
@@ -700,15 +710,23 @@ def _combine(kind: str, roots, out=None):
 
 
 # Rows of a workspace: the most per-draw arrays that _bracket holds at once.
+# _BRACKET_ROWS[p] is the rows of population p's target, start and lower
+# bound.  Each row's tenants, in the order a batch writes them:
+#   0: the start-table buffer; each target draw's base keys; each bracket's
+#      counts; the sorted lower bounds of _candidates; the polish's records.
+#   1: each target draw's words, then its uniforms' logs; each bracket's
+#      flat indices, then target + log k; population 2's lower bound.
+#   2: each target draw's mixed words and uniforms; each bracket's entries;
+#      the sorted upper bounds of _candidates; the polish's Newton buffer.
+#   3: each target draw's log sums; population 2's start.
+#   4, 7: population 1's and population 2's targets, read by the polish.
+#   5, 6: population 1's start and lower bound, then the draws' upper and
+#      lower bounds.
 _WORK_ROWS = 8
-# The rows of _bracket's workspace that hold population p's target, start
-# and lower bound; rows 0 to 3 are the scratch of each population's target
-# draw and bracket.  Row 4 or 7 (a target) is read by the polish, and rows 5
-# and 6 take the draws' upper and lower bounds.
 _BRACKET_ROWS = ((4, 5, 6), (7, 3, 1))
 
 
-def _bracket(kind: str, tables, seeds, rows, draws, work=None):
+def _bracket(kind: str, tables, seeds, rows, draws, work):
     """``(below, above, targets)`` of ``draws``, each ``(rows, draws)``.
 
     ``tables`` holds one :func:`_start_table` per population, and row
@@ -717,25 +735,21 @@ def _bracket(kind: str, tables, seeds, rows, draws, work=None):
     ``BracketError`` names its population; its ``replicate`` is the flat
     index of the rootless target.
 
-    ``work``, if given, is ``_WORK_ROWS`` workspace rows of at least
-    ``rows.size * draws.size`` elements each, and every per-draw array
-    lives in them (see ``_BRACKET_ROWS``); without it each is fresh.  ``below`` and
-    ``above`` are written over population 1's lower bound and start.
+    ``work`` is a workspace, ``(_WORK_ROWS, length)`` with ``length`` at
+    least ``rows.size * draws.size``, and every per-draw array lives in
+    its rows (see ``_BRACKET_ROWS``).  ``below`` and ``above`` are written
+    over population 1's lower bound and start.
     """
-    if work is not None:
-        work = [_carve(row, (len(rows), len(draws))) for row in work]
+    work = [_carve(work, row, (len(rows), len(draws)))
+            for row in range(_WORK_ROWS)]
     brackets = []
     for p, table in enumerate(tables):
-        target_work, roots_work = (), ()
-        if work is not None:
-            t, s, lo = _BRACKET_ROWS[p]
-            target_work = work[t], work[:4]
-            roots_work = (work[s], work[lo]), work[:3]
-        target = _pivot_targets(seeds[rows], draws, p, len(table.d),
-                                *target_work)
+        t, s, lo = _BRACKET_ROWS[p]
+        target = _pivot_targets(seeds[rows], draws, p, len(table.d), work[t],
+                                work[:4])
         try:
-            brackets.append((target, *_bracket_roots(table, target, rows,
-                                                     *roots_work)))
+            brackets.append((target, *_bracket_roots(
+                table, target, rows, (work[s], work[lo]), work[:3])))
         except BracketError as exc:
             raise BracketError(f"population {p + 1}: {exc}",
                                replicate=exc.replicate) from exc
@@ -754,29 +768,27 @@ def _bracket(kind: str, tables, seeds, rows, draws, work=None):
 
 
 def _polish(kind: str, tables, rows, targets,
-            work=(None, None)) -> NDArray[np.float64]:
+            work=None) -> NDArray[np.float64]:
     """The exact draws of ``kind`` at ``targets``, arguments as in
     :func:`_bracket`; each root depends only on its series and target.
-    Each population's solve reuses the two workspace rows ``work`` (see
-    :func:`_solve_roots`)."""
+    Each population's solve reuses rows 0 and 2 of the workspace
+    ``work``, or fresh arrays without one (see :func:`_solve_roots`)."""
     return _combine(kind, [_solve_roots(table, target, rows, work)
                            for table, target in zip(tables, targets)])
 
 
-def _at_ranks(bound, ranks, row=None) -> NDArray[np.float64]:
+def _at_ranks(bound, ranks, work, row) -> NDArray[np.float64]:
     """The values at zero-based ``ranks`` of ``bound`` sorted along its
-    last axis.  The sorted copy is fresh and freed on return, or is the
-    workspace row ``row`` (see :func:`_carve`)."""
-    if row is None:
-        return np.sort(bound, axis=-1)[..., ranks]
-    copy = _carve(row, bound.shape)
+    last axis.  The sorted copy is row ``row`` of the workspace ``work``,
+    or fresh without one and freed on return (see :func:`_carve`)."""
+    copy = _carve(work, row, bound.shape)
     np.copyto(copy, bound)
     copy.sort(axis=-1)
     return copy[..., ranks]
 
 
 def _candidates(below, above, ranks=(), pi0=None,
-                work=(None, None)) -> NDArray[np.bool_]:
+                work=None) -> NDArray[np.bool_]:
     """The draws to polish, given bounds ``below <= draw <= above``.
 
     Draws run along the last axis.  With ``pi0``, these are the draws
@@ -789,12 +801,13 @@ def _candidates(below, above, ranks=(), pi0=None,
     them.  So setting every other draw to any value inside its bounds
     leaves the rank-r values, and the counts on either side of ``pi0``,
     as the exact draws have them.  The sorted copies of ``below`` and
-    ``above`` go into the two workspace rows ``work`` (see :func:`_at_ranks`).
+    ``above`` are rows 0 and 2 of the workspace ``work``, or fresh without
+    one (see :func:`_at_ranks`).
     """
     if pi0 is not None:
         return (below <= pi0) & (pi0 <= above)
-    lows, highs = (_at_ranks(bound, ranks, row)
-                   for bound, row in zip((below, above), work))
+    lows, highs = (_at_ranks(bound, ranks, work, row)
+                   for bound, row in ((below, 0), (above, 2)))
     polish = np.zeros(below.shape, dtype=bool)
     for j in range(len(ranks)):
         polish |= (above >= lows[..., j, None]) & (below <= highs[..., j, None])
@@ -806,18 +819,20 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     """Bracket the ``m`` draws of ``kind``, one root from each series.
 
     Each series' start table is built once and serves every span.  The
-    draws are bracketed ``_CHUNK`` at a time into the two preallocated
-    bound arrays, and only the bounds and the tables are kept (see
-    :meth:`PivotalDraws._solve`).
+    draws are bracketed ``_CHUNK`` at a time in one workspace of
+    ``_WORK_ROWS`` rows of ``min(m, _CHUNK)`` elements, allocated once per
+    call, and copied out into the two preallocated bound arrays.  Only the
+    bounds and the tables are kept (see :meth:`PivotalDraws._solve`).
     """
     tables = [_start_table(*_prep_log_records(s.values[:, None]))
               for s in series]
     below, above = np.empty(m), np.empty(m)
+    work = np.empty((_WORK_ROWS, min(m, _CHUNK)))
     for start in range(0, m, _CHUNK):
         try:
             below[start:start + _CHUNK], above[start:start + _CHUNK], _ = _bracket(
                 kind, tables, np.asarray([seed]), np.zeros((1, 1), np.intp),
-                np.arange(start, min(start + _CHUNK, m)))
+                np.arange(start, min(start + _CHUNK, m)), work)
         except BracketError as exc:
             rep = start + (exc.replicate or 0)
             raise BracketError(f"replicate {rep}, {exc}", replicate=rep) from exc

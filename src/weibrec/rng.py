@@ -38,6 +38,8 @@ _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
 _SHIFT_11 = np.uint64(11)
 _U01_SCALE = 2.0 ** -53
+# The least negated uniform that exp_records takes the log1p of.
+_NEG_U_MIN = -(1.0 - 2.0 ** -53)
 
 
 def _u64(x) -> NDArray[np.uint64]:
@@ -150,14 +152,16 @@ def exp_records(seed, stream_ids, n_values: int) -> Iterator[NDArray[np.float64]
     buffer, a scratch buffer that also holds the negated uniforms, and
     the record -- and each step allocates nothing.  Word ``j`` of a
     stream maps to the uniform ``u_j`` in (0, 1] of :func:`uniforms`,
-    and its exponential is ``-log1p(-u_j)``, which is ``inf`` for the
-    one word that maps to 1.0.
+    and its exponential is ``-log1p(-u_j)``, with ``u_j`` capped at ``1 -
+    2**-53``: the one word that maps to 1.0 gets ``53 log 2`` (about
+    36.74) in place of ``inf``, and every other word is unchanged.
     """
     base = stream_base(seed, stream_ids)
     # Not np.zeros: a fresh page of it faults once when read and again
     # when written.
     record = np.full(base.shape, 0.0)
     for x in _mapped_words(base, n_values, -_U01_SCALE):
+        np.maximum(x, _NEG_U_MIN, out=x)
         record -= np.log1p(x, out=x)
         yield record
 

@@ -180,11 +180,12 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
 
     ``work`` is the worker's ``(_WORK_ROWS, length)`` workspace, every row
     as long as the batch's largest array, and every batch-sized array
-    lives in it: row 0 holds the start-table buffer, rows 0 to 7 the
-    per-draw arrays of ``gpq._bracket``, rows 0 and 2 the sorted copies
-    of ``gpq._candidates`` and then the polish's gathered records and
-    Newton buffer.  Each row is written before it is read, so what an
-    earlier batch left in it moves no bit.
+    lives in it: the start-table buffers, the per-draw arrays of
+    ``gpq._bracket``, the sorted copies of ``gpq._candidates`` and the
+    polish's gathered records and Newton buffers.  It is passed whole,
+    and ``gpq`` chooses the rows (see ``gpq._WORK_ROWS``).  Each row is
+    written before it is read, so what an earlier batch left in it moves
+    no bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
@@ -193,7 +194,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     ranks = [lo_rank - 1, hi_rank - 1]
 
     tables = [_start_table(*_prep_log_records(
-                  exp_record_matrix(data_seeds, pop, n + 1)), work[0])
+                  exp_record_matrix(data_seeds, pop, n + 1)), work)
               for pop, n in enumerate((config.n1, config.n2))]
     try:
         below, above, targets = _bracket(
@@ -205,8 +206,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
             f"outer replicate {start + rep}, pivotal draw {draw}, {exc}",
             replicate=start + rep,
         ) from exc
-    rows, cols = np.nonzero(_candidates(below, above, ranks,
-                                        work=(work[0], work[2])))
+    rows, cols = np.nonzero(_candidates(below, above, ranks, work=work))
 
     # Every other draw keeps its lower bound, which leaves both ranks'
     # values as the full solve has them.
@@ -215,8 +215,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     for i in range(0, rows.size, span):
         r, c = rows[i:i + span], cols[i:i + span]
         ratio[r, c] = _polish("ratio", tables, r[:, None],
-                              [t[r, c, None] for t in targets],
-                              (work[0], work[2]))[:, 0]
+                              [t[r, c, None] for t in targets], work)[:, 0]
     ratio.sort(axis=1)
     lower = ratio[:, lo_rank - 1]
     upper = ratio[:, hi_rank - 1]

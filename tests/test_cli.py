@@ -847,6 +847,67 @@ class TestSimulateCommand:
         assert code == 2
 
 
+class TestRejectedRequests:
+    """Requests that exit 2 with this message, and the grid that exits 0."""
+
+    SIM = ["--M", "100", "--N", "10", "--seed", "1"]
+
+    def test_zero_threads(self, capsys):
+        code, out, err = run_cli(
+            ["ci-ratio", "--data", str(REPO_DATA), "--gamma", "0.05", "--M",
+             "100", "--seed", "1", "--threads", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: thread count must be at least 1\n"
+
+    def test_cell_with_three_fields(self, capsys):
+        code, out, err = run_cli(["simulate", "--cell", "3,3,1.0", *self.SIM],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: --cell needs n1,n2,beta1,beta2[,alpha1,"
+                       "alpha2], got '3,3,1.0'\n")
+
+    def test_missing_config(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        code, out, err = run_cli(["simulate", "--config", path, *self.SIM],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path!r}: ")
+        assert "No such file or directory" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[{", "invalid JSON: Expecting property name enclosed in double "
+               "quotes: line 1 column 3 (char 2)"),
+        ("[5]", "cells[0] must be an object"),
+        ('[{"n1": 2, "n2": 2, "beta1": 1.0, "beta2": 2.0, "shape": 3}]',
+         "cells[0] has unknown keys ['shape']"),
+    ], ids=["invalid-json", "not-an-object", "unknown-key"])
+    def test_bad_config(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "cells.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["simulate", "--config", str(cfg), *self.SIM],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {str(cfg)!r}: {message}\n"
+
+    def test_config_object_with_cells(self, tmp_path, capsys):
+        cfg = tmp_path / "cells.json"
+        cell = {"n1": 2, "n2": 2, "beta1": 1.0, "beta2": 2.0}
+        cfg.write_text(json.dumps({"cells": [cell]}))
+        code, out, _ = run_cli(["simulate", "--config", str(cfg), *self.SIM],
+                               capsys)
+        assert code == 0
+        [row] = json.loads(out)["cells"]
+        assert (row["n1"], row["reps"], row["error"]) == (2, 10, "")
+
+    def test_grid(self, capsys):
+        code, out, _ = run_cli(["simulate", "--grid", "--M", "40", "--N", "2",
+                                "--seed", "1"], capsys)
+        assert code == 0
+        rows = json.loads(out)["cells"]
+        assert len(rows) == 63
+        assert not any(row["error"] for row in rows)
+
+
 class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as err:

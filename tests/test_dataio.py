@@ -215,3 +215,42 @@ class TestAnyTextParses:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(pops))
         _check(str(path))
+
+
+class TestRejectedInputs:
+    """Each malformed input raises InvalidDataError with this message."""
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("wide.csv", "a,b\n1,2\n3,4,5\n", "row 3: 3 cells but only 2 columns"),
+        ("inf.csv", "a,b\n1,2\ninf,4\n",
+         "row 3, column 'a': value must be finite, got 'inf'"),
+        ("long.csv", "population,value,order\na,1,1\n ,2,2\n",
+         "row 3, column 'population': empty label"),
+        ("values.json", '{"a": 5, "b": [1, 2]}',
+         "population 'a': values must be an array"),
+        ("element.json", '{"a": [1, "x"], "b": [1, 2]}',
+         "population 'a', index 1: not a number: 'x'"),
+        ("neither.json", '[{"label": "a"}]',
+         "populations[0]: needs a 'values' or 'records' array"),
+        ("scalar.json", "5", "JSON input must be an object or an array"),
+    ], ids=lambda v: v if v.endswith((".csv", ".json")) else "")
+    def test_file(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(InvalidDataError) as err:
+            load_populations(str(path))
+        assert str(err.value) == message
+
+    def test_blank_long_csv_row_is_skipped(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("population,value,order\na,1,1\n,,\nb,2,1\na,3,2\n"
+                        "b,5,2\n")
+        pops = load_populations(str(path))
+        assert [label for label, _ in pops] == ["a", "b"]
+        assert [values.tolist() for _, values in pops] == [[1.0, 3.0],
+                                                           [2.0, 5.0]]
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidDataError) as err:
+            load_populations("a:1,2", kind="bogus")
+        assert str(err.value) == "unknown data kind 'bogus'"

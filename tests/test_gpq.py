@@ -905,10 +905,10 @@ class TestSelectivePolish:
         s2 = weibull_records(k2 - 1, 2.0, 0.7, seed % 997, 1)
         exp_targets = gpq._exp_targets
 
-        def shrunk(seed, stream_ids, k):
+        def shrunk(seed, stream_ids, k, *work):
             # Every 7th pivot target below the certified range: its root
             # has no certified lower bound and must be polished.
-            target = exp_targets(seed, stream_ids, k)
+            target = exp_targets(seed, stream_ids, k, *work)
             target[..., np.asarray(stream_ids) % 7 == 0] *= 1e-12
             return target
 
@@ -936,6 +936,50 @@ class TestSelectivePolish:
         assert one.p_value == below / m
         assert two.p_value == min(1.0, 2.0 * min(below, above) / m)
         assert np.all((draws.below <= full) & (full <= draws.above))
+
+
+class TestSampleWorkspace:
+    """The command-line sampler brackets every chunk in one workspace."""
+
+    @pytest.mark.parametrize("poison", ["nan", "previous chunk"])
+    @pytest.mark.parametrize("m", [300, 9001])
+    @pytest.mark.parametrize("chunk", [64, 1000, 8192])
+    @pytest.mark.parametrize("kind", ["ratio", "difference", "single-shape"])
+    def test_poisoned_workspace_moves_no_bit(self, kind, chunk, m, poison,
+                                             records34, records36,
+                                             monkeypatch):
+        # Before each chunk the workspace holds NaN, or the bytes that the
+        # previous chunk left in it, the first chunk those of another
+        # sample's last: a row read before it is written would move a bound.
+        real, blocks, left = gpq._bracket, [], []
+
+        def poisoned(kind, tables, seeds, rows, draws, work):
+            blocks.append(work)
+            if poison == "nan" or not left:
+                work.fill(np.nan)
+            else:
+                np.copyto(work, left[-1])
+            got = real(kind, tables, seeds, rows, draws, work)
+            left[:] = [work.copy()]
+            return got
+
+        def sample(seed):
+            if kind == "single-shape":
+                return sample_shape_pivot(records34, m, seed)
+            return sample_pivotal(records34, records36, kind, m, seed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gpq, "_CHUNK", chunk)
+            want = sample(11)
+            patch.setattr(gpq, "_bracket", poisoned)
+            sample(12)
+            blocks.clear()
+            got = sample(11)
+        assert got.below.tobytes() == want.below.tobytes()
+        assert got.above.tobytes() == want.above.tobytes()
+        assert len(blocks) == -(-m // chunk)
+        assert all(block is blocks[0] for block in blocks)
+        assert blocks[0].shape == (gpq._WORK_ROWS, min(m, chunk))
 
 
 @pytest.fixture(scope="module")
@@ -977,6 +1021,33 @@ class TestSelectivePolishAtScale:
         assert before[2].p_value == min(1.0, 2.0 * min(below, above) / 100_000)
 
 
+class TestReportChecks:
+    """The report types and the single-shape sampler refuse bad values."""
+
+    @pytest.mark.parametrize("lower, upper, level, message", [
+        (2.0, 1.0, 0.95, "interval endpoints are out of order"),
+        (1.0, 2.0, 1.0, "confidence level must be in (0, 1)"),
+        (1.0, 2.0, 0.0, "confidence level must be in (0, 1)"),
+    ])
+    def test_interval_estimate(self, lower, upper, level, message):
+        with pytest.raises(InvalidDataError) as err:
+            gpq.IntervalEstimate(lower=lower, upper=upper, level=level, m=10,
+                                 estimand="pi")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_test_result(self, p):
+        with pytest.raises(InvalidDataError) as err:
+            gpq.TestResult(p_value=p, pi0=1.0, sidedness="two-sided", m=10,
+                           mc_se=0.0)
+        assert str(err.value) == "p-value must lie in [0, 1]"
+
+    def test_shape_pivot_needs_a_draw(self, records34):
+        with pytest.raises(InvalidDataError) as err:
+            sample_shape_pivot(records34, 0, seed=1)
+        assert str(err.value) == "m must be at least 1"
+
+
 class TestPivotalDraws:
     def test_invariants(self):
         with pytest.raises(InvalidDataError):
@@ -990,6 +1061,11 @@ class TestPivotalDraws:
                              m=2, seed=0)
         with pytest.raises(ValueError):
             draws.values[0] = 0.0
+
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(InvalidDataError) as err:
+            PivotalDraws(values=np.ones((2, 2)), kind="ratio", m=4, seed=0)
+        assert str(err.value) == "draws must be a 1-d array of length m >= 1"
 
     @pytest.mark.parametrize("duplicate", [
         lambda draws: pickle.loads(pickle.dumps(draws)), copy.copy,

@@ -70,6 +70,15 @@ class TestExtractUpperRecords:
         with pytest.raises(InvalidDataError):
             extract_upper_records([-1.0, 2.0])
 
+    @pytest.mark.parametrize("data, message", [
+        ([[1.0, 2.0], [3.0, 4.0]], "raw data must be a non-empty 1-d sequence"),
+        ([1.0, np.nan, 3.0], "raw data must be finite"),
+    ], ids=["2-d", "nan"])
+    def test_rejects_malformed_data(self, data, message):
+        with pytest.raises(InvalidDataError) as err:
+            extract_upper_records(data)
+        assert str(err.value) == message
+
     def test_matches_naive_scan(self):
         rng = np.random.default_rng(1234)
         for _ in range(50):

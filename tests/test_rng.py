@@ -1,6 +1,7 @@
 """Counter-based stream behavior: determinism, ranges, independence."""
 
 import numpy as np
+import pytest
 
 from weibrec import rng
 from weibrec.records import weibull_records
@@ -175,3 +176,22 @@ def test_top_three_words_map_to_one_minus_ulp_and_one():
         got = rng._unit_floats(words.copy(), np.empty(4), scale)
         assert got.tolist() == [sign * w for w in want]
     assert words_to_uniforms(words).tolist() == want
+
+
+def test_exp_records_stay_finite_at_the_word_that_maps_to_one(monkeypatch):
+    # Every word 2**64 - 1: each shifts to 2**53 - 1, whose uniform is
+    # exactly 1.0 and whose exponential -log1p(-1.0) would be inf.  The
+    # clamp gives it -log1p(-(1 - 2**-53)) = 53 log 2 instead.
+    def saturated(z, scratch=None):
+        z = z.copy() if scratch is None else z
+        z[...] = np.uint64(2 ** 64 - 1)
+        return z
+
+    monkeypatch.setattr(rng, "mix64", saturated)
+    # The suite turns RuntimeWarnings into errors, so a log1p(-1.0) raises.
+    rows = exp_record_matrix(3, np.arange(4, dtype=np.uint64), 3)
+    assert np.all(np.isfinite(rows))
+    assert np.all(np.diff(rows, axis=0) > 0)
+    want = -np.log1p(-(1.0 - 2.0 ** -53))
+    assert want == pytest.approx(53 * np.log(2.0), rel=1e-15)
+    np.testing.assert_array_equal(rows[0], want)

@@ -93,6 +93,12 @@ class TestSimConfig:
                            match=rf"^{field} must be a number, got"):
             SimConfig(**kwargs)
 
+    def test_shape_past_the_float_range_is_rejected(self):
+        # float(10**400) overflows; the overflow reads as an infinite shape.
+        with pytest.raises(InvalidDataError) as err:
+            SimConfig(n1=3, n2=3, beta1=10 ** 400, beta2=2.0)
+        assert str(err.value) == "beta1 must be positive and finite"
+
     def test_integer_shapes_and_scales_are_the_float_cell(self):
         # One cell whatever the spelling of its parameters: the same
         # fields, the same tag and so the same streams and report.
