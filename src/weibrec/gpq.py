@@ -52,10 +52,12 @@ replicates to each (see :mod:`weibrec.simulate`).
 Every bracket runs in a workspace, one float64 block of ``_WORK_ROWS``
 rows: :func:`_sample` allocates one per call, ``simulate.run_cell`` one
 per worker, and :func:`_carve` turns a block and a row number into an
-array.  Only this module names rows (see ``_WORK_ROWS``).  The start
-table, the polish and the rank sort take the whole block, or None for
-fresh arrays where theirs are not chunk-sized, as on the command-line
-path.
+array.  Only this module names rows (see ``_WORK_ROWS``).
+:func:`_bracket` draws every population's targets before it brackets
+any root, so the draws' scratch rows are free again for the brackets
+and seven rows hold a batch.  The start table, the polish and the rank
+sort take the whole block, or None for fresh arrays where theirs are
+not chunk-sized, as on the command-line path.
 
 Record arrays are record-major in every signature here and in memory:
 the records are the leading axis, so an observed ``d`` is ``(k,
@@ -70,7 +72,8 @@ W_exp(1) comes from ``_exp_log_am_gm``, which takes one record at a
 time.  A simulated target is log W at beta = 1 of ``(1, U_1, ...,
 U_{k-1})``, ``k - 1`` uniforms of its stream, which has the law of the
 target of ``k`` exponential records (see ``_exp_targets``); the
-uniforms are reduced as they are drawn, so no array has a record axis.
+uniforms are reduced as they are drawn, so no array has a record axis,
+and the leading 1 is counted, not drawn or logged.
 The draw updates one array in place and the reduction adds it into its
 sums in place, so a batch of targets allocates a few arrays per call
 and none per value.
@@ -78,7 +81,6 @@ and none per value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -627,28 +629,32 @@ def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> floa
     return float(_solve_roots(_start_table(d, gap), target[None])[0, 0])
 
 
-def _exp_log_am_gm(records, out=None,
-                   scratch=(None, None)) -> NDArray[np.float64]:
+def _exp_log_am_gm(records, out=None, scratch=(None, None),
+                   ones=0) -> NDArray[np.float64]:
     """log W at beta = 1 of each stream of positive values.
 
-    The values are exponential records, or the uniform stream of
-    :func:`_exp_targets`.  ``records`` yields one value of every stream
+    The values are exponential records, or the uniforms of
+    :func:`_exp_targets`, each stream led by ``ones`` values equal to 1
+    that are counted, not yielded: they add ``ones`` to the sum and
+    nothing to the log sum.  ``records`` yields one value of every stream
     at a time, as a record-major ``(k,) + streams`` array does, and may
     yield one array updated in place (see :func:`_exp_targets`).  They
     are added in :func:`_record_sum` order, so a stream's value does not
-    depend on its batch.  The first value is copied into the running
-    sum; every later add, and the result, are in place in the sums' two
-    arrays and one array of logs.  The sum and the result are ``out``,
-    and the log sum and the logs are ``scratch``; each is fresh if None.
+    depend on its batch: the sum starts at ``ones`` plus the first value
+    and the log sum at its log, as adding from ``ones`` and ``0.0`` would
+    give, bit for bit.  Every later add, and the result, are in place in
+    the sums' two arrays and one array of logs.  The sum and the result
+    are ``out``, and the log sum and the logs are ``scratch``; each is
+    fresh if None.
     """
     records = iter(records)
     first = next(records)
     total = np.empty(np.shape(first)) if out is None else out
-    total[...] = first
-    log_total = np.log(total, out=scratch[0])
+    np.add(first, ones, out=total)
+    log_total = np.log(first, out=scratch[0])
     logs = np.empty_like(total) if scratch[1] is None else scratch[1]
-    k = 1
-    for k, r in enumerate(records, 2):
+    k = ones + 1
+    for k, r in enumerate(records, ones + 2):
         total += r
         log_total += np.log(r, out=logs)
     total /= k
@@ -666,25 +672,22 @@ def _exp_targets(seed, stream_ids, k: int, out=None,
     so it has the law of log W at beta = 1 of ``v = (1, U_1, ...,
     U_{k-1})``, with ``U_j`` word ``j`` of the stream mapped into (0, 1]
     (:func:`uniforms`), unsorted.  That takes ``k - 1`` words and one log
-    per value, and the uniforms are reduced as they are drawn, so
+    per uniform: the leading 1 is counted by :func:`_exp_log_am_gm`, not
+    drawn or logged.  The uniforms are reduced as they are drawn, so
     neither the draw nor the reduction allocates per value.
 
     The targets go into ``out``, and the four ``scratch`` arrays hold the
     base keys, the words and then their uniforms' logs, the mixed words
     and their uniforms, and the log sums; each is a float array of the
     targets' shape, viewed as uint64 where it holds words, or None for a
-    fresh one.
+    fresh one.  They are free again once the targets are returned.
     """
     base, word, mixed, log_total = scratch
     u = uniforms(seed, stream_ids, k - 1,
                  [_view(a, np.uint64) for a in (base, word, mixed)])
-    # The generator's one array, read by the reducer before it advances.
-    first = next(u)
-    ones = np.broadcast_to(1.0, first.shape)
     # The words are free while the reducer reads a uniform, so their
     # array holds the uniform's log.
-    return _exp_log_am_gm(itertools.chain((ones, first), u), out,
-                          (log_total, word))
+    return _exp_log_am_gm(u, out, (log_total, word), ones=1)
 
 
 def _pivot_targets(seed, draws, population: int, k: int,
@@ -717,13 +720,17 @@ def _combine(kind: str, roots, out=None):
 #   1: each target draw's words, then its uniforms' logs; each bracket's
 #      flat indices, then target + log k; population 2's lower bound.
 #   2: each target draw's mixed words and uniforms; each bracket's entries;
-#      the sorted upper bounds of _candidates; the polish's Newton buffer.
-#   3: each target draw's log sums; population 2's start.
-#   4, 7: population 1's and population 2's targets, read by the polish.
-#   5, 6: population 1's start and lower bound, then the draws' upper and
-#      lower bounds.
-_WORK_ROWS = 8
-_BRACKET_ROWS = ((4, 5, 6), (7, 3, 1))
+#      population 2's start; the sorted upper bounds of _candidates; the
+#      polish's Newton buffer.
+#   3: each target draw's log sums; population 1's start, then the draws'
+#      upper bounds.
+#   4, 5: population 1's and population 2's targets, read by the polish.
+#   6: population 1's lower bound, then the draws' lower bounds.
+# Rows 0 to 3 are dead between the last target draw and the first bracket,
+# and again once _candidates has returned: the polish writes rows 0 and 2
+# before it reads them, and reads no other row but 4 to 6.
+_WORK_ROWS = 7
+_BRACKET_ROWS = ((4, 3, 6), (5, 2, 1))
 
 
 def _bracket(kind: str, tables, seeds, rows, draws, work):
@@ -733,8 +740,11 @@ def _bracket(kind: str, tables, seeds, rows, draws, work):
     ``i`` reads series ``rows[i, 0]`` of each.  Draw ``i`` of series ``r``
     of population ``p`` reads stream ``2 i + p`` of ``seeds[r]``.  A
     ``BracketError`` names its population; its ``replicate`` is the flat
-    index of the rootless target.
+    index of the rootless target.  Population 1's error is raised first.
 
+    It runs in two passes: the first draws every population's targets,
+    each into its own row, and the second brackets every root in the
+    rows that the draws used as scratch.
     ``work`` is a workspace, ``(_WORK_ROWS, length)`` with ``length`` at
     least ``rows.size * draws.size``, and every per-draw array lives in
     its rows (see ``_BRACKET_ROWS``).  ``below`` and ``above`` are written
@@ -742,18 +752,19 @@ def _bracket(kind: str, tables, seeds, rows, draws, work):
     """
     work = [_carve(work, row, (len(rows), len(draws)))
             for row in range(_WORK_ROWS)]
+    targets = [_pivot_targets(seeds[rows], draws, p, len(table.d),
+                              work[_BRACKET_ROWS[p][0]], work[:4])
+               for p, table in enumerate(tables)]
     brackets = []
-    for p, table in enumerate(tables):
-        t, s, lo = _BRACKET_ROWS[p]
-        target = _pivot_targets(seeds[rows], draws, p, len(table.d), work[t],
-                                work[:4])
+    for p, (table, target) in enumerate(zip(tables, targets)):
+        _, s, lo = _BRACKET_ROWS[p]
         try:
-            brackets.append((target, *_bracket_roots(
-                table, target, rows, (work[s], work[lo]), work[:3])))
+            brackets.append(_bracket_roots(
+                table, target, rows, (work[s], work[lo]), work[:3]))
         except BracketError as exc:
             raise BracketError(f"population {p + 1}: {exc}",
                                replicate=exc.replicate) from exc
-    targets, highs, lows = zip(*brackets)
+    highs, lows = zip(*brackets)
     # Each float root lies in its bracket, and float division and
     # subtraction are monotone in each argument, so U1 / U2 lies in [low1 /
     # high2, high1 / low2] and U1 - U2 in [low1 - high2, high1 - low2].  An
@@ -821,8 +832,10 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     Each series' start table is built once and serves every span.  The
     draws are bracketed ``_CHUNK`` at a time in one workspace of
     ``_WORK_ROWS`` rows of ``min(m, _CHUNK)`` elements, allocated once per
-    call, and copied out into the two preallocated bound arrays.  Only the
-    bounds and the tables are kept (see :meth:`PivotalDraws._solve`).
+    call, and copied out into the two preallocated bound arrays.  A
+    chunk's targets live in the workspace only until its bounds are
+    copied out: only the bounds and the tables are kept, and a polished
+    draw re-draws its targets (see :meth:`PivotalDraws._solve`).
     """
     tables = [_start_table(*_prep_log_records(s.values[:, None]))
               for s in series]

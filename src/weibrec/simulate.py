@@ -34,8 +34,10 @@ polish solves its draws in spans whose (k, span) Newton buffer keeps to
 the same count.  At m = 2000 every cell of the study runs 32 replicates
 a batch, arrays large enough that a second thread gains on them.  Each
 worker keeps every such array of its batches in one workspace of
-``gpq._WORK_ROWS`` rows, allocated once per cell, so no batch faults in
-fresh pages for them.
+``gpq._WORK_ROWS`` (seven) rows, allocated once per cell, so no batch
+faults in fresh pages for them.  Both populations' targets are drawn
+before any root is bracketed, so the draws' scratch rows serve the
+brackets too.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -185,7 +187,8 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     polish's gathered records and Newton buffers.  It is passed whole,
     and ``gpq`` chooses the rows (see ``gpq._WORK_ROWS``).  Each row is
     written before it is read, so what an earlier batch left in it moves
-    no bit.
+    no bit.  Once ``_candidates`` has returned, only the targets and the
+    lower bounds that the polish writes over are live.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)

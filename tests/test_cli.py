@@ -237,6 +237,34 @@ class TestFitAtFloatEdges:
                 assert code in (0, 3), (command, err.getvalue())
 
 
+class TestCiAtFloatEdges:
+    """ci-ratio, ci-diff and test answer on every valid pair at the float
+    edges, or exit 2 or 3 with an error line; none prints NaN or inf."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=edge_pairs())
+    @example(pair=[[1e-300, 1e-299, 1e300, 1.7e308], [1.0, 2.0]])
+    @example(pair=[[5e-324, 1e-323, 1.5e-323, 1e-300], [1.0, 2.0]])
+    @example(pair=[[1.0, 1.0000000000000002], [1.0, 2.0]])
+    def test_answer_or_error_line(self, pair):
+        records = ";".join(f"{label}:" + ",".join(map(repr, values))
+                           for label, values in zip("ab", pair))
+        for command in (["ci-ratio", "--gamma", "0.05"],
+                        ["ci-diff", "--gamma", "0.05"],
+                        ["test", "--pi0", "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(command + ["--records", records,
+                                           "--M", "400", "--seed", "1"])
+            if code == 0:
+                text = out.getvalue()
+                assert "NaN" not in text and "Infinity" not in text, command
+                json.loads(text)
+            else:
+                assert code in (2, 3), (command, code, err.getvalue())
+                assert err.getvalue().startswith("error: "), command
+
+
 class TestCiAndTest:
     def test_ci_ratio_report(self, fluid_csv, capsys):
         code, out, _ = run_cli(

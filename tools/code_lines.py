@@ -1,0 +1,60 @@
+"""Count the code lines of Python files: lines without docstrings,
+comments or blank lines.
+
+Usage: python3 tools/code_lines.py FILE...
+
+Prints each file's count, then their total.  A line counts when it holds
+a token other than a comment, a line break or an indent, and lies outside
+every module, class and function docstring.
+"""
+
+import ast
+import io
+import sys
+import tokenize
+
+_SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    """The line numbers of every docstring in ``tree``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(path: str) -> int:
+    """The number of code lines in the file at ``path``."""
+    with open(path, "rb") as f:
+        source = f.read()
+    skip = docstring_lines(ast.parse(source))
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _SKIPPED:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - skip)
+
+
+def main(paths: list[str]) -> int:
+    if not paths:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    total = 0
+    for path in paths:
+        count = code_lines(path)
+        total += count
+        print(f"{count:6d}  {path}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
