@@ -12,7 +12,8 @@ of thread count.
 
 Exit codes: 0 success, 2 invalid input or request, 3 numerical failure
 (a pivotal equation without a positive root, or a fitted scale or
-standard error outside the float range).
+standard error outside the float range) or a request too large for the
+memory available.
 """
 
 from __future__ import annotations
@@ -451,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, FloatRangeError) as exc:
+    except (BracketError, FloatRangeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     # A simulate cell that failed is reported in its row and exits 3.

@@ -200,12 +200,16 @@ class PivotalDraws:
         Each other draw holds its lower bound, which lies on the same
         side of each rank's value, and of ``pi0``, as the draw itself:
         the values at those ranks and the counts on either side of
-        ``pi0`` are those of :attr:`values`, bit for bit.
+        ``pi0`` are those of :attr:`values`, bit for bit.  Once
+        :attr:`values` are known (explicit draws, or sampled draws after
+        a read), the result is a copy of them, and no draw is selected.
         """
         if pi0 is not None and not math.isfinite(pi0):
             raise InvalidDataError(f"pi0 must be finite, got {pi0}")
+        if self._values is not None:
+            return self._values.copy()
         idx = np.flatnonzero(_candidates(self.below, self.above, ranks, pi0))
-        exact = self._solve(idx) if self._values is None else self._values[idx]
+        exact = self._solve(idx)
         # Copied only now, so the copy and the solve's buffers never coexist.
         settled = self.below.copy()
         settled[idx] = exact
@@ -835,8 +839,12 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     call, and copied out into the two preallocated bound arrays.  A
     chunk's targets live in the workspace only until its bounds are
     copied out: only the bounds and the tables are kept, and a polished
-    draw re-draws its targets (see :meth:`PivotalDraws._solve`).
+    draw re-draws its targets (see :meth:`PivotalDraws._solve`).  A
+    draw count below 1 or an invalid series raises ``InvalidDataError``.
     """
+    if m < 1:
+        raise InvalidDataError("m must be at least 1")
+    _check_series(*series)
     tables = [_start_table(*_prep_log_records(s.values[:, None]))
               for s in series]
     below, above = np.empty(m), np.empty(m)
@@ -870,9 +878,6 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
     """
     if kind not in ("ratio", "difference"):
         raise InvalidDataError(f"kind must be 'ratio' or 'difference', got {kind!r}")
-    if m < 1:
-        raise InvalidDataError("m must be at least 1")
-    _check_series(series1, series2)
     return _sample(kind, [series1, series2], m, seed)
 
 
@@ -884,9 +889,6 @@ def sample_shape_pivot(series: RecordSeries, m: int, seed: int,
     does in :func:`sample_pivotal`.  The sampler runs on the calling
     thread; ``threads`` is accepted and not used.
     """
-    if m < 1:
-        raise InvalidDataError("m must be at least 1")
-    _check_series(series)
     return _sample("single-shape", [series], m, seed)
 
 

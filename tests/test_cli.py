@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -934,6 +935,41 @@ class TestRejectedRequests:
         rows = json.loads(out)["cells"]
         assert len(rows) == 63
         assert not any(row["error"] for row in rows)
+
+
+class TestTooLargeRequests:
+    """A request whose arrays do not fit in memory exits 3, not with a
+    traceback.  Each command runs in a child that caps its own address
+    space at 3 GB, so no test asks the host for the memory."""
+
+    LIMIT = 3_000_000_000
+
+    @classmethod
+    def _cap(cls):
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = cls.LIMIT if hard == resource.RLIM_INFINITY else min(cls.LIMIT, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    @pytest.mark.parametrize("args, gib", [
+        (["ci-ratio", "--data", "a:1,2,3;b:1,2,4", "--gamma", "0.05",
+          "--M", "1000000000"], "7.45 GiB"),
+        (["simulate", "--cell", "3,3,1.0,2.0", "--M", "100000000",
+          "--N", "2"], "5.22 GiB"),
+    ], ids=["ci-ratio", "simulate"])
+    def test_exits_3_with_an_error_line(self, args, gib):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "weibrec", *args, "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=self._cap)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert gib in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestArgumentErrors:

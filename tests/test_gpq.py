@@ -34,7 +34,7 @@ from weibrec import (
 from weibrec import gpq, rng
 from weibrec.datasets import INSULATING_FLUID
 from weibrec.records import extract_upper_records
-from weibrec.rng import derive_seed_array, exp_record_matrix, exp_records
+from weibrec.rng import derive_seed_array, exp_record_matrix
 
 from conftest import searchsorted_index, target_rows
 from test_rng import stream_uniforms
@@ -406,7 +406,7 @@ class TestTargetLaw:
     def test_matches_the_record_recipe(self, k):
         ids = np.arange(self.N, dtype=np.uint64)
         t = gpq._exp_targets(2100 + k, ids, k)
-        records = gpq._exp_log_am_gm(exp_records(3100 + k, ids, k))
+        records = gpq._exp_log_am_gm(exp_record_matrix(3100 + k, ids, k))
         assert ks_2samp(t, records).pvalue > 1e-3
 
     def test_k2_target_is_positive_below_the_top_three_words(self):
@@ -414,8 +414,7 @@ class TestTargetLaw:
         # test_rng); the 10**5 words below them give positive targets, and
         # a target only grows as U falls further below 1.
         words = np.arange(2 ** 53 - 100_003, 2 ** 53 - 3, dtype=np.uint64)
-        u = rng._unit_floats(words << np.uint64(11), np.empty(words.size),
-                             2.0 ** -53)
+        u = rng._unit_floats(words << np.uint64(11), np.empty(words.size))
         assert np.all(gpq._exp_log_am_gm(np.stack([np.ones_like(u), u])) > 0.0)
 
 
@@ -1103,6 +1102,33 @@ class TestPivotalDraws:
             assert not array.flags.writeable
         with pytest.raises(AttributeError, match="read-only"):
             twin.kind = "difference"
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["explicit", "read"])
+    def test_known_values_select_no_draw(self, sampled, records34, records36,
+                                         monkeypatch):
+        m, gamma = 3000, 0.05
+        if sampled:
+            draws = sample_pivotal(records34, records36, "ratio", m, seed=11)
+            draws.values
+        else:
+            values = np.exp(np.random.default_rng(3).normal(size=m))
+            draws = PivotalDraws(values, "ratio", m, seed=0)
+        full = draws.values
+        pi0 = float(full[m // 3])
+        calls = []
+        monkeypatch.setattr(gpq, "_candidates",
+                            lambda *args, **kw: calls.append(args))
+        ci = percentile_interval(draws, gamma)
+        one = p_value_one_sided(draws, pi0)
+        two = p_value_two_sided(draws, pi0)
+        assert calls == []
+        below, above = full_tails(full, pi0)
+        assert (ci.lower, ci.upper) == full_interval(full, gamma)
+        assert one.p_value == below / m
+        assert two.p_value == min(1.0, 2.0 * min(below, above) / m)
+        # The pi0 check still comes first.
+        with pytest.raises(InvalidDataError, match="pi0 must be finite"):
+            p_value_one_sided(draws, math.inf)
 
 
 class TestPercentileInterval:

@@ -1,19 +1,23 @@
 """Reports pinned to the bit.
 
-Each value below is a ``float.hex`` literal, and every refactor of the
-pivot path has to reproduce it exactly.  A change that moves roots on
-purpose updates these literals and lists the reports that moved.  The
-interval, p-value and ``run_cell`` literals were recorded when the pivot
-targets came to be drawn from k - 1 uniforms; the others date from
-before the record-major solver layout.
+Each value below is a ``float.hex`` literal or a SHA-256 of float64
+bytes, and every refactor of the pivot path has to reproduce it exactly.
+A change that moves roots on purpose updates these literals and lists the
+reports that moved.  The interval, p-value and ``run_cell`` literals were
+recorded when the pivot targets came to be drawn from k - 1 uniforms; the
+simulated-record digests when those records came to be drawn through
+``rng.uniforms``; the others date from before the record-major solver
+layout.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from weibrec import cli, gpq, records, simulate
+from weibrec import cli, gpq, records, rng, simulate
 from weibrec.datasets import INSULATING_FLUID
 
 DATA = str(Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv")
@@ -69,3 +73,43 @@ def test_am_gm_ratio_kv34(beta, ratio):
     # Recorded once am_gm_ratio evaluated log W as the root solve does.
     series = records.extract_upper_records(INSULATING_FLUID["kv34"])
     assert gpq.am_gm_ratio(series, beta).hex() == ratio
+
+
+_SEEDS = rng.derive_seed_array(5, np.arange(3))
+_SHAPES = {
+    "scalar": (20141, 3),
+    "vector": (20141, np.arange(64, dtype=np.uint64)),
+    "outer": (_SEEDS[:, None], np.arange(5, dtype=np.uint64)[None, :]),
+}
+
+
+@pytest.mark.parametrize("k, shape, digest", [
+    (2, "scalar", "c8ebefa4bd68da3f0c009bd78ac571a9476b55423aceff3cafc325602a2b76aa"),
+    (2, "vector", "65f9d3073ec7535c6c53e546cb70985ab9efaa1a528fa48281753915d5a18515"),
+    (2, "outer", "040adac3b7ad4aa5cd06c984b508504de33c7506b2d2ee44f5bee8e9530f4989"),
+    (7, "scalar", "d59297e60a36a01e0420cfd47241de1f9a534d1c0b786912eaff75b016fff247"),
+    (7, "vector", "553f9fe60974b379e40ee52be0033a768d06d412f82e11be8456ef215b6a9eeb"),
+    (7, "outer", "d8e79380a2826fca62c9b6449b8c51f90fd91196f362227b693744fc2faa5129"),
+    (16, "scalar", "a3a772838adb51066937f6c4a489b2916f8c3979f3871050c5c594efb5b2c7bb"),
+    (16, "vector", "62acd9c8d022566ba03926d3bcb6f07eff2b94e6ec39d15b906a57413309e6b3"),
+    (16, "outer", "967c726787324eb0edee518896f30e507afa0ec04bb1fa4ac67e3d0b96bd0abf"),
+])
+def test_exp_record_matrix(k, shape, digest):
+    # The simulated data series of every replicate; little-endian float64.
+    seed, ids = _SHAPES[shape]
+    rows = rng.exp_record_matrix(seed, ids, k)
+    assert rows.shape == (k,) + np.broadcast(seed, np.atleast_1d(ids)).shape
+    assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def test_exp_record_matrix_at_the_word_that_maps_to_one(monkeypatch):
+    # Every word 2**64 - 1 maps to 1.0; its record is clamped to 53 log 2.
+    def saturated(z, scratch=None):
+        z = z.copy() if scratch is None else z
+        z[...] = np.uint64(2 ** 64 - 1)
+        return z
+
+    monkeypatch.setattr(rng, "mix64", saturated)
+    rows = rng.exp_record_matrix(3, np.arange(4, dtype=np.uint64), 3)
+    want = ["0x1.25e4f7b2737fap+5", "0x1.25e4f7b2737fap+6", "0x1.b8d7738bad3f7p+6"]
+    assert [[float(v).hex() for v in row] for row in rows] == [[w] * 4 for w in want]

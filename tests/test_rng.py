@@ -10,7 +10,6 @@ from weibrec.rng import (
     derive_seed,
     derive_seed_array,
     exp_record_matrix,
-    exp_records,
     mix64,
     stream_base,
     uniforms,
@@ -18,7 +17,8 @@ from weibrec.rng import (
 
 
 # One stream read word by word from its counter: the independent oracle
-# for the records that ``exp_records`` draws one record at a time.
+# for the uniforms that ``uniforms`` draws one word of every stream at a
+# time, and for the records that ``exp_record_matrix`` sums from them.
 
 def stream_words(seed, stream_id: int, start: int, count: int):
     """Words ``start .. start+count-1`` of one stream, as raw uint64."""
@@ -130,15 +130,6 @@ def test_exp_record_rows_are_stream_partial_sums():
         assert rows.flags.c_contiguous
 
 
-def test_exp_records_yields_one_array_updated_in_place():
-    ids = np.arange(50)
-    yielded = [(record, record.copy()) for record in exp_records(3, ids, 6)]
-    assert all(record is yielded[0][0] for record, _ in yielded)
-    np.testing.assert_array_equal(yielded[0][0], yielded[-1][1])
-    steps = np.array([copy for _, copy in yielded])
-    np.testing.assert_array_equal(steps, exp_record_matrix(3, ids, 6))
-
-
 def test_consumers_that_keep_records_copy_them():
     # Stacking the yielded array itself would give six equal rows.
     rows = exp_record_matrix(3, np.arange(50), 6)
@@ -172,9 +163,7 @@ def test_top_three_words_map_to_one_minus_ulp_and_one():
     words = (np.arange(2 ** 53 - 4, 2 ** 53, dtype=np.uint64) << np.uint64(11)
              | np.uint64(0x7FF))
     want = [1.0 - 2.0 ** -51, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -52, 1.0]
-    for scale, sign in ((2.0 ** -53, 1.0), (-(2.0 ** -53), -1.0)):
-        got = rng._unit_floats(words.copy(), np.empty(4), scale)
-        assert got.tolist() == [sign * w for w in want]
+    assert rng._unit_floats(words.copy(), np.empty(4)).tolist() == want
     assert words_to_uniforms(words).tolist() == want
 
 
