@@ -34,6 +34,7 @@ from .errors import BracketError, FloatRangeError, InvalidDataError
 from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
                   percentile_ranks, sample_pivotal)
 from .records import RecordSeries
+from .rng import check_seed
 from .simulate import (SimConfig, default_table_grid, render_table,
                        report_row, run_grid)
 from .weibull import mle_records, pooled_mle, shape_mle
@@ -63,9 +64,7 @@ def _resolve_seed(seed: int | None) -> int:
         seed = secrets.randbits(63)
         print(f"seed: {seed} (generated; pass --seed to reproduce)",
               file=sys.stderr)
-    elif not 0 <= seed < 2 ** 64:
-        raise InvalidDataError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+    return check_seed(seed)
 
 
 def _fmt(x: float) -> str:

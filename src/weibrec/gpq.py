@@ -93,7 +93,7 @@ from .errors import BracketError, InsufficientDrawsError, InvalidDataError
 from .records import RecordSeries, _record_sum, log_to_max
 # exp_record_matrix is not called here, but perfbench/tracer.py wraps it
 # at this import site.
-from .rng import exp_record_matrix, uniforms  # noqa: F401
+from .rng import check_seed, exp_record_matrix, uniforms  # noqa: F401
 
 # Draws per span when bracketing, and when polishing draws.  A polish span
 # holds a (k, span) Newton buffer; at M = 1e5 an interval or p-value
@@ -293,8 +293,8 @@ def am_gm_ratio(series: RecordSeries, beta: float) -> float:
     tends to 0, and invariant to rescaling the records.  Evaluated as
     in the root solve (:func:`_log_am_gm`).
     """
-    if not beta > 0.0:
-        raise InvalidDataError("beta must be positive")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise InvalidDataError("beta must be positive and finite")
     _check_series(series)
     with np.errstate(over="ignore"):
         return float(np.exp(_log_am_gm(series.values, beta)))
@@ -840,8 +840,10 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     chunk's targets live in the workspace only until its bounds are
     copied out: only the bounds and the tables are kept, and a polished
     draw re-draws its targets (see :meth:`PivotalDraws._solve`).  A
-    draw count below 1 or an invalid series raises ``InvalidDataError``.
+    draw count below 1, a seed outside [0, 2**64) or an invalid series
+    raises ``InvalidDataError``.
     """
+    seed = check_seed(seed)
     if m < 1:
         raise InvalidDataError("m must be at least 1")
     _check_series(*series)

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import InvalidDataError
-from .rng import exp_record_matrix
+from .rng import check_seed, exp_record_matrix
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,12 @@ def exponential_records(n: int, seed: int, stream_id: int = 0) -> RecordSeries:
 
     Exploits the memoryless property: successive record increments are
     independent standard exponentials, so the records are partial sums.
+    ``seed`` and ``stream_id`` are integers in [0, 2**64).
     """
     if n < 0:
         raise InvalidDataError("n must be non-negative")
-    return RecordSeries(exp_record_matrix(seed, stream_id, n + 1)[:, 0])
+    return RecordSeries(exp_record_matrix(
+        check_seed(seed), check_seed(stream_id, "stream_id"), n + 1)[:, 0])
 
 
 def weibull_records(n: int, alpha: float, beta: float, seed: int,

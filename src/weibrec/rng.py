@@ -27,6 +27,8 @@ from functools import reduce
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import InvalidDataError
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -41,6 +43,23 @@ _SHIFT_11 = np.uint64(11)
 _U01_SCALE = 2.0 ** -53
 # The largest uniform whose exponential exp_record_matrix takes.
 _U_MAX = 1.0 - 2.0 ** -53
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """``value`` as an int, if it is a Python or numpy integer in [0, 2**64).
+
+    The library's seeded entry points take their seeds and stream ids
+    through here.  ``_u64`` folds any integer mod 2**64, so without this
+    check -1 would run as 2**64 - 1 and 1.5 as 1.  Bools, floats and
+    other types, and integers outside the range, raise
+    ``InvalidDataError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidDataError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not 0 <= value < 2 ** 64:
+        raise InvalidDataError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
 def _u64(x) -> NDArray[np.uint64]:

@@ -16,8 +16,9 @@ alone, and the widths are summed once, exactly rounded, so neither the
 batch size nor the thread count can move a cell's report.
 
 This module holds the package's only thread fan-out: :func:`run_cell`
-spreads its batches of whole replicates over ``threads`` threads, where
-they pay (1.3-1.5x the serial rate at 2 threads on a 2-vCPU Xeon).  The
+maps its batches of whole replicates over ``threads`` threads, where
+they pay (1.3-1.5x the serial rate at 2 threads on a 2-vCPU Xeon), and
+takes their results, or the first failing batch's error, in batch order.  The
 pivot sampler in :mod:`weibrec.gpq` runs on the calling thread.
 
 A replicate's interval reads only two order statistics of its m pivot
@@ -34,10 +35,10 @@ polish solves its draws in spans whose (k, span) Newton buffer keeps to
 the same count.  At m = 2000 every cell of the study runs 32 replicates
 a batch, arrays large enough that a second thread gains on them.  Each
 worker keeps every such array of its batches in one workspace of
-``gpq._WORK_ROWS`` (seven) rows, allocated once per cell, so no batch
-faults in fresh pages for them.  Both populations' targets are drawn
-before any root is bracketed, so the draws' scratch rows serve the
-brackets too.
+``gpq._WORK_ROWS`` (seven) rows, allocated on its first batch of the
+cell, so no later batch faults in fresh pages for them.  Both
+populations' targets are drawn before any root is bracketed, so the
+draws' scratch rows serve the brackets too.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,7 +63,7 @@ from numpy.typing import NDArray
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
 from .gpq import (_START_NODES, _WORK_ROWS, _bracket, _candidates, _polish,
                   _prep_log_records, _start_table, percentile_ranks)
-from .rng import derive_seed, derive_seed_array, exp_record_matrix
+from .rng import check_seed, derive_seed, derive_seed_array, exp_record_matrix
 
 # Elements in a batch's largest array: its (reps, m) per-draw arrays, its
 # (k, reps, 128) start-table buffer or its (k, span) Newton buffer.  Each
@@ -89,7 +91,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n1", "n2", "m", "reps", "seed"):
+        for name in ("n1", "n2", "m", "reps"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise InvalidDataError(
@@ -112,14 +114,18 @@ class SimConfig:
             object.__setattr__(self, name, v)
         if self.reps < 1:
             raise InvalidDataError("reps must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidDataError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         percentile_ranks(self.m, self.gamma)
 
 
 @dataclass(frozen=True)
 class SimReport:
-    """Results for one cell, with the configuration echoed back."""
+    """Results for one cell, with the configuration echoed back.
+
+    ``mc_se_coverage`` is the binomial standard error
+    ``sqrt(coverage (1 - coverage) / reps)``, so it is 0 when the coverage
+    is 0 or 1: it then says nothing about the Monte Carlo error.
+    """
 
     coverage: float
     expected_length: float
@@ -235,12 +241,17 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     values or 128 start-table values per record of each replicate, within
     ``_ELEMENT_BUDGET`` elements.
 
-    Each worker runs every ``workers``-th batch, in order, on its own
-    workspace (see :func:`_batch_sums`): one float64 block, allocated
-    here before any batch runs and freed when the cell returns, so that
-    no batch allocates, and faults in, fresh pages for its arrays.  If
-    batches fail, the first failing batch's error is raised, as a serial
-    run raises it.
+    The batches are one ``map`` over their start indices: the built-in
+    ``map`` on the calling thread, which starts no thread, when
+    ``threads`` is None or 1 or the cell has one batch, and otherwise a
+    ``ThreadPoolExecutor`` of at most one worker a batch.  Each worker
+    runs its batches on its own workspace (see :func:`_batch_sums`): one
+    float64 block, allocated on the worker's first batch and freed when
+    the cell returns, so that no later batch allocates, and faults in,
+    fresh pages for its arrays.  Results come back in batch order, and so
+    does an error: the first failing batch's is raised, as a serial run
+    raises it, though batches already queued on other workers may still
+    run before it is.
     """
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
@@ -250,30 +261,22 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     workers = max(1, min(threads or 1, len(starts)))
     length = max(batch * max(config.m, _START_NODES.size * k_max),
                  k_max * _polish_span(config))
-    blocks = [np.empty((_WORK_ROWS, length)) for _ in range(workers)]
-    sums, failed = {}, {}
+    local = threading.local()
 
-    def run(worker):
-        for start in starts[worker::workers]:
-            try:
-                sums[start] = _batch_sums(config, base_seed, start,
-                                          min(start + batch, config.reps),
-                                          blocks[worker])
-            except Exception as exc:
-                # Carried to the caller, which raises the first batch's.
-                failed[start] = exc
-                return
+    def run(start):
+        if not hasattr(local, "work"):
+            local.work = np.empty((_WORK_ROWS, length))
+        return _batch_sums(config, base_seed, start,
+                           min(start + batch, config.reps), local.work)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(workers)))
+        with ThreadPoolExecutor(workers) as pool:
+            sums = list(pool.map(run, starts))
     else:
-        run(0)
-    if failed:
-        raise failed[min(failed)]
-    covered = sum(c for c, _ in sums.values())
+        sums = list(map(run, starts))
+    covered = sum(c for c, _ in sums)
     # One exactly rounded sum over every replicate, whatever the batches.
-    width_sum = math.fsum(np.concatenate([w for _, w in sums.values()]))
+    width_sum = math.fsum(np.concatenate([w for _, w in sums]))
     coverage = covered / config.reps
     return SimReport(
         coverage=coverage,

@@ -128,6 +128,17 @@ class TestAmGmRatio:
         with pytest.raises(InvalidDataError):
             am_gm_ratio(RecordSeries(np.array([2.0])), 1.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_rejects_a_shape_that_is_not_finite(self, tiny_series, beta):
+        # An infinite shape formed inf * 0.0 at the largest record, so
+        # both read nan.
+        message = "^beta must be positive and finite$"
+        with pytest.raises(InvalidDataError, match=message):
+            am_gm_ratio(tiny_series, beta)
+        with pytest.raises(InvalidDataError, match=message):
+            pivotal_equation(tiny_series,
+                             exponential_records(tiny_series.n, seed=1), beta)
+
     @settings(max_examples=300, deadline=None)
     @given(values=record_vectors(),
            beta=st.one_of(st.sampled_from([1e-8, 1e-5]),

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from weibrec import rng
-from weibrec.records import weibull_records
+from weibrec import rng, sample_pivotal, sample_shape_pivot
+from weibrec.errors import InvalidDataError
+from weibrec.records import RecordSeries, exponential_records, weibull_records
 from weibrec.rng import (
     GOLDEN,
     derive_seed,
@@ -130,8 +131,7 @@ def test_exp_record_rows_are_stream_partial_sums():
         assert rows.flags.c_contiguous
 
 
-def test_consumers_that_keep_records_copy_them():
-    # Stacking the yielded array itself would give six equal rows.
+def test_record_rows_match_the_stream_oracle_and_weibull_records():
     rows = exp_record_matrix(3, np.arange(50), 6)
     assert np.all(np.diff(rows, axis=0) > 0)
     for s in (0, 49):
@@ -184,3 +184,63 @@ def test_exp_records_stay_finite_at_the_word_that_maps_to_one(monkeypatch):
     want = -np.log1p(-(1.0 - 2.0 ** -53))
     assert want == pytest.approx(53 * np.log(2.0), rel=1e-15)
     np.testing.assert_array_equal(rows[0], want)
+
+
+class TestSeedDomain:
+    """The library's seeded calls refuse seeds and stream ids outside
+    [0, 2**64), which the stream hash would fold onto other seeds."""
+
+    SERIES = RecordSeries([1.0, 2.0, 5.0])
+
+    def draws(self, seed):
+        return [sample_pivotal(self.SERIES, self.SERIES, "ratio", 50,
+                               seed=seed).values,
+                sample_shape_pivot(self.SERIES, 50, seed=seed).values]
+
+    @pytest.mark.parametrize("seed", [2 ** 64 + 7, 2 ** 64, -1])
+    def test_samplers_refuse_seeds_out_of_range(self, seed):
+        with pytest.raises(InvalidDataError,
+                           match=r"^seed must be in \[0, 2\*\*64\), got "):
+            sample_pivotal(self.SERIES, self.SERIES, "ratio", 50, seed=seed)
+        with pytest.raises(InvalidDataError,
+                           match=r"^seed must be in \[0, 2\*\*64\), got "):
+            sample_shape_pivot(self.SERIES, 50, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, 7.0, np.float64(7.0), True,
+                                      np.True_, "7"])
+    def test_samplers_refuse_seeds_that_are_not_integers(self, seed):
+        with pytest.raises(InvalidDataError,
+                           match="^seed must be an integer, got "):
+            sample_pivotal(self.SERIES, self.SERIES, "ratio", 50, seed=seed)
+        with pytest.raises(InvalidDataError,
+                           match="^seed must be an integer, got "):
+            sample_shape_pivot(self.SERIES, 50, seed=seed)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("seed", 2 ** 64 + 7, r"^seed must be in \[0, 2\*\*64\)"),
+        ("seed", -1, r"^seed must be in \[0, 2\*\*64\)"),
+        ("seed", 1.5, "^seed must be an integer"),
+        ("stream_id", 2 ** 64, r"^stream_id must be in \[0, 2\*\*64\)"),
+        ("stream_id", -3, r"^stream_id must be in \[0, 2\*\*64\)"),
+        ("stream_id", 2.0, "^stream_id must be an integer"),
+        ("stream_id", False, "^stream_id must be an integer"),
+    ])
+    def test_record_draws_refuse_seeds_and_streams_out_of_domain(
+            self, name, value, message):
+        kwargs = dict(seed=3, stream_id=4)
+        kwargs[name] = value
+        with pytest.raises(InvalidDataError, match=message):
+            exponential_records(4, **kwargs)
+        with pytest.raises(InvalidDataError, match=message):
+            weibull_records(4, 2.0, 1.5, **kwargs)
+
+    def test_python_and_numpy_integers_in_range_are_one_seed(self):
+        for seed, same in ((2 ** 64 - 1, np.uint64(2 ** 64 - 1)),
+                           (0, np.int8(0)), (7, np.int64(7))):
+            for a, b in zip(self.draws(seed), self.draws(same)):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(
+                exponential_records(4, seed, seed).values,
+                exponential_records(4, same, same).values)
+            assert rng.check_seed(same) == seed
+            assert type(rng.check_seed(same)) is int

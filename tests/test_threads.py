@@ -8,7 +8,7 @@ import pytest
 
 from weibrec import (SimConfig, cli, p_value_two_sided, percentile_interval,
                      run_cell, sample_pivotal)
-from weibrec import simulate
+from weibrec import gpq, simulate
 
 FLUID_CSV = Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv"
 
@@ -50,3 +50,39 @@ def test_run_cell_fans_batches_out(monkeypatch, started):
     run_cell(SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, m=100, reps=3,
                        seed=1), threads=2)
     assert len(started) >= 1
+
+
+@pytest.fixture()
+def batches(monkeypatch):
+    """(thread, workspace) of every batch, one replicate a batch."""
+    monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", 1)
+    real, seen = simulate._batch_sums, []
+
+    def spy(config, base_seed, start, stop, work):
+        seen.append((threading.current_thread(), work))
+        return real(config, base_seed, start, stop, work)
+
+    monkeypatch.setattr(simulate, "_batch_sums", spy)
+    return seen
+
+
+CELL = SimConfig(n1=3, n2=3, beta1=1.0, beta2=2.0, m=100, reps=3, seed=1)
+
+
+@pytest.mark.parametrize("threads", [None, 1])
+def test_serial_cell_runs_its_batches_on_the_calling_thread(threads, batches,
+                                                            started):
+    run_cell(CELL, threads=threads)
+    assert [thread for thread, _ in batches] == [threading.current_thread()] * 3
+    assert started == []
+
+
+def test_parallel_cell_starts_a_thread_and_a_workspace_a_batch_at_most(
+        batches, started):
+    run_cell(CELL, threads=8)
+    assert len(batches) == 3
+    assert 1 <= len(started) <= 3
+    workspaces = {id(work): work for _, work in batches}
+    assert len(workspaces) <= 3
+    assert all(work.shape[0] == gpq._WORK_ROWS
+               for work in workspaces.values())

@@ -7,7 +7,9 @@ It takes no options.  It imports whichever ``weibrec`` is on
 ``PYTHONPATH=<other checkout>/src`` hashes another tree's outputs with
 the same inputs.  The outputs, each run in this process:
 
-- 120 command lines, each hashed as its stdout, stderr and exit code:
+- 120 command lines, each hashed as its argument list, with the data
+  file as ``data/insulating_fluid.csv`` wherever the checkout lives, and
+  its stdout, stderr and exit code:
   ``ci-ratio``, ``ci-diff``, ``test --pi0 1`` and ``test --pi0 1
   --sided greater`` on the insulating fluid at M = 1e5 and on three
   inline series at M = 20,000, and ``simulate --cell`` 3,3 / 7,7 /
@@ -30,7 +32,8 @@ from pathlib import Path
 import weibrec
 from weibrec import cli, simulate
 
-FLUID = str(Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv")
+DATA = "data/insulating_fluid.csv"
+FLUID = str(Path(__file__).resolve().parent.parent / DATA)
 SERIES = [(FLUID, 100_000)] + [(inline, 20_000) for inline in (
     "a:1,1.0000000000000002,1.0000000000000004;b:1,2,3",
     "a:1e-300,1e300;b:1,2",
@@ -58,7 +61,10 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return f"{argv}\n{out.getvalue()}\n{err.getvalue()}\n{code}\n"
+    # The command reads the absolute path but is hashed with the relative
+    # one, so every checkout of a tree prints one digest.
+    shown = [DATA if arg == FLUID else arg for arg in argv]
+    return f"{shown}\n{out.getvalue()}\n{err.getvalue()}\n{code}\n"
 
 
 def cell_reports():
