@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -71,13 +72,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _header(command: str, **fields) -> dict:
+    """A report: the schema, version and command, then ``fields``."""
+    return {"schema": SCHEMA, "version": __version__, "command": command,
+            **fields}
+
+
 def _base_report(command: str, populations: Populations) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "data_digest": populations_digest(populations),
-    }
+    return _header(command, data_digest=populations_digest(populations))
 
 
 def _series_entry(series: RecordSeries) -> dict:
@@ -278,12 +280,10 @@ def _cells_from_config(path: str, defaults: dict) -> list[SimConfig]:
             f"(or an object with a 'cells' array)"
         )
     cells = []
-    allowed = {"n1", "n2", "beta1", "beta2", "alpha1", "alpha2",
-               "m", "reps", "gamma", "seed"}
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise InvalidDataError(f"{path!r}: cells[{i}] must be an object")
-        unknown = set(entry) - allowed
+        unknown = set(entry) - {f.name for f in dataclasses.fields(SimConfig)}
         if unknown:
             raise InvalidDataError(
                 f"{path!r}: cells[{i}] has unknown keys {sorted(unknown)}"
@@ -308,13 +308,8 @@ def cmd_simulate(ns: argparse.Namespace) -> tuple[dict, str]:
     else:
         cells = _cells_from_config(ns.config, defaults)
     results = run_grid(cells, threads=threads)
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": ns.command,
-        "seed": seed,
-        "cells": [report_row(item) for item in results],
-    }
+    report = _header(ns.command, seed=seed,
+                     cells=[report_row(item) for item in results])
     return report, render_table(results)
 
 
@@ -375,16 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="raw observation sequences (file path or inline)")
     _add_output_options(sp)
 
-    sp = sub.add_parser("mle", help="per-population Weibull fit from records")
-    sp.set_defaults(run=cmd_mle)
-    _add_data_options(sp)
-    _add_output_options(sp)
-
-    sp = sub.add_parser("pooled-mle",
-                        help="two-population fit with a common shape")
-    sp.set_defaults(run=cmd_pooled_mle)
-    _add_data_options(sp)
-    _add_output_options(sp)
+    for name, run, text in (
+            ("mle", cmd_mle, "per-population Weibull fit from records"),
+            ("pooled-mle", cmd_pooled_mle,
+             "two-population fit with a common shape")):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(run=run)
+        _add_data_options(sp)
+        _add_output_options(sp)
 
     for name, kind in (("ci-ratio", "ratio"), ("ci-diff", "difference")):
         sp = sub.add_parser(

@@ -16,7 +16,9 @@ pre-extracted record values:
   ``values`` and ``records`` is an error;
 * inline: ``label:v1,v2,...;label2:...`` directly on the command line.
 
-Parse failures carry row/column (or label/index) diagnostics.
+Every population's label is a non-empty string, and a CSV row has no
+more cells than its header.  Parse failures carry row/column (or
+label/index) diagnostics.
 """
 
 from __future__ import annotations
@@ -54,7 +56,10 @@ def _finish(pops: Populations) -> Populations:
     if not pops:
         raise InvalidDataError("no populations found in input")
     seen = set()
-    for label, values in pops:
+    for i, (label, values) in enumerate(pops, start=1):
+        if not isinstance(label, str) or not label:
+            raise InvalidDataError(f"population {i}: label must be a "
+                                   f"non-empty string, got {label!r}")
         if label in seen:
             raise InvalidDataError(f"population label {label!r} is repeated")
         seen.add(label)
@@ -63,16 +68,21 @@ def _finish(pops: Populations) -> Populations:
     return pops
 
 
+def _check_width(i: int, row: list[str], header: list[str]) -> None:
+    """Refuse row ``i`` if it has more cells than ``header``, even blank ones."""
+    if len(row) > len(header):
+        raise InvalidDataError(
+            f"row {i}: {len(row)} cells but only {len(header)} columns"
+        )
+
+
 def _parse_wide_csv(rows: list[list[str]]) -> Populations:
     header = [cell.strip() for cell in rows[0]]
     if any(not cell for cell in header):
         raise InvalidDataError("row 1: wide CSV header has an empty label")
     columns: list[list[float]] = [[] for _ in header]
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) > len(header):
-            raise InvalidDataError(
-                f"row {i}: {len(row)} cells but only {len(header)} columns"
-            )
+        _check_width(i, row, header)
         for j, cell in enumerate(row):
             cell = cell.strip()
             if not cell:
@@ -104,6 +114,7 @@ def _parse_long_csv(rows: list[list[str]], kind: str) -> Populations:
             continue
         if len(row) < len(header):
             raise InvalidDataError(f"row {i}: expected {len(header)} cells")
+        _check_width(i, row, header)
         label = row[idx["population"]].strip()
         if not label:
             raise InvalidDataError(f"row {i}, column 'population': empty label")
@@ -203,7 +214,7 @@ def _parse_json(text: str) -> Populations:
     pops: Populations = []
     if isinstance(doc, dict):
         for label, values in doc.pairs:
-            pops.append(_values_from_json(str(label), values))
+            pops.append(_values_from_json(label, values))
     elif isinstance(doc, list):
         for i, entry in enumerate(doc):
             if not isinstance(entry, dict) or "label" not in entry:
@@ -220,7 +231,7 @@ def _parse_json(text: str) -> Populations:
                 raise InvalidDataError(
                     f"populations[{i}]: needs a 'values' or 'records' array"
                 )
-            pops.append(_values_from_json(str(entry["label"]), values))
+            pops.append(_values_from_json(entry["label"], values))
     else:
         raise InvalidDataError("JSON input must be an object or an array")
     return _finish(pops)

@@ -114,7 +114,6 @@ _CONVERGED = 2.0 ** -26
 # Relative margin of a certified lower bound below its table node.
 _SLACK = 2.0 ** -20
 
-_KINDS = ("ratio", "difference", "single-shape")
 _ESTIMAND_FOR_KIND = {"ratio": "pi", "difference": "delta", "single-shape": "beta"}
 
 
@@ -136,7 +135,7 @@ class PivotalDraws:
     __slots__ = ("kind", "m", "seed", "below", "above", "_tables", "_values")
 
     def __init__(self, values, kind: str, m: int, seed: int):
-        if kind not in _KINDS:
+        if kind not in _ESTIMAND_FOR_KIND:
             raise InvalidDataError(f"unknown draw kind {kind!r}")
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size != m or m < 1:
@@ -191,7 +190,7 @@ class PivotalDraws:
             targets = [_pivot_targets([[self.seed]], span, p, len(table.d))
                        for p, table in enumerate(self._tables)]
             out[start:start + _CHUNK] = _polish(
-                self.kind, self._tables, np.zeros((1, 1), np.intp), targets)
+                self.kind, self._tables, None, targets)
         return out
 
     def _settled(self, ranks=(), pi0=None) -> NDArray[np.float64]:
@@ -283,7 +282,7 @@ def _log_am_gm(values: NDArray[np.float64], beta) -> NDArray[np.float64]:
     d, gap = _prep_log_records(values)
     beta = np.asarray(beta, dtype=np.float64)
     d = d.reshape(d.shape + (1,) * beta.ndim)
-    return _log_w(beta, d, gap, np.empty(d.shape[:1] + beta.shape))[0]
+    return _log_w(beta, d, gap, None)[0]
 
 
 def am_gm_ratio(series: RecordSeries, beta: float) -> float:
@@ -330,11 +329,12 @@ def _log_w(beta, d, gap, buf):
     """``(h, s)``: ``h`` is log W_obs at ``beta``.
 
     ``d`` is record-major and broadcasts against ``beta`` into ``buf``,
-    ``(k,) + beta.shape``; ``gap`` broadcasts against ``beta``.  With
-    ``s = sum expm1(beta d)``, ``h = beta gap + log1p(s / k)``.  The
-    start table and each Newton pass both evaluate ``h`` here, so a table
-    entry with ``h >= target`` has ``g = h - target >= 0`` in the Newton
-    pass at that beta too.  ``buf`` is left holding ``expm1(beta d)``.
+    ``(k,) + beta.shape``, or into a fresh array where ``buf`` is None;
+    ``gap`` broadcasts against ``beta``.  With ``s = sum expm1(beta d)``,
+    ``h = beta gap + log1p(s / k)``.  The start table and each Newton pass
+    both evaluate ``h`` here, so a table entry with ``h >= target`` has
+    ``g = h - target >= 0`` in the Newton pass at that beta too.  ``buf``
+    is left holding ``expm1(beta d)``.
     """
     buf = np.multiply(beta, d, out=buf)
     np.expm1(buf, out=buf)
@@ -479,7 +479,15 @@ def _certified_target(k: int) -> float:
 
 def _gather(nodes, j, out=None):
     """``nodes[j]``: fresh, or written into ``out`` by ``np.take``, which
-    with "clip" writes there directly (the counts are in range)."""
+    with "clip" writes there directly (the counts are in range).
+
+    Fresh, the counts arrive in the bins' small integer type, which
+    ``nodes[j]`` indexes with as they are, while ``np.take`` first copies
+    them to intp.  Taking fresh arrays with ``np.take`` too raised the
+    traced peak of ``TestStartLookup.test_bracket_footprint`` (16 series
+    of 2000 targets at k = 4) from 637,795 B to 825,587 B, past its
+    642,664 B bound.
+    """
     return nodes[j] if out is None else np.take(nodes, j, out=out, mode="clip")
 
 
@@ -649,18 +657,17 @@ def _exp_log_am_gm(records, out=None, scratch=(None, None),
     give, bit for bit.  Every later add, and the result, are in place in
     the sums' two arrays and one array of logs.  The sum and the result
     are ``out``, and the log sum and the logs are ``scratch``; each is
-    fresh if None.
+    fresh if None, the logs then fresh for each value.
     """
     records = iter(records)
     first = next(records)
     total = np.empty(np.shape(first)) if out is None else out
     np.add(first, ones, out=total)
     log_total = np.log(first, out=scratch[0])
-    logs = np.empty_like(total) if scratch[1] is None else scratch[1]
     k = ones + 1
     for k, r in enumerate(records, ones + 2):
         total += r
-        log_total += np.log(r, out=logs)
+        log_total += np.log(r, out=scratch[1])
     total /= k
     log_total /= k
     return np.subtract(np.log(total, out=total), log_total, out=total)
@@ -737,12 +744,12 @@ _WORK_ROWS = 7
 _BRACKET_ROWS = ((4, 3, 6), (5, 2, 1))
 
 
-def _bracket(kind: str, tables, seeds, rows, draws, work):
-    """``(below, above, targets)`` of ``draws``, each ``(rows, draws)``.
+def _bracket(kind: str, tables, seeds, draws, work):
+    """``(below, above, targets)`` of ``draws``, each ``(seeds, draws)``.
 
     ``tables`` holds one :func:`_start_table` per population, and row
-    ``i`` reads series ``rows[i, 0]`` of each.  Draw ``i`` of series ``r``
-    of population ``p`` reads stream ``2 i + p`` of ``seeds[r]``.  A
+    ``i`` is series ``i`` of each and seed ``i``: draw ``j`` of row ``i``
+    of population ``p`` reads stream ``2 j + p`` of ``seeds[i]``.  A
     ``BracketError`` names its population; its ``replicate`` is the flat
     index of the rootless target.  Population 1's error is raised first.
 
@@ -750,13 +757,13 @@ def _bracket(kind: str, tables, seeds, rows, draws, work):
     each into its own row, and the second brackets every root in the
     rows that the draws used as scratch.
     ``work`` is a workspace, ``(_WORK_ROWS, length)`` with ``length`` at
-    least ``rows.size * draws.size``, and every per-draw array lives in
+    least ``seeds.size * draws.size``, and every per-draw array lives in
     its rows (see ``_BRACKET_ROWS``).  ``below`` and ``above`` are written
     over population 1's lower bound and start.
     """
-    work = [_carve(work, row, (len(rows), len(draws)))
+    work = [_carve(work, row, (len(seeds), len(draws)))
             for row in range(_WORK_ROWS)]
-    targets = [_pivot_targets(seeds[rows], draws, p, len(table.d),
+    targets = [_pivot_targets(seeds[:, None], draws, p, len(table.d),
                               work[_BRACKET_ROWS[p][0]], work[:4])
                for p, table in enumerate(tables)]
     brackets = []
@@ -764,7 +771,7 @@ def _bracket(kind: str, tables, seeds, rows, draws, work):
         _, s, lo = _BRACKET_ROWS[p]
         try:
             brackets.append(_bracket_roots(
-                table, target, rows, (work[s], work[lo]), work[:3]))
+                table, target, None, (work[s], work[lo]), work[:3]))
         except BracketError as exc:
             raise BracketError(f"population {p + 1}: {exc}",
                                replicate=exc.replicate) from exc
@@ -784,8 +791,11 @@ def _bracket(kind: str, tables, seeds, rows, draws, work):
 
 def _polish(kind: str, tables, rows, targets,
             work=None) -> NDArray[np.float64]:
-    """The exact draws of ``kind`` at ``targets``, arguments as in
-    :func:`_bracket`; each root depends only on its series and target.
+    """The exact draws of ``kind`` at ``targets``, one array per population.
+
+    ``tables`` is as in :func:`_bracket`, and target row ``i`` reads
+    series ``rows[i, 0]`` of each table, or series ``i`` where ``rows`` is
+    None; each root depends only on its series and target.
     Each population's solve reuses rows 0 and 2 of the workspace
     ``work``, or fresh arrays without one (see :func:`_solve_roots`)."""
     return _combine(kind, [_solve_roots(table, target, rows, work)
@@ -854,7 +864,7 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     for start in range(0, m, _CHUNK):
         try:
             below[start:start + _CHUNK], above[start:start + _CHUNK], _ = _bracket(
-                kind, tables, np.asarray([seed]), np.zeros((1, 1), np.intp),
+                kind, tables, np.asarray([seed]),
                 np.arange(start, min(start + _CHUNK, m)), work)
         except BracketError as exc:
             rep = start + (exc.replicate or 0)

@@ -207,8 +207,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
               for pop, n in enumerate((config.n1, config.n2))]
     try:
         below, above, targets = _bracket(
-            "ratio", tables, pivot_seeds, np.arange(stop - start)[:, None],
-            np.arange(config.m), work)
+            "ratio", tables, pivot_seeds, np.arange(config.m), work)
     except BracketError as exc:
         rep, draw = divmod(exc.replicate or 0, config.m)
         raise BracketError(

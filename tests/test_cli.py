@@ -918,6 +918,17 @@ class TestRejectedRequests:
         assert (code, out) == (2, "")
         assert err == f"error: {str(cfg)!r}: {message}\n"
 
+    @pytest.mark.parametrize("text", ["[]", '{"cells": 5}'],
+                             ids=["empty-array", "cells-not-an-array"])
+    def test_config_without_cells(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cells.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["simulate", "--config", str(cfg), *self.SIM],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {str(cfg)!r}: expected a non-empty array of "
+                       f"cells (or an object with a 'cells' array)\n")
+
     def test_config_object_with_cells(self, tmp_path, capsys):
         cfg = tmp_path / "cells.json"
         cell = {"n1": 2, "n2": 2, "beta1": 1.0, "beta2": 2.0}

@@ -254,3 +254,89 @@ class TestRejectedInputs:
         with pytest.raises(InvalidDataError) as err:
             load_populations("a:1,2", kind="bogus")
         assert str(err.value) == "unknown data kind 'bogus'"
+
+
+def _mle_error(source: str, capsys) -> str:
+    """The stderr of ``mle --records source``, which exits 2 and prints
+    no report."""
+    assert cli.main(["mle", "--records", source]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+class TestCommandErrors:
+    """Inputs that exit 2 with this error line."""
+
+    def test_duplicate_order_values(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("population,value,order\na,1,1\na,2,1\n")
+        assert _mle_error(str(path), capsys) == (
+            "error: population 'a': duplicate 'order' values\n")
+
+    def test_json_entry_without_a_label(self, tmp_path, capsys):
+        path = tmp_path / "pops.json"
+        path.write_text('[{"values": [1, 2]}]')
+        assert _mle_error(str(path), capsys) == (
+            "error: populations[0]: expected an object with a 'label'\n")
+
+    def test_records_that_decrease(self, capsys):
+        assert _mle_error("a:3,2,1", capsys) == (
+            "error: population 'a': record values must be strictly "
+            "increasing\n")
+
+
+_NO_LABEL = "label must be a non-empty string, got"
+
+
+class TestLabels:
+    """Every population's label is a non-empty string, in every format."""
+
+    @pytest.mark.parametrize("source, entry", [
+        (":1,2,3", "population 1: " + _NO_LABEL + " ''"),
+        (" :1,2,3", "population 1: " + _NO_LABEL + " ''"),
+        ("a:1,2,3;:1,5", "population 2: " + _NO_LABEL + " ''"),
+    ], ids=["empty", "blank", "second-empty"])
+    def test_inline(self, source, entry, capsys):
+        assert _mle_error(source, capsys) == (
+            f"error: {source!r} is not an existing file, and as inline "
+            f"data: {entry}\n")
+
+    @pytest.mark.parametrize("text, entry", [
+        ('{"": [1, 2, 3]}', "population 1: " + _NO_LABEL + " ''"),
+        ('{"a": [1, 2], "": [1, 2, 3]}', "population 2: " + _NO_LABEL + " ''"),
+        ('[{"label": "", "values": [1, 2, 3]}]',
+         "population 1: " + _NO_LABEL + " ''"),
+        ('[{"label": null, "values": [1, 2, 3]}, '
+         '{"label": 5, "values": [1, 2, 4]}]',
+         "population 1: " + _NO_LABEL + " None"),
+        ('[{"label": "a", "values": [1, 2, 3]}, '
+         '{"label": 5, "values": [1, 2, 4]}]',
+         "population 2: " + _NO_LABEL + " 5"),
+        ('{"populations": [{"label": ["a"], "records": [1, 2]}]}',
+         "population 1: " + _NO_LABEL + " ['a']"),
+    ], ids=["object-empty", "object-second-empty", "array-empty",
+            "array-null", "array-number", "report-array"])
+    def test_json(self, text, entry, tmp_path, capsys):
+        path = tmp_path / "pops.json"
+        path.write_text(text)
+        assert _mle_error(str(path), capsys) == f"error: {entry}\n"
+
+
+class TestLongCsvRowWidth:
+    """A long-CSV row wider than its header is refused, as in wide CSV."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("population,value\na,1\na,2,zzz\n",
+         "row 3: 3 cells but only 2 columns"),
+        ("population,value\na,1\na,2,\n", "row 3: 3 cells but only 2 columns"),
+        ("population,value,order\na,1,1\na,2,2,9,9\n",
+         "row 3: 5 cells but only 3 columns"),
+    ], ids=["extra-cell", "blank-extra-cell", "two-extra-cells"])
+    def test_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidDataError) as err:
+            load_populations(str(path), kind="records")
+        assert str(err.value) == message
+        assert _mle_error(str(path), capsys) == f"error: {message}\n"

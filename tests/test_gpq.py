@@ -963,13 +963,13 @@ class TestSampleWorkspace:
         # sample's last: a row read before it is written would move a bound.
         real, blocks, left = gpq._bracket, [], []
 
-        def poisoned(kind, tables, seeds, rows, draws, work):
+        def poisoned(kind, tables, seeds, draws, work):
             blocks.append(work)
             if poison == "nan" or not left:
                 work.fill(np.nan)
             else:
                 np.copyto(work, left[-1])
-            got = real(kind, tables, seeds, rows, draws, work)
+            got = real(kind, tables, seeds, draws, work)
             left[:] = [work.copy()]
             return got
 
@@ -1140,6 +1140,12 @@ class TestPivotalDraws:
         # The pi0 check still comes first.
         with pytest.raises(InvalidDataError, match="pi0 must be finite"):
             p_value_one_sided(draws, math.inf)
+
+
+    def test_repr_names_kind_count_and_seed(self):
+        draws = sample_pivotal(RecordSeries([1.0, 2.0, 5.0]),
+                               RecordSeries([1.0, 3.0, 4.0]), "ratio", 10, 3)
+        assert repr(draws) == "PivotalDraws(kind='ratio', m=10, seed=3)"
 
 
 class TestPercentileInterval:
