@@ -147,7 +147,8 @@ def _parse_csv(text: str, kind: str) -> Populations:
     return _parse_wide_csv(rows)
 
 
-def _values_from_json(label: str, values) -> tuple[str, NDArray[np.float64]]:
+def _values_from_json(label, values) -> tuple[object, NDArray[np.float64]]:
+    """``label`` as given (``_finish`` checks it) and its values as floats."""
     if not isinstance(values, (list, tuple)):
         raise InvalidDataError(f"population {label!r}: values must be an array")
     out = []

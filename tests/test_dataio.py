@@ -286,41 +286,37 @@ class TestCommandErrors:
             "increasing\n")
 
 
-_NO_LABEL = "label must be a non-empty string, got"
+def _no_label(i: int, label: str) -> str:
+    return f"population {i}: label must be a non-empty string, got {label}"
 
 
 class TestLabels:
     """Every population's label is a non-empty string, in every format."""
 
-    @pytest.mark.parametrize("source, entry", [
-        (":1,2,3", "population 1: " + _NO_LABEL + " ''"),
-        (" :1,2,3", "population 1: " + _NO_LABEL + " ''"),
-        ("a:1,2,3;:1,5", "population 2: " + _NO_LABEL + " ''"),
+    @pytest.mark.parametrize("source, i", [
+        (":1,2,3", 1), (" :1,2,3", 1), ("a:1,2,3;:1,5", 2),
     ], ids=["empty", "blank", "second-empty"])
-    def test_inline(self, source, entry, capsys):
+    def test_inline(self, source, i, capsys):
         assert _mle_error(source, capsys) == (
             f"error: {source!r} is not an existing file, and as inline "
-            f"data: {entry}\n")
+            f"data: {_no_label(i, repr(''))}\n")
 
-    @pytest.mark.parametrize("text, entry", [
-        ('{"": [1, 2, 3]}', "population 1: " + _NO_LABEL + " ''"),
-        ('{"a": [1, 2], "": [1, 2, 3]}', "population 2: " + _NO_LABEL + " ''"),
-        ('[{"label": "", "values": [1, 2, 3]}]',
-         "population 1: " + _NO_LABEL + " ''"),
+    @pytest.mark.parametrize("text, i, label", [
+        ('{"": [1, 2, 3]}', 1, "''"),
+        ('{"a": [1, 2], "": [1, 2, 3]}', 2, "''"),
+        ('[{"label": "", "values": [1, 2, 3]}]', 1, "''"),
         ('[{"label": null, "values": [1, 2, 3]}, '
-         '{"label": 5, "values": [1, 2, 4]}]',
-         "population 1: " + _NO_LABEL + " None"),
+         '{"label": 5, "values": [1, 2, 4]}]', 1, "None"),
         ('[{"label": "a", "values": [1, 2, 3]}, '
-         '{"label": 5, "values": [1, 2, 4]}]',
-         "population 2: " + _NO_LABEL + " 5"),
-        ('{"populations": [{"label": ["a"], "records": [1, 2]}]}',
-         "population 1: " + _NO_LABEL + " ['a']"),
+         '{"label": 5, "values": [1, 2, 4]}]', 2, "5"),
+        ('{"populations": [{"label": ["a"], "records": [1, 2]}]}', 1,
+         "['a']"),
     ], ids=["object-empty", "object-second-empty", "array-empty",
             "array-null", "array-number", "report-array"])
-    def test_json(self, text, entry, tmp_path, capsys):
+    def test_json(self, text, i, label, tmp_path, capsys):
         path = tmp_path / "pops.json"
         path.write_text(text)
-        assert _mle_error(str(path), capsys) == f"error: {entry}\n"
+        assert _mle_error(str(path), capsys) == f"error: {_no_label(i, label)}\n"
 
 
 class TestLongCsvRowWidth:

@@ -1141,7 +1141,6 @@ class TestPivotalDraws:
         with pytest.raises(InvalidDataError, match="pi0 must be finite"):
             p_value_one_sided(draws, math.inf)
 
-
     def test_repr_names_kind_count_and_seed(self):
         draws = sample_pivotal(RecordSeries([1.0, 2.0, 5.0]),
                                RecordSeries([1.0, 3.0, 4.0]), "ratio", 10, 3)
