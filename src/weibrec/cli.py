@@ -29,8 +29,8 @@ import secrets
 import sys
 
 from . import __version__
-from .dataio import (Populations, load_populations, populations_digest,
-                     records_from_populations)
+from .dataio import (Populations, load_populations, parse_json,
+                     populations_digest, read_text, records_from_populations)
 from .errors import BracketError, FloatRangeError, InvalidDataError
 from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
                   percentile_ranks, sample_pivotal)
@@ -248,6 +248,17 @@ def _kv_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _cell(where: str, defaults: dict, entry: dict) -> SimConfig:
+    """The cell ``entry`` over ``defaults``; its errors name it ``where``."""
+    unknown = set(entry) - {f.name for f in dataclasses.fields(SimConfig)}
+    if unknown:
+        raise InvalidDataError(f"{where} has unknown keys {sorted(unknown)}")
+    try:
+        return SimConfig(**{**defaults, **entry})
+    except (TypeError, InvalidDataError) as exc:
+        raise InvalidDataError(f"{where}: {exc}") from None
+
+
 def _parse_cell(text: str, defaults: dict) -> SimConfig:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (4, 6):
@@ -259,20 +270,14 @@ def _parse_cell(text: str, defaults: dict) -> SimConfig:
         floats = [float(p) for p in parts[2:]]
     except ValueError:
         raise InvalidDataError(f"--cell {text!r}: malformed number") from None
-    alphas = floats[2:] if len(floats) == 4 else [1.0, 1.0]
-    return SimConfig(n1=n1, n2=n2, beta1=floats[0], beta2=floats[1],
-                     alpha1=alphas[0], alpha2=alphas[1], **defaults)
+    shapes = dict(zip(("beta1", "beta2", "alpha1", "alpha2"), floats))
+    return _cell(f"--cell {text!r}", defaults, dict(n1=n1, n2=n2, **shapes))
 
 
 def _cells_from_config(path: str, defaults: dict) -> list[SimConfig]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InvalidDataError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidDataError(f"{path!r}: invalid JSON: {exc}") from None
+    doc = parse_json(read_text(path), repr(path))
     if isinstance(doc, dict):
+        doc.check_unique(repr(path))
         doc = doc.get("cells")
     if not isinstance(doc, list) or not doc:
         raise InvalidDataError(
@@ -281,18 +286,11 @@ def _cells_from_config(path: str, defaults: dict) -> list[SimConfig]:
         )
     cells = []
     for i, entry in enumerate(doc):
+        where = f"{path!r}: cells[{i}]"
         if not isinstance(entry, dict):
-            raise InvalidDataError(f"{path!r}: cells[{i}] must be an object")
-        unknown = set(entry) - {f.name for f in dataclasses.fields(SimConfig)}
-        if unknown:
-            raise InvalidDataError(
-                f"{path!r}: cells[{i}] has unknown keys {sorted(unknown)}"
-            )
-        merged = {**defaults, **entry}
-        try:
-            cells.append(SimConfig(**merged))
-        except (TypeError, InvalidDataError) as exc:
-            raise InvalidDataError(f"{path!r}: cells[{i}]: {exc}") from None
+            raise InvalidDataError(f"{where} must be an object")
+        entry.check_unique(where)
+        cells.append(_cell(where, defaults, entry))
     return cells
 
 

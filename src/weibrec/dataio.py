@@ -195,14 +195,35 @@ _REPORT_KEYS = frozenset(("schema", "version", "command", "data_digest",
                           "populations"))
 
 
-def _parse_json(text: str) -> Populations:
+def read_text(path: str) -> str:
+    """The text of the input file at ``path``, decoded as UTF-8."""
     try:
-        doc = json.loads(text, object_pairs_hook=_Object)
-    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
-        raise InvalidDataError(f"invalid JSON: {exc}") from None
-    except RecursionError:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
         raise InvalidDataError(
-            "invalid JSON: arrays or objects are nested too deeply") from None
+            f"{path!r} is not UTF-8 text: byte {exc.start} "
+            f"({exc.object[exc.start:exc.start + 1]!r}) cannot be decoded"
+        ) from None
+    except OSError as exc:
+        raise InvalidDataError(f"cannot read {path!r}: {exc}") from None
+
+
+def parse_json(text: str, where: str):
+    """The JSON document in ``text``, each object an ``_Object``.
+
+    Errors name ``where``, the file the text came from.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_Object)
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
+        raise InvalidDataError(f"{where}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidDataError(f"{where}: invalid JSON: arrays or objects "
+                               f"are nested too deeply") from None
+
+
+def _json_populations(doc) -> Populations:
     if isinstance(doc, dict) and "populations" in doc:
         doc.check_unique("JSON report")
         for key in doc:
@@ -264,21 +285,10 @@ def load_populations(source: str, kind: str = "raw") -> Populations:
     if kind not in ("raw", "records"):
         raise InvalidDataError(f"unknown data kind {kind!r}")
     if os.path.exists(source):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidDataError(
-                f"{source!r} is not UTF-8 text: byte {exc.start} "
-                f"({exc.object[exc.start:exc.start + 1]!r}) cannot be decoded"
-            ) from None
-        except OSError as exc:
-            raise InvalidDataError(f"cannot read {source!r}: {exc}") from None
-        if source.lower().endswith(".json"):
-            return _parse_json(text)
-        stripped = text.lstrip()
-        if stripped.startswith(("{", "[")):
-            return _parse_json(text)
+        text = read_text(source)
+        if (source.lower().endswith(".json")
+                or text.lstrip().startswith(("{", "["))):
+            return _json_populations(parse_json(text, repr(source)))
         return _parse_csv(text, kind)
     if any(ch in source for ch in ":;,"):
         try:
