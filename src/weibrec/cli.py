@@ -29,8 +29,8 @@ import secrets
 import sys
 
 from . import __version__
-from .dataio import (Populations, load_populations, parse_json,
-                     populations_digest, read_text, records_from_populations)
+from .dataio import (load_populations, parse_json, populations_digest,
+                     read_text, records_from_populations)
 from .errors import BracketError, FloatRangeError, InvalidDataError
 from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
                   percentile_ranks, sample_pivotal)
@@ -78,10 +78,6 @@ def _header(command: str, **fields) -> dict:
             **fields}
 
 
-def _base_report(command: str, populations: Populations) -> dict:
-    return _header(command, data_digest=populations_digest(populations))
-
-
 def _series_entry(series: RecordSeries) -> dict:
     return {"label": series.label, "n": series.n,
             "records": [float(v) for v in series.values]}
@@ -94,7 +90,7 @@ def _load(ns: argparse.Namespace,
     populations = load_populations(ns.data if ns.data is not None
                                    else ns.records, kind=kind)
     series = records_from_populations(populations, kind)
-    report = _base_report(ns.command, populations)
+    report = _header(ns.command, data_digest=populations_digest(populations))
     report["data_kind"] = kind
     if pair and len(series) != 2:
         raise InvalidDataError(
@@ -128,7 +124,7 @@ def _draw(ns: argparse.Namespace, kind: str):
 def cmd_extract(ns: argparse.Namespace) -> tuple[dict, str]:
     """Extract upper record values from raw observation sequences."""
     populations = load_populations(ns.data, kind="raw")
-    report = _base_report(ns.command, populations)
+    report = _header(ns.command, data_digest=populations_digest(populations))
     report["populations"] = []
     lines = []
     for (label, values), series in zip(
@@ -278,6 +274,10 @@ def _cells_from_config(path: str, defaults: dict) -> list[SimConfig]:
     doc = parse_json(read_text(path), repr(path))
     if isinstance(doc, dict):
         doc.check_unique(repr(path))
+        extra = sorted(set(doc) - {"cells"})
+        if extra:
+            raise InvalidDataError(f"{path!r}: unknown keys {extra} (a config "
+                                   f"object has only a 'cells' array)")
         doc = doc.get("cells")
     if not isinstance(doc, list) or not doc:
         raise InvalidDataError(

@@ -16,9 +16,16 @@ pre-extracted record values:
   ``values`` and ``records`` is an error;
 * inline: ``label:v1,v2,...;label2:...`` directly on the command line.
 
-Every population's label is a non-empty string, and a CSV row has no
-more cells than its header.  Parse failures carry row/column (or
-label/index) diagnostics.
+Every population's label is a non-empty string, stripped of surrounding
+whitespace in every format, and a CSV row has no more cells than its
+header.  Parse failures carry row/column (or label/index) diagnostics; a
+CSV row is named by the file line it ends on.
+
+:func:`read_text` is the one reader of input files, these and the
+``simulate --config`` cells alike: it decodes UTF-8 and drops a leading
+byte-order mark.  :func:`parse_json` is the one JSON parser of input; its
+objects keep their pairs, so that a repeated key can be refused, and its
+errors name the file.
 """
 
 from __future__ import annotations
@@ -76,12 +83,14 @@ def _check_width(i: int, row: list[str], header: list[str]) -> None:
         )
 
 
-def _parse_wide_csv(rows: list[list[str]]) -> Populations:
-    header = [cell.strip() for cell in rows[0]]
+def _parse_wide_csv(rows: list[tuple[int, list[str]]]) -> Populations:
+    line, header = rows[0]
+    header = [cell.strip() for cell in header]
     if any(not cell for cell in header):
-        raise InvalidDataError("row 1: wide CSV header has an empty label")
+        raise InvalidDataError(
+            f"row {line}: wide CSV header has an empty label")
     columns: list[list[float]] = [[] for _ in header]
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         _check_width(i, row, header)
         for j, cell in enumerate(row):
             cell = cell.strip()
@@ -95,8 +104,9 @@ def _parse_wide_csv(rows: list[list[str]]) -> Populations:
     ])
 
 
-def _parse_long_csv(rows: list[list[str]], kind: str) -> Populations:
-    header = [cell.strip().lower() for cell in rows[0]]
+def _parse_long_csv(rows: list[tuple[int, list[str]]],
+                    kind: str) -> Populations:
+    header = [cell.strip().lower() for cell in rows[0][1]]
     idx: dict[str, int] = {}
     for i, name in enumerate(header):
         if name and name in idx:
@@ -109,7 +119,7 @@ def _parse_long_csv(rows: list[list[str]], kind: str) -> Populations:
             "extraction depends on observation order"
         )
     by_label: dict[str, list[tuple[float, float]]] = {}
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if not any(cell.strip() for cell in row):
             continue
         if len(row) < len(header):
@@ -138,17 +148,22 @@ def _parse_long_csv(rows: list[list[str]], kind: str) -> Populations:
 
 
 def _parse_csv(text: str, kind: str) -> Populations:
-    rows = [row for row in csv.reader(text.splitlines()) if row]
+    # Each row with the file line it ends on, empty lines left out.
+    reader = csv.reader(text.splitlines())
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise InvalidDataError("empty CSV input")
-    header = {cell.strip().lower() for cell in rows[0]}
+    header = {cell.strip().lower() for cell in rows[0][1]}
     if {"population", "value"} <= header:
         return _parse_long_csv(rows, kind)
     return _parse_wide_csv(rows)
 
 
 def _values_from_json(label, values) -> tuple[object, NDArray[np.float64]]:
-    """``label`` as given (``_finish`` checks it) and its values as floats."""
+    """``label``, stripped if a string (``_finish`` checks it), and its
+    values as floats."""
+    if isinstance(label, str):
+        label = label.strip()
     if not isinstance(values, (list, tuple)):
         raise InvalidDataError(f"population {label!r}: values must be an array")
     out = []
@@ -199,7 +214,8 @@ def read_text(path: str) -> str:
     """The text of the input file at ``path``, decoded as UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            # A spreadsheet's byte-order mark is not part of the data.
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InvalidDataError(
             f"{path!r} is not UTF-8 text: byte {exc.start} "

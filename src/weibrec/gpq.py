@@ -115,6 +115,8 @@ _CONVERGED = 2.0 ** -26
 _SLACK = 2.0 ** -20
 
 _ESTIMAND_FOR_KIND = {"ratio": "pi", "difference": "delta", "single-shape": "beta"}
+# The two-population kinds, and how each combines its populations' roots.
+_TWO_POPULATION = {"ratio": np.divide, "difference": np.subtract}
 
 
 class PivotalDraws:
@@ -716,10 +718,8 @@ def _combine(kind: str, roots, out=None):
 
     A ratio or difference goes into ``out`` if given; U1 is ``roots[0]``.
     """
-    if kind == "ratio":
-        return np.divide(roots[0], roots[1], out=out)
-    if kind == "difference":
-        return np.subtract(roots[0], roots[1], out=out)
+    if kind in _TWO_POPULATION:
+        return _TWO_POPULATION[kind](roots[0], roots[1], out=out)
     return roots[0]
 
 
@@ -888,7 +888,7 @@ def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
     their bounds, and their values are solved on first read of
     ``values``.  An interval or p-value polishes only the draws it needs.
     """
-    if kind not in ("ratio", "difference"):
+    if kind not in _TWO_POPULATION:
         raise InvalidDataError(f"kind must be 'ratio' or 'difference', got {kind!r}")
     return _sample(kind, [series1, series2], m, seed)
 
@@ -920,7 +920,14 @@ def percentile_ranks(m: int, gamma: float) -> tuple[int, int]:
             f"need m * gamma / 2 >= 1 (got {float(half):g}); "
             f"increase the draw count or gamma"
         )
-    return math.ceil(half), math.floor(m - half)
+    lo_rank, hi_rank = math.ceil(half), math.floor(m - half)
+    if lo_rank > hi_rank:
+        raise InsufficientDrawsError(
+            f"the lower rank {lo_rank} exceeds the upper rank {hi_rank} "
+            f"(m = {m}, gamma = {gamma:g}); increase the draw count or "
+            f"decrease gamma"
+        )
+    return lo_rank, hi_rank
 
 
 def percentile_interval(draws: PivotalDraws, gamma: float) -> IntervalEstimate:

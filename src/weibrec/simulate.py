@@ -225,8 +225,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
         ratio[r, c] = _polish("ratio", tables, r[:, None],
                               [t[r, c, None] for t in targets], work)[:, 0]
     ratio.sort(axis=1)
-    lower = ratio[:, lo_rank - 1]
-    upper = ratio[:, hi_rank - 1]
+    lower, upper = ratio[:, ranks].T
     covered = int(np.count_nonzero((lower < 1.0) & (1.0 < upper)))
     return covered, upper - lower
 
@@ -254,12 +253,11 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     """
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
-    batch = max(1, min(config.reps, _ELEMENT_BUDGET
-                       // max(config.m, _START_NODES.size * k_max)))
+    per_rep = max(config.m, _START_NODES.size * k_max)
+    batch = max(1, min(config.reps, _ELEMENT_BUDGET // per_rep))
     starts = range(0, config.reps, batch)
     workers = max(1, min(threads or 1, len(starts)))
-    length = max(batch * max(config.m, _START_NODES.size * k_max),
-                 k_max * _polish_span(config))
+    length = max(batch * per_rep, k_max * _polish_span(config))
     # Allocated on this thread, not on each worker's first batch: blocks
     # that pool threads allocate stay in their malloc arenas once freed,
     # which raised the benchmark's sim-slice peak RSS by 15-20%.
