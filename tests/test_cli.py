@@ -948,6 +948,36 @@ class TestRejectedRequests:
         assert not any(row["error"] for row in rows)
 
 
+class TestCellErrorsNameTheCell:
+    """A ``--cell`` error names its cell, as a config error names
+    ``cells[i]``; interval ranks out of order are refused before a draw."""
+
+    @pytest.mark.parametrize("cell, message", [
+        ("0,3,1.0,2.0", "record indices n1, n2 must be at least 1"),
+        ("3,3,-1.0,2.0", "beta1 must be positive and finite"),
+        ("3,3,1.0,2.0,1.0,inf", "alpha2 must be positive and finite"),
+    ], ids=["n1", "beta1", "alpha2"])
+    def test_invalid_cell(self, cell, message, capsys):
+        code, out, err = run_cli(["simulate", "--cell", cell, "--M", "40",
+                                  "--N", "2", "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --cell {cell!r}: {message}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--cell", "3,3,1,2", "--N", "10"],
+        ["ci-ratio", "--data", str(REPO_DATA)],
+        ["ci-diff", "--data", str(REPO_DATA)],
+    ], ids=["simulate", "ci-ratio", "ci-diff"])
+    def test_ranks_out_of_order(self, command, capsys):
+        code, out, err = run_cli(
+            command + ["--M", "3", "--gamma", "0.9", "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        cell = "--cell '3,3,1,2': " if command[0] == "simulate" else ""
+        assert err == (f"error: {cell}the lower rank 2 exceeds the upper "
+                       f"rank 1 (m = 3, gamma = 0.9); increase the draw "
+                       f"count or decrease gamma\n")
+
+
 class TestTooLargeRequests:
     """A request whose arrays do not fit in memory exits 3, not with a
     traceback.  Each command runs in a child that caps its own address

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weibrec import InvalidDataError, cli
-from weibrec.dataio import load_populations
+from weibrec.dataio import load_populations, populations_digest
 
 
 def _check(source: str) -> None:
@@ -336,3 +336,186 @@ class TestLongCsvRowWidth:
             load_populations(str(path), kind="records")
         assert str(err.value) == message
         assert _mle_error(str(path), capsys) == f"error: {message}\n"
+
+
+class TestCsvLineNumbers:
+    """A CSV error names the file line its row ends on, blank lines
+    counted."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("population,value\n\na,1\na,x\n",
+         "row 4, column 'value': not a number: 'x'"),
+        ("a,b\n\n1,2\n3,x\n", "row 4, column 'b': not a number: 'x'"),
+        ("\n\n,b\n1,2\n", "row 3: wide CSV header has an empty label"),
+        ("a,b\n1,2\n\n\n3,4,5\n", "row 5: 3 cells but only 2 columns"),
+    ], ids=["long", "wide", "wide-header", "wide-width"])
+    def test_error_names_the_file_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "pops.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidDataError) as err:
+            load_populations(str(path), kind="records")
+        assert str(err.value) == message
+        assert _mle_error(str(path), capsys) == f"error: {message}\n"
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark parses as the same
+    file without it."""
+
+    @pytest.mark.parametrize("name, text", [
+        ("long.csv", "population,value\na,1\na,2\nb,1\nb,3\n"),
+        ("wide.csv", "a,b\n1,1\n2,3\n"),
+        ("pops.json", '{"a": [1, 2], "b": [1, 3]}'),
+        ("pops.csv", '[{"label": "a", "records": [1, 2]}, '
+                     '{"label": "b", "records": [1, 3]}]'),
+    ], ids=["long-csv", "wide-csv", "json", "json-by-content"])
+    def test_parses_as_written(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        pops = load_populations(str(path), kind="records")
+        assert [label for label, _ in pops] == ["a", "b"]
+        assert [v.tolist() for _, v in pops] == [[1.0, 2.0], [1.0, 3.0]]
+
+    def test_bad_byte_keeps_its_file_offset(self, tmp_path):
+        # The mark's three bytes count: this is byte 7 of the file.
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n\xff,2\n")
+        with pytest.raises(InvalidDataError, match=r"byte 7 \(b'\\xff'\)"):
+            load_populations(str(path))
+
+
+class TestJsonLabelsStripped:
+    """JSON labels are stripped, as CSV and inline labels are."""
+
+    @pytest.mark.parametrize("text, message", [
+        ('{" a": [1, 2, 3], "a": [1, 2, 4]}',
+         "population label 'a' is repeated"),
+        ('{" ": [1, 2, 3]}',
+         "population 1: label must be a non-empty string, got ''"),
+        ('[{"label": "a", "values": [1, 2]}, '
+         '{"label": "a\\t", "values": [1, 3]}]',
+         "population label 'a' is repeated"),
+    ], ids=["padded-twin", "blank", "array-tab"])
+    def test_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "pops.json"
+        path.write_text(text)
+        assert _mle_error(str(path), capsys) == f"error: {message}\n"
+
+    def test_padded_label_is_the_csv_label(self, tmp_path):
+        json_path, csv_path = tmp_path / "pops.json", tmp_path / "pops.csv"
+        json_path.write_text('{" a ": [1, 2], "b": [1, 3]}')
+        csv_path.write_text(" a ,b\n1,1\n2,3\n")
+        from_json = load_populations(str(json_path), kind="records")
+        from_csv = load_populations(str(csv_path), kind="records")
+        assert [label for label, _ in from_json] == ["a", "b"]
+        assert populations_digest(from_json) == populations_digest(from_csv)
+
+
+class TestJsonErrorsNameTheFile:
+    @pytest.mark.parametrize("text, reason", [
+        ("[{", "Expecting property name enclosed in double quotes: line 1 "
+               "column 3 (char 2)"),
+        ("[" * 100_000 + "]" * 100_000,
+         "arrays or objects are nested too deeply"),
+    ], ids=["syntax", "nested"])
+    def test_data_file(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "pops.json"
+        path.write_text(text)
+        assert _mle_error(str(path), capsys) == (
+            f"error: {str(path)!r}: invalid JSON: {reason}\n")
+
+
+def _simulate(path, capsys) -> tuple[int, str, str]:
+    """``simulate --config path`` on tiny cells: its exit code, stdout and
+    stderr."""
+    code = cli.main(["simulate", "--config", str(path), "--M", "40",
+                     "--N", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_CELL = '{"n1": 3, "n2": 3, "beta1": 1.0, "beta2": 2.0}'
+
+
+class TestConfigFiles:
+    """A config file is read and checked as a data file is."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b'[{"n1": 3, \xff}]', "{path} is not UTF-8 text: byte 11 "
+                               "(b'\\xff') cannot be decoded"),
+        (b"[" * 100_000 + b"]" * 100_000,
+         "{path}: invalid JSON: arrays or objects are nested too deeply"),
+        (b'[{"n1": 1' + b"0" * 5000 + b"}]",
+         "{path}: invalid JSON: Exceeds the limit (4300 digits) for integer "
+         "string conversion: value has 5001 digits; use "
+         "sys.set_int_max_str_digits() to increase the limit"),
+        (b'[{"n1": 3, "n1": 5, "n2": 3, "beta1": 1.0, "beta2": 2.0}]',
+         "{path}: cells[0]: key 'n1' is repeated"),
+        (b'{"cells": [%s], "m": 5}' % _CELL.encode(),
+         "{path}: unknown keys ['m'] (a config object has only a 'cells' "
+         "array)"),
+        (b'{"cells": [%s], "cells": [%s]}' % (_CELL.encode(), _CELL.encode()),
+         "{path}: key 'cells' is repeated"),
+    ], ids=["not-utf8", "nested", "huge-integer", "repeated-key",
+            "key-beside-cells", "cells-twice"])
+    def test_rejected(self, tmp_path, capsys, data, message):
+        path = tmp_path / "cells.json"
+        path.write_bytes(data)
+        code, out, err = _simulate(path, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: " + message.format(path=repr(str(path))) + "\n"
+
+    def test_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "cells.json"
+        path.write_bytes(b"\xef\xbb\xbf[%s]" % _CELL.encode())
+        code, out, _ = _simulate(path, capsys)
+        assert code == 0
+        [row] = json.loads(out)["cells"]
+        assert (row["n1"], row["m"], row["reps"]) == (3, 40, 2)
+
+
+# Config-like text: a cell's opening keys or none, then JSON tokens, then
+# a closing; and config documents whose cells are the small cell with
+# other keys set.  Neither names a size key (n1, n2, m, reps), so that no
+# example asks for more than two small cells.
+_CONFIG_TEXT = st.builds(
+    lambda head, body, tail: head + "".join(body) + tail,
+    st.sampled_from(["", "[", '{"cells": [', "[" + _CELL[:-1],
+                     '{"cells": [' + _CELL[:-1]]),
+    st.lists(st.sampled_from([
+        ", ", ": ", "{", "}", "[", "]", '"', '"beta1"', '"alpha2"',
+        '"gamma"', '"seed"', '"cells"', '"x"', "1", "0.3", "-1", "1e400",
+        "2" * 30, "true", "null", "\\u00ff", "\ufeff", "\x00", " ",
+    ]), max_size=12),
+    st.sampled_from(["", "}", "}]", "]", "}]}", "]}"]),
+)
+_VALUE = st.one_of(st.floats(min_value=0.05, max_value=0.95),
+                   st.integers(min_value=0, max_value=5), st.floats(),
+                   st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+                   st.none(), st.booleans(), st.text(max_size=3))
+_KEYS = st.sampled_from(["beta1", "beta2", "alpha1", "alpha2", "gamma",
+                         "seed", "x"])
+_ENTRY = st.dictionaries(_KEYS, _VALUE, max_size=2).map(
+    lambda keys: {**json.loads(_CELL), **keys})
+# Two cells in three are objects.
+_CELLS = st.lists(st.one_of(_ENTRY, _ENTRY, _VALUE), max_size=2)
+_CONFIG_DOC = st.one_of(
+    _CELLS, st.builds(lambda cells: {"cells": cells}, _CELLS),
+    st.dictionaries(st.sampled_from(["cells", "x"]), _CELLS, max_size=2),
+).map(json.dumps)
+
+
+class TestAnyConfigRuns:
+    """Every config file runs, or exits 2 with one error line."""
+
+    @_PROPERTY
+    @given(data=st.one_of(st.binary(max_size=80),
+                          _CONFIG_TEXT.map(str.encode),
+                          _CONFIG_DOC.map(str.encode)))
+    def test_file_bytes(self, tmp_path, capsys, data):
+        path = tmp_path / "cells.json"
+        path.write_bytes(data)
+        code, _, err = _simulate(path, capsys)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1

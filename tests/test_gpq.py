@@ -1173,6 +1173,16 @@ class TestPercentileInterval:
         # gamma m / 2 = 2.5 -> lower rank 3; (1 - gamma/2) m = 97.5 -> 97
         assert percentile_ranks(100, 0.05) == (3, 97)
 
+    @pytest.mark.parametrize("m, gamma", [(3, 0.9), (3, 0.8), (5, 0.9)])
+    def test_ranks_out_of_order(self, m, gamma):
+        with pytest.raises(InsufficientDrawsError,
+                           match=r"lower rank \d+ exceeds the upper rank \d+"):
+            percentile_ranks(m, gamma)
+
+    def test_equal_ranks(self):
+        # gamma m / 2 = 1.2: ceil gives 2, and floor(4 - 1.2) gives 2.
+        assert percentile_ranks(4, 0.6) == (2, 2)
+
     def test_insufficient_draws(self):
         draws = PivotalDraws(values=np.arange(1.0, 11.0), kind="ratio",
                              m=10, seed=0)
