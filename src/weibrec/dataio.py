@@ -83,14 +83,14 @@ def _check_width(i: int, row: list[str], header: list[str]) -> None:
         )
 
 
-def _parse_wide_csv(rows: list[tuple[int, list[str]]]) -> Populations:
-    line, header = rows[0]
+def _parse_wide_csv(header: list[str], rows) -> Populations:
     header = [cell.strip() for cell in header]
     if any(not cell for cell in header):
         raise InvalidDataError(
-            f"row {line}: wide CSV header has an empty label")
+            f"row {rows.line_num}: wide CSV header has an empty label")
     columns: list[list[float]] = [[] for _ in header]
-    for i, row in rows[1:]:
+    for row in rows:
+        i = rows.line_num
         _check_width(i, row, header)
         for j, cell in enumerate(row):
             cell = cell.strip()
@@ -104,9 +104,8 @@ def _parse_wide_csv(rows: list[tuple[int, list[str]]]) -> Populations:
     ])
 
 
-def _parse_long_csv(rows: list[tuple[int, list[str]]],
-                    kind: str) -> Populations:
-    header = [cell.strip().lower() for cell in rows[0][1]]
+def _parse_long_csv(header: list[str], rows, kind: str) -> Populations:
+    header = [cell.strip().lower() for cell in header]
     idx: dict[str, int] = {}
     for i, name in enumerate(header):
         if name and name in idx:
@@ -119,9 +118,10 @@ def _parse_long_csv(rows: list[tuple[int, list[str]]],
             "extraction depends on observation order"
         )
     by_label: dict[str, list[tuple[float, float]]] = {}
-    for i, row in rows[1:]:
+    for row in rows:
         if not any(cell.strip() for cell in row):
             continue
+        i = rows.line_num
         if len(row) < len(header):
             raise InvalidDataError(f"row {i}: expected {len(header)} cells")
         _check_width(i, row, header)
@@ -148,15 +148,17 @@ def _parse_long_csv(rows: list[tuple[int, list[str]]],
 
 
 def _parse_csv(text: str, kind: str) -> Populations:
-    # Each row with the file line it ends on, empty lines left out.
-    reader = csv.reader(text.splitlines())
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
+    """Parse CSV ``text``, whose lines end in ``\\n`` alone (see
+    :func:`read_text`).  The parsers take the header and the reader past
+    it, and name a row by the reader's ``line_num``, the file line the
+    row ends on."""
+    rows = csv.reader(text.split("\n"))
+    header = next(filter(None, rows), None)
+    if header is None:
         raise InvalidDataError("empty CSV input")
-    header = {cell.strip().lower() for cell in rows[0][1]}
-    if {"population", "value"} <= header:
-        return _parse_long_csv(rows, kind)
-    return _parse_wide_csv(rows)
+    if {"population", "value"} <= {cell.strip().lower() for cell in header}:
+        return _parse_long_csv(header, rows, kind)
+    return _parse_wide_csv(header, rows)
 
 
 def _values_from_json(label, values) -> tuple[object, NDArray[np.float64]]:
@@ -211,7 +213,8 @@ _REPORT_KEYS = frozenset(("schema", "version", "command", "data_digest",
 
 
 def read_text(path: str) -> str:
-    """The text of the input file at ``path``, decoded as UTF-8."""
+    """The text of the input file at ``path``, decoded as UTF-8, with every
+    line end read as ``\\n``."""
     try:
         with open(path, encoding="utf-8") as fh:
             # A spreadsheet's byte-order mark is not part of the data.

@@ -348,7 +348,10 @@ class TestCsvLineNumbers:
         ("a,b\n\n1,2\n3,x\n", "row 4, column 'b': not a number: 'x'"),
         ("\n\n,b\n1,2\n", "row 3: wide CSV header has an empty label"),
         ("a,b\n1,2\n\n\n3,4,5\n", "row 5: 3 cells but only 2 columns"),
-    ], ids=["long", "wide", "wide-header", "wide-width"])
+        ("a,b\r\n1,2\x0c\r\n3,x\r\n", "row 3, column 'b': not a number: 'x'"),
+        ('a,b\n"1\n",2\n3,x\n', "row 4, column 'b': not a number: 'x'"),
+    ], ids=["long", "wide", "wide-header", "wide-width", "form-feed",
+            "quoted-line-break"])
     def test_error_names_the_file_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "pops.csv"
         path.write_text(text)
