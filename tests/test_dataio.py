@@ -479,8 +479,9 @@ class TestConfigFiles:
 
 # Config-like text: a cell's opening keys or none, then JSON tokens, then
 # a closing; and config documents whose cells are the small cell with
-# other keys set.  Neither names a size key (n1, n2, m, reps), so that no
-# example asks for more than two small cells.
+# other keys set.  Neither sets a size key (n1, n2, m, reps) beyond the
+# small cell's n1 = n2 = 3, so that no example asks for more than two
+# small cells.
 _CONFIG_TEXT = st.builds(
     lambda head, body, tail: head + "".join(body) + tail,
     st.sampled_from(["", "[", '{"cells": [', "[" + _CELL[:-1],
