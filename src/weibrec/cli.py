@@ -36,8 +36,8 @@ from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
                   percentile_ranks, sample_pivotal)
 from .records import RecordSeries
 from .rng import check_seed
-from .simulate import (SimConfig, default_table_grid, render_table,
-                       report_row, run_grid)
+from .simulate import (CELL_SETTINGS, SimConfig, default_table_grid,
+                       render_table, report_row, run_grid)
 from .weibull import mle_records, pooled_mle, shape_mle
 
 SCHEMA = "weibrec-report/1"
@@ -262,12 +262,11 @@ def _parse_cell(text: str, defaults: dict) -> SimConfig:
             f"--cell needs n1,n2,beta1,beta2[,alpha1,alpha2], got {text!r}"
         )
     try:
-        n1, n2 = int(parts[0]), int(parts[1])
-        floats = [float(p) for p in parts[2:]]
+        values = [int(p) for p in parts[:2]] + [float(p) for p in parts[2:]]
     except ValueError:
         raise InvalidDataError(f"--cell {text!r}: malformed number") from None
-    shapes = dict(zip(("beta1", "beta2", "alpha1", "alpha2"), floats))
-    return _cell(f"--cell {text!r}", defaults, dict(n1=n1, n2=n2, **shapes))
+    return _cell(f"--cell {text!r}", defaults,
+                 dict(zip(CELL_SETTINGS, values)))
 
 
 def _cells_from_config(path: str, defaults: dict) -> list[SimConfig]:

@@ -74,6 +74,13 @@ from .rng import check_seed, derive_seed, derive_seed_array, exp_record_matrix
 # a fifth.
 _ELEMENT_BUDGET = 2 ** 16
 
+# A cell's population settings, in the order its stream tag joins them:
+# the two record indices, then the shapes and scales.  A reported cell's
+# results, in report order.
+CELL_SETTINGS = ("n1", "n2", "beta1", "beta2", "alpha1", "alpha2")
+CELL_RESULTS = ("coverage", "mc_se_coverage", "expected_length")
+_SHAPES = CELL_SETTINGS[2:]
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -91,7 +98,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n1", "n2", "m", "reps"):
+        for name in CELL_SETTINGS[:2] + ("m", "reps"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise InvalidDataError(
@@ -99,7 +106,7 @@ class SimConfig:
             object.__setattr__(self, name, int(v))
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidDataError("record indices n1, n2 must be at least 1")
-        for name in ("beta1", "beta2", "alpha1", "alpha2"):
+        for name in _SHAPES:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(
                     v, (int, float, np.integer, np.floating)):
@@ -148,11 +155,8 @@ def cell_tag(config: SimConfig) -> int:
     grid position, seed, draw counts, or gamma, so enlarging a study
     extends rather than reshuffles the underlying random numbers.
     """
-    ident = (
-        f"n1={config.n1}|n2={config.n2}"
-        f"|beta1={config.beta1!r}|beta2={config.beta2!r}"
-        f"|alpha1={config.alpha1!r}|alpha2={config.alpha2!r}"
-    )
+    ident = "|".join(f"{name}={getattr(config, name)!r}"
+                     for name in CELL_SETTINGS)
     digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -324,65 +328,59 @@ def default_table_grid(m: int = 2000, reps: int = 2000, gamma: float = 0.05,
 
 
 def report_row(item: SimReport | CellError) -> dict:
-    """Flatten a cell result to one plot-ready mapping."""
+    """Flatten a cell result to one plot-ready mapping.
+
+    Its keys are the cell's settings, ``pi``, its run sizes, its results
+    (None for a failed cell) and ``error`` ("" for a reported cell).
+    """
     c = item.config
-    row = {
-        "n1": c.n1, "n2": c.n2,
-        "beta1": c.beta1, "beta2": c.beta2,
-        "alpha1": c.alpha1, "alpha2": c.alpha2,
-        "pi": c.beta1 / c.beta2,
-        "m": c.m, "reps": c.reps, "gamma": c.gamma, "seed": c.seed,
-    }
-    if isinstance(item, SimReport):
-        row.update(coverage=item.coverage,
-                   mc_se_coverage=item.mc_se_coverage,
-                   expected_length=item.expected_length,
-                   error="")
-    else:
-        row.update(coverage=None, mc_se_coverage=None,
-                   expected_length=None, error=item.error)
+    row = {name: getattr(c, name) for name in CELL_SETTINGS}
+    row["pi"] = c.beta1 / c.beta2
+    row.update((name, getattr(c, name))
+               for name in ("m", "reps", "gamma", "seed"))
+    row.update((name, getattr(item, name, None)) for name in CELL_RESULTS)
+    row["error"] = getattr(item, "error", "")
     return row
-
-
-def _format_block(title: str, rows: list[tuple[int, int]],
-                  shapes: list[float],
-                  cells: dict[tuple[tuple[int, int], float], SimReport | CellError],
-                  pick) -> list[str]:
-    head = ["n1,n2".ljust(8)] + [f"{b:>8g}" for b in shapes]
-    lines = [title, "".join(head)]
-    for pair in rows:
-        out = [f"{pair[0]},{pair[1]}".ljust(8)]
-        for b in shapes:
-            item = cells.get((pair, b))
-            if item is None:
-                out.append(" " * 8)
-            elif isinstance(item, CellError):
-                out.append(f"{'ERR':>8}")
-            else:
-                out.append(f"{pick(item):>8.3f}")
-        lines.append("".join(out))
-    return lines
 
 
 def render_table(results: list[SimReport | CellError]) -> str:
     """Aligned text table: coverage block, then expected-length block.
 
-    Rows are (n1, n2) pairs and columns are first-shape values, both in
-    first-appearance order, mirroring the grid layout.
+    Rows are (n1, n2) pairs and columns are the cells' shape and scale
+    settings (beta1, beta2, alpha1, alpha2), both in first-appearance
+    order, mirroring the grid layout.  A column is labelled by its beta1
+    and, when a setting differs between columns, by that setting too, as
+    in ``1,b2=3`` (``b2``, ``a1``, ``a2`` for beta2, alpha1, alpha2).
+    Columns are 8 characters wide, or wider when a label needs it.
     """
-    rows: list[tuple[int, int]] = []
-    shapes: list[float] = []
-    cells: dict[tuple[tuple[int, int], float], SimReport | CellError] = {}
-    for item in results:
-        pair = (item.config.n1, item.config.n2)
-        if pair not in rows:
-            rows.append(pair)
-        if item.config.beta1 not in shapes:
-            shapes.append(item.config.beta1)
-        cells[(pair, item.config.beta1)] = item
-    lines = _format_block("Coverage probability", rows, shapes, cells,
-                          lambda r: r.coverage)
-    lines.append("")
-    lines += _format_block("Expected length", rows, shapes, cells,
-                           lambda r: r.expected_length)
-    return "\n".join(lines)
+    keys = [(tuple(getattr(item.config, name) for name in CELL_SETTINGS[:2]),
+             tuple(getattr(item.config, name) for name in _SHAPES))
+            for item in results]
+    cells = dict(zip(keys, results))
+    rows = list(dict.fromkeys(pair for pair, _ in keys))
+    columns = list(dict.fromkeys(column for _, column in keys))
+    varying = [i for i in range(1, len(_SHAPES))
+               if len({column[i] for column in columns}) > 1]
+    labels = [f"{column[0]:g}" + "".join(
+                  f",{_SHAPES[i][0]}{_SHAPES[i][-1]}={column[i]:g}"
+                  for i in varying)
+              for column in columns]
+    width = max(8, max(map(len, labels), default=0) + 1)
+    blocks = []
+    for title, result in (("Coverage probability", "coverage"),
+                          ("Expected length", "expected_length")):
+        lines = [title, "n1,n2".ljust(8)
+                 + "".join(label.rjust(width) for label in labels)]
+        for pair in rows:
+            line = f"{pair[0]},{pair[1]}".ljust(8)
+            for column in columns:
+                item = cells.get((pair, column))
+                if item is None:
+                    line += " " * width
+                elif isinstance(item, CellError):
+                    line += "ERR".rjust(width)
+                else:
+                    line += f"{getattr(item, result):>{width}.3f}"
+            lines.append(line)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
