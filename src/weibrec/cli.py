@@ -246,12 +246,17 @@ def _kv_csv(report: dict) -> str:
 
 def _cell(where: str, defaults: dict, entry: dict) -> SimConfig:
     """The cell ``entry`` over ``defaults``; its errors name it ``where``."""
-    unknown = set(entry) - {f.name for f in dataclasses.fields(SimConfig)}
+    fields = dataclasses.fields(SimConfig)
+    unknown = set(entry) - {f.name for f in fields}
     if unknown:
         raise InvalidDataError(f"{where} has unknown keys {sorted(unknown)}")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING
+               and f.name not in {**defaults, **entry}]
+    if missing:
+        raise InvalidDataError(f"{where} is missing keys {missing}")
     try:
         return SimConfig(**{**defaults, **entry})
-    except (TypeError, InvalidDataError) as exc:
+    except InvalidDataError as exc:
         raise InvalidDataError(f"{where}: {exc}") from None
 
 

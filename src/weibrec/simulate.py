@@ -106,11 +106,13 @@ class SimConfig:
             object.__setattr__(self, name, int(v))
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidDataError("record indices n1, n2 must be at least 1")
-        for name in _SHAPES:
+        for name in _SHAPES + ("gamma",):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(
                     v, (int, float, np.integer, np.floating)):
                 raise InvalidDataError(f"{name} must be a number, got {v!r}")
+        for name in _SHAPES:
+            v = getattr(self, name)
             # Stored as float, so that 2 and 2.0 are one cell and one tag.
             try:
                 v = float(v)

@@ -909,7 +909,12 @@ class TestRejectedRequests:
         ("[5]", "cells[0] must be an object"),
         ('[{"n1": 2, "n2": 2, "beta1": 1.0, "beta2": 2.0, "shape": 3}]',
          "cells[0] has unknown keys ['shape']"),
-    ], ids=["invalid-json", "not-an-object", "unknown-key"])
+        ('[{"n2": 3, "beta1": 1, "beta2": 2}]',
+         "cells[0] is missing keys ['n1']"),
+        ('[{"n1": 2, "n2": 2, "beta1": 1.0, "beta2": 2.0, "gamma": "x"}]',
+         "cells[0]: gamma must be a number, got 'x'"),
+    ], ids=["invalid-json", "not-an-object", "unknown-key", "missing-key",
+            "gamma-not-a-number"])
     def test_bad_config(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "cells.json"
         cfg.write_text(text)
