@@ -41,3 +41,19 @@ def test_no_file_prints_usage():
                          text=True)
     assert run.returncode == 2
     assert "Usage" in run.stderr
+
+
+def test_reader_closing_early_leaves_no_traceback(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(SOURCE)
+    # Far more output than a pipe holds, so the tool is still writing
+    # when the reader closes.
+    child = subprocess.Popen([sys.executable, str(TOOL), *[str(path)] * 3000],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.wait()
+    assert first == f"     6  {path}\n"
+    assert err == ""

@@ -5,11 +5,13 @@ Usage: python3 tools/code_lines.py FILE...
 
 Prints each file's count, then their total.  A line counts when it holds
 a token other than a comment, a line break or an indent, and lies outside
-every module, class and function docstring.
+every module, class and function docstring.  When the reader of its
+output closes early, as ``| head -1`` does, it stops quietly and exits 1.
 """
 
 import ast
 import io
+import os
 import sys
 import tokenize
 
@@ -57,4 +59,10 @@ def main(paths: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        sys.exit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # The reader closed early, as ``| head -1`` does.  Point stdout at
+        # the null device so that the flush at exit raises no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
