@@ -1,11 +1,13 @@
-"""One SHA-256 over 165 weibrec outputs, to check that a change moves no bit.
+"""Two SHA-256 digests of weibrec outputs, to check a change moves no bit.
 
 Usage: PYTHONPATH=src python3 tools/report_digest.py
 
 It takes no options.  It imports whichever ``weibrec`` is on
-``PYTHONPATH`` and prints that package's path, then the digest, so
-``PYTHONPATH=<other checkout>/src`` hashes another tree's outputs with
-the same inputs.  The outputs, each run in this process:
+``PYTHONPATH`` and prints that package's path, then the digests, one a
+line, so ``PYTHONPATH=<other checkout>/src`` hashes another tree's
+outputs with the same inputs.  Every output is run in this process.
+
+The first digest covers 165 outputs of the Monte Carlo paths:
 
 - 120 command lines, each hashed as its argument list, with the data
   file as ``data/insulating_fluid.csv`` wherever the checkout lives, and
@@ -20,13 +22,28 @@ the same inputs.  The outputs, each run in this process:
   beta1 = 1) at M = 2000, N = 70, seed 42, with a batch budget of 8,000,
   2**16 and 2**18 elements, on 1, 2 and 3 threads.
 
-It runs for about ten seconds on a 2-vCPU Xeon.
+The second covers 284 outputs of the other commands, each hashed as the
+first digest's command lines are, with the input files written to a
+temporary directory whose path is hashed as ``TMP``:
+
+- ``weibrec --help`` and each subcommand's ``--help``, at 80 columns;
+- ``extract --data``, and ``mle`` and ``pooled-mle`` with ``--data`` and
+  with ``--records``, each in JSON, CSV and text, on the insulating
+  fluid, inline series, and wide CSV, long CSV and JSON files, some of
+  them invalid, so that their error messages are hashed too;
+- ``simulate`` text and CSV tables: the ``--grid`` at M = 40, N = 2, and
+  ``--cell`` sets that vary only beta1, at M = 200, N = 20.
+
+It runs for about six seconds on a 2-vCPU Xeon, the second digest's
+outputs for under one of them.
 """
 
 import contextlib
 import hashlib
 import io
 import itertools
+import os
+import tempfile
 from pathlib import Path
 
 import weibrec
@@ -45,6 +62,32 @@ CELLS = ("3,3,1.0,0.5", "7,7,1.0,1.0", "14,14,1.0,5.0", "1,9,1.0,1.0")
 SEEDS = (3, 42, 2 ** 63 + 5)
 RUN_CELLS = ((3, 3, 0.5), (7, 7, 1.0), (14, 14, 5.0), (1, 9, 1.0), (40, 2, 1.0))
 
+SUBCOMMANDS = ("extract", "mle", "pooled-mle", "ci-ratio", "ci-diff", "test",
+               "simulate")
+# Input files of the second digest, by name: each is valid raw data, valid
+# record data, both or neither.
+FILES = {
+    "wide.csv": "a,b\n1.5,0.4\n0.7,2.2\n3.1,\n2.9,5.0\n4.4,\n",
+    "wide-records.csv": "x,y\n0.5,1.0\n1.1,1.8\n2.4,\n",
+    "long.csv": ("population,value,order\na,1.5,1\nb,0.4,1\na,0.7,2\n"
+                 "b,2.2,2\na,3.1,3\nb,5.0,3\n"),
+    "long-unordered.csv": "population,value\na,1.0\na,2.0\nb,0.5\nb,3.0\n",
+    "pops.json": '{"a": [1.5, 0.7, 3.1, 2.9], "b": [0.4, 2.2, 5.0]}',
+    "list.json": ('[{"label": "a", "records": [0.5, 1.1, 2.4]},'
+                  ' {"label": "b", "records": [1.0, 1.8]}]'),
+    "one.json": '{"only": [1.0, 2.0, 4.0]}',
+    "bad-number.csv": "a,b\n1.0,2.0\nx,3.0\n",
+    "wide-row.csv": "a,b\n1.0,2.0,\n",
+    "repeated.json": '{"a": [1.0, 2.0], "a": [3.0, 4.0]}',
+    "nonpositive.json": '{"a": [1.0, -2.0], "b": [1.0, 2.0]}',
+    "not-utf8.csv": "a,b\n1.0,2.0\n\udcff\n",
+}
+INLINE = ("a:1,3,2,5;b:2,1,4", "a:0.5,1.5,4.5;b:1,2,3;c:2,4,8",
+          "a:1,-2;b:1,2", "a:")
+TABLE_CELLS = (("3,3,0.5,2.0", "3,3,1.0,2.0", "7,7,0.5,2.0", "7,7,1.0,2.0"),
+               ("3,7,1.0,2.0,1.5,0.5", "3,7,3.0,2.0,1.5,0.5",
+                "14,3,2.0,2.0,1.5,0.5"))
+
 
 def command_lines():
     for seed in SEEDS:
@@ -57,14 +100,40 @@ def command_lines():
                 yield ["simulate", "--cell", cell, "--M", "2000", "--N", "70"] + tail
 
 
-def run(argv):
+def other_command_lines(tmp):
+    yield ["--help"]
+    for command in SUBCOMMANDS:
+        yield [command, "--help"]
+    sources = [FLUID, *INLINE, *(os.path.join(tmp, name) for name in FILES),
+               os.path.join(tmp, "missing.csv")]
+    for source in sources:
+        for fmt in ("json", "csv", "text"):
+            tail = [source, "--format", fmt]
+            yield ["extract", "--data", *tail]
+            for command in ("mle", "pooled-mle"):
+                yield [command, "--data", *tail]
+                yield [command, "--records", *tail]
+    for fmt in ("text", "csv"):
+        yield ["simulate", "--grid", "--M", "40", "--N", "2", "--seed", "7",
+               "--format", fmt]
+        for cells in TABLE_CELLS:
+            yield ["simulate", *itertools.chain.from_iterable(
+                       ("--cell", cell) for cell in cells),
+                   "--M", "200", "--N", "20", "--seed", "11", "--format", fmt]
+
+
+def run(argv, tmp=None):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help, and argparse's own errors
+            code = exc.code
     # The command reads the absolute path but is hashed with the relative
     # one, so every checkout of a tree prints one digest.
     shown = [DATA if arg == FLUID else arg for arg in argv]
-    return f"{shown}\n{out.getvalue()}\n{err.getvalue()}\n{code}\n"
+    output = f"{shown}\n{out.getvalue()}\n{err.getvalue()}\n{code}\n"
+    return output if tmp is None else output.replace(tmp, "TMP")
 
 
 def cell_reports():
@@ -84,14 +153,30 @@ def cell_reports():
         simulate._ELEMENT_BUDGET = default
 
 
-def main():
-    print(weibrec.__file__)
+def other_outputs():
+    # Help text wraps at the terminal's width, which COLUMNS overrides.
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8",
+                      errors="surrogateescape") as fh:
+                fh.write(text)
+        for argv in other_command_lines(tmp):
+            yield run(argv, tmp)
+
+
+def print_digest(outputs):
     digest = hashlib.sha256()
     count = 0
-    for count, output in enumerate(
-            itertools.chain(map(run, command_lines()), cell_reports()), 1):
+    for count, output in enumerate(outputs, 1):
         digest.update(output.encode())
     print(f"{digest.hexdigest()}  ({count} outputs)")
+
+
+def main():
+    print(weibrec.__file__)
+    print_digest(itertools.chain(map(run, command_lines()), cell_reports()))
+    print_digest(other_outputs())
 
 
 if __name__ == "__main__":
