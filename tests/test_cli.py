@@ -744,6 +744,20 @@ class TestSimulateCommand:
         assert out.startswith("Coverage probability")
         assert "Expected length" in out
 
+    def test_table_keeps_cells_that_differ_only_in_beta2(self, capsys):
+        args = ["simulate", "--cell", "3,3,1,2", "--cell", "3,3,1,3", "--M",
+                "50", "--N", "4", "--seed", "1"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        lengths = [f"{row['expected_length']:.3f}"
+                   for row in json.loads(out)["cells"]]
+        code, out, _ = run_cli(args + ["--format", "text"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].split() == lines[5].split() == [
+            "n1,n2", "1,b2=2", "1,b2=3"]
+        assert lines[6].split() == ["3,3", *lengths]
+
     def test_table_flag_with_json(self, capsys):
         code, out, _ = run_cli(self.ARGS + ["--table"], capsys)
         assert code == 0

@@ -607,3 +607,58 @@ class TestReporting:
         assert "ERR" in text
         header = lines[1]
         assert "0.5" in header and "1" in header
+
+
+def _report(coverage, expected_length, **settings):
+    """A made-up report of the cell ``settings`` over ``TINY``."""
+    return SimReport(coverage=coverage, expected_length=expected_length,
+                     mc_se_coverage=0.0, config=SimConfig(**settings, **TINY))
+
+
+class TestRenderTableColumns:
+    """Columns are keyed, and labelled, by every shape and scale setting."""
+
+    @pytest.mark.parametrize("other, header, coverage, length", [
+        (dict(beta2=3.0), "n1,n2     1,b2=2  1,b2=3",
+         "3,3        0.900   0.800", "3,3        1.111   2.222"),
+        (dict(alpha2=2.5), "n1,n2      1,a2=1 1,a2=2.5",
+         "3,3         0.900    0.800", "3,3         1.111    2.222"),
+    ], ids=["beta2", "alpha2"])
+    def test_cells_sharing_n1_n2_beta1_keep_their_results(
+            self, other, header, coverage, length):
+        cell = dict(n1=3, n2=3, beta1=1.0, beta2=2.0)
+        results = [_report(0.9, 1.111, **cell),
+                   _report(0.8, 2.222, **{**cell, **other})]
+        assert render_table(results).splitlines() == [
+            "Coverage probability", header, coverage, "",
+            "Expected length", header, length,
+        ]
+
+    def test_columns_widen_to_fit_their_labels(self):
+        results = [_report(0.9, 1.0, n1=3, n2=3, beta1=1.0, beta2=2.0),
+                   _report(0.8, 2.0, n1=3, n2=3, beta1=1.0, beta2=3.0,
+                           alpha1=0.25, alpha2=2.5)]
+        lines = render_table(results).splitlines()
+        assert lines[1] == ("n1,n2   " + "1,b2=2,a1=1,a2=1".rjust(22)
+                            + "1,b2=3,a1=0.25,a2=2.5".rjust(22))
+        assert lines[2] == "3,3     " + "0.900".rjust(22) + "0.800".rjust(22)
+
+    def test_only_beta1_varying_prints_the_first_shape_alone(self):
+        results = [
+            _report(0.95, 1.25, n1=3, n2=3, beta1=0.5, beta2=2.0),
+            _report(0.925, 2.5, n1=3, n2=3, beta1=1.0, beta2=2.0),
+            _report(0.975, 0.6125, n1=7, n2=7, beta1=0.5, beta2=2.0),
+            CellError(config=SimConfig(n1=7, n2=7, beta1=1.0, beta2=2.0,
+                                       **TINY), error="x"),
+        ]
+        assert render_table(results) == (
+            "Coverage probability\n"
+            "n1,n2        0.5       1\n"
+            "3,3        0.950   0.925\n"
+            "7,7        0.975     ERR\n"
+            "\n"
+            "Expected length\n"
+            "n1,n2        0.5       1\n"
+            "3,3        1.250   2.500\n"
+            "7,7        0.613     ERR"
+        )
