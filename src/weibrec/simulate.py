@@ -355,9 +355,9 @@ def render_table(results: list[SimReport | CellError]) -> str:
     in ``1,b2=3`` (``b2``, ``a1``, ``a2`` for beta2, alpha1, alpha2).
     Columns are 8 characters wide, or wider when a label needs it.
     """
-    keys = [(tuple(getattr(item.config, name) for name in CELL_SETTINGS[:2]),
-             tuple(getattr(item.config, name) for name in _SHAPES))
-            for item in results]
+    keys = [((r.config.n1, r.config.n2),
+             tuple(getattr(r.config, name) for name in _SHAPES))
+            for r in results]
     cells = dict(zip(keys, results))
     rows = list(dict.fromkeys(pair for pair, _ in keys))
     columns = list(dict.fromkeys(column for _, column in keys))
