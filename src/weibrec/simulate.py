@@ -353,12 +353,16 @@ def render_table(results: list[SimReport | CellError]) -> str:
     order, mirroring the grid layout.  A column is labelled by its beta1
     and, when a setting differs between columns, by that setting too, as
     in ``1,b2=3`` (``b2``, ``a1``, ``a2`` for beta2, alpha1, alpha2).
-    Columns are 8 characters wide, or wider when a label needs it.
+    Columns are 8 characters wide, or wider when a label or an entry
+    needs it, so that one space always separates them.
     """
     keys = [((r.config.n1, r.config.n2),
              tuple(getattr(r.config, name) for name in _SHAPES))
             for r in results]
-    cells = dict(zip(keys, results))
+    # Each cell's entries in the two blocks, by its row and column.
+    cells = {key: ("ERR", "ERR") if isinstance(r, CellError) else
+             (f"{r.coverage:.3f}", f"{r.expected_length:.3f}")
+             for key, r in zip(keys, results)}
     rows = list(dict.fromkeys(pair for pair, _ in keys))
     columns = list(dict.fromkeys(column for _, column in keys))
     varying = [i for i in range(1, len(_SHAPES))
@@ -367,22 +371,15 @@ def render_table(results: list[SimReport | CellError]) -> str:
                   f",{_SHAPES[i][0]}{_SHAPES[i][-1]}={column[i]:g}"
                   for i in varying)
               for column in columns]
-    width = max(8, max(map(len, labels), default=0) + 1)
+    width = 1 + max([7, *map(len, labels),
+                     *(len(text) for pair in cells.values() for text in pair)])
     blocks = []
-    for title, result in (("Coverage probability", "coverage"),
-                          ("Expected length", "expected_length")):
+    for block, title in enumerate(("Coverage probability", "Expected length")):
         lines = [title, "n1,n2".ljust(8)
                  + "".join(label.rjust(width) for label in labels)]
         for pair in rows:
-            line = f"{pair[0]},{pair[1]}".ljust(8)
-            for column in columns:
-                item = cells.get((pair, column))
-                if item is None:
-                    line += " " * width
-                elif isinstance(item, CellError):
-                    line += "ERR".rjust(width)
-                else:
-                    line += f"{getattr(item, result):>{width}.3f}"
-            lines.append(line)
+            lines.append(f"{pair[0]},{pair[1]}".ljust(8) + "".join(
+                cells.get((pair, column), ("", ""))[block].rjust(width)
+                for column in columns))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

@@ -643,6 +643,15 @@ class TestRenderTableColumns:
                             + "1,b2=3,a1=0.25,a2=2.5".rjust(22))
         assert lines[2] == "3,3     " + "0.900".rjust(22) + "0.800".rjust(22)
 
+    def test_columns_widen_to_fit_their_entries(self):
+        results = [_report(0.9, 3.196, n1=3, n2=3, beta1=1.0, beta2=2.0),
+                   _report(0.8, 2444940.809, n1=3, n2=3, beta1=1e6,
+                           beta2=2.0)]
+        lines = render_table(results).splitlines()
+        assert lines[5:] == ["n1,n2   " + "1".rjust(12) + "1e+06".rjust(12),
+                             "3,3     " + "3.196".rjust(12)
+                             + "2444940.809".rjust(12)]
+
     def test_only_beta1_varying_prints_the_first_shape_alone(self):
         results = [
             _report(0.95, 1.25, n1=3, n2=3, beta1=0.5, beta2=2.0),
