@@ -413,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one cell n1,n2,beta1,beta2[,alpha1,alpha2]; "
                             "repeatable")
     which.add_argument("--config", help="JSON file with an array of cells")
-    _add_mc_options(sp, default_m=2000,
+    _add_mc_options(sp, default_m=SimConfig.m,
                     m_help="inner pivotal draws per replicate")
-    sp.add_argument("--N", dest="reps", type=int, default=2000,
-                    help="outer replicates per cell (default 2000)")
-    sp.add_argument("--gamma", type=float, default=0.05,
-                    help="interval miscoverage (default 0.05)")
+    sp.add_argument("--N", dest="reps", type=int, default=SimConfig.reps,
+                    help=f"outer replicates per cell (default {SimConfig.reps})")
+    sp.add_argument("--gamma", type=float, default=SimConfig.gamma,
+                    help=f"interval miscoverage (default {SimConfig.gamma})")
     sp.add_argument("--table", action="store_true",
                     help="also print the aligned two-block table")
     _add_output_options(sp, write_csv=_simulate_csv)

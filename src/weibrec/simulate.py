@@ -75,11 +75,12 @@ from .rng import check_seed, derive_seed, derive_seed_array, exp_record_matrix
 _ELEMENT_BUDGET = 2 ** 16
 
 # A cell's population settings, in the order its stream tag joins them:
-# the two record indices, then the shapes and scales.  A reported cell's
-# results, in report order.
+# the two record indices, then the shapes and scales.  Its run settings,
+# which its stream tag leaves out: the integers m and reps, then gamma and
+# the seed.  A reported cell's results, in report order.
 CELL_SETTINGS = ("n1", "n2", "beta1", "beta2", "alpha1", "alpha2")
+RUN_SETTINGS = ("m", "reps", "gamma", "seed")
 CELL_RESULTS = ("coverage", "mc_se_coverage", "expected_length")
-_SHAPES = CELL_SETTINGS[2:]
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in CELL_SETTINGS[:2] + ("m", "reps"):
+        for name in CELL_SETTINGS[:2] + RUN_SETTINGS[:2]:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise InvalidDataError(
@@ -106,12 +107,12 @@ class SimConfig:
             object.__setattr__(self, name, int(v))
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidDataError("record indices n1, n2 must be at least 1")
-        for name in _SHAPES + ("gamma",):
+        for name in CELL_SETTINGS[2:] + RUN_SETTINGS[2:3]:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(
                     v, (int, float, np.integer, np.floating)):
                 raise InvalidDataError(f"{name} must be a number, got {v!r}")
-        for name in _SHAPES:
+        for name in CELL_SETTINGS[2:]:
             v = getattr(self, name)
             # Stored as float, so that 2 and 2.0 are one cell and one tag.
             try:
@@ -312,8 +313,9 @@ _TABLE_SHAPES = (0.5, 1.0, 1.2, 1.5, 2.0, 3.0, 5.0)
 _TABLE_LENGTHS = (3, 7, 14)
 
 
-def default_table_grid(m: int = 2000, reps: int = 2000, gamma: float = 0.05,
-                       seed: int = 0) -> list[SimConfig]:
+def default_table_grid(m: int = SimConfig.m, reps: int = SimConfig.reps,
+                       gamma: float = SimConfig.gamma,
+                       seed: int = SimConfig.seed) -> list[SimConfig]:
     """The full 9 x 7 study grid in row-major order.
 
     Rows are (n1, n2) pairs over {3, 7, 14} squared; columns sweep the
@@ -338,8 +340,7 @@ def report_row(item: SimReport | CellError) -> dict:
     c = item.config
     row = {name: getattr(c, name) for name in CELL_SETTINGS}
     row["pi"] = c.beta1 / c.beta2
-    row.update((name, getattr(c, name))
-               for name in ("m", "reps", "gamma", "seed"))
+    row.update((name, getattr(c, name)) for name in RUN_SETTINGS)
     row.update((name, getattr(item, name, None)) for name in CELL_RESULTS)
     row["error"] = getattr(item, "error", "")
     return row
@@ -348,28 +349,32 @@ def report_row(item: SimReport | CellError) -> dict:
 def render_table(results: list[SimReport | CellError]) -> str:
     """Aligned text table: coverage block, then expected-length block.
 
-    Rows are (n1, n2) pairs and columns are the cells' shape and scale
-    settings (beta1, beta2, alpha1, alpha2), both in first-appearance
-    order, mirroring the grid layout.  A column is labelled by its beta1
-    and, when a setting differs between columns, by that setting too, as
-    in ``1,b2=3`` (``b2``, ``a1``, ``a2`` for beta2, alpha1, alpha2).
-    Columns are 8 characters wide, or wider when a label or an entry
-    needs it, so that one space always separates them.
+    Each cell is its :func:`report_row`.  Rows are (n1, n2) pairs and
+    columns are the cells' other settings (shapes, scales and run
+    settings), both in first-appearance order, mirroring the grid layout.
+    A column is labelled by its beta1 and, when a setting differs between
+    columns, by that setting too, as in ``1,b2=3`` (``b2``, ``a1``,
+    ``a2`` for beta2, alpha1, alpha2) or ``1,seed=2`` (a run setting by
+    its name, an integer in full).  Columns are 8 characters wide, or
+    wider when a label or an entry needs it, so that one space always
+    separates them.
     """
-    keys = [((r.config.n1, r.config.n2),
-             tuple(getattr(r.config, name) for name in _SHAPES))
-            for r in results]
+    settings = CELL_SETTINGS[2:] + RUN_SETTINGS
     # Each cell's entries in the two blocks, by its row and column.
-    cells = {key: ("ERR", "ERR") if isinstance(r, CellError) else
-             (f"{r.coverage:.3f}", f"{r.expected_length:.3f}")
-             for key, r in zip(keys, results)}
-    rows = list(dict.fromkeys(pair for pair, _ in keys))
-    columns = list(dict.fromkeys(column for _, column in keys))
-    varying = [i for i in range(1, len(_SHAPES))
+    cells = {((row["n1"], row["n2"]), tuple(row[name] for name in settings)):
+             ("ERR", "ERR") if row["error"] else
+             (f"{row['coverage']:.3f}", f"{row['expected_length']:.3f}")
+             for row in map(report_row, results)}
+    pairs = list(dict.fromkeys(pair for pair, _ in cells))
+    columns = list(dict.fromkeys(column for _, column in cells))
+    varying = [i for i in range(1, len(settings))
                if len({column[i] for column in columns}) > 1]
+    # b2, a1 and a2 for beta2, alpha1 and alpha2; a run setting by its
+    # name, and an integer in full.
+    tags = [name[0] + name[-1] for name in CELL_SETTINGS[2:]] + [*RUN_SETTINGS]
     labels = [f"{column[0]:g}" + "".join(
-                  f",{_SHAPES[i][0]}{_SHAPES[i][-1]}={column[i]:g}"
-                  for i in varying)
+                  f",{tags[i]}={column[i]:g}" if isinstance(column[i], float)
+                  else f",{tags[i]}={column[i]}" for i in varying)
               for column in columns]
     width = 1 + max([7, *map(len, labels),
                      *(len(text) for pair in cells.values() for text in pair)])
@@ -377,7 +382,7 @@ def render_table(results: list[SimReport | CellError]) -> str:
     for block, title in enumerate(("Coverage probability", "Expected length")):
         lines = [title, "n1,n2".ljust(8)
                  + "".join(label.rjust(width) for label in labels)]
-        for pair in rows:
+        for pair in pairs:
             lines.append(f"{pair[0]},{pair[1]}".ljust(8) + "".join(
                 cells.get((pair, column), ("", ""))[block].rjust(width)
                 for column in columns))

@@ -758,6 +758,25 @@ class TestSimulateCommand:
             "n1,n2", "1,b2=2", "1,b2=3"]
         assert lines[6].split() == ["3,3", *lengths]
 
+    def test_table_keeps_cells_that_differ_only_in_seed(self, tmp_path,
+                                                        capsys):
+        cell = {"n1": 3, "n2": 3, "beta1": 1, "beta2": 2}
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps([{**cell, "seed": 1}, {**cell, "seed": 2}]))
+        args = ["simulate", "--config", str(path), "--M", "50", "--N", "4",
+                "--seed", "5"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        lengths = [f"{row['expected_length']:.3f}"
+                   for row in json.loads(out)["cells"]]
+        assert len(set(lengths)) == 2
+        code, out, _ = run_cli(args + ["--format", "text"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].split() == lines[5].split() == [
+            "n1,n2", "1,seed=1", "1,seed=2"]
+        assert lines[6].split() == ["3,3", *lengths]
+
     def test_table_flag_with_json(self, capsys):
         code, out, _ = run_cli(self.ARGS + ["--table"], capsys)
         assert code == 0

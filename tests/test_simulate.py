@@ -671,3 +671,30 @@ class TestRenderTableColumns:
             "3,3        1.250   2.500\n"
             "7,7        0.613     ERR"
         )
+
+    @pytest.mark.parametrize("name, first, second", [
+        ("m", 200, 50), ("reps", 40, 4), ("gamma", 0.05, 0.1), ("seed", 9, 2),
+    ])
+    def test_cells_differing_only_in_a_run_setting_keep_their_results(
+            self, name, first, second):
+        cell = dict(n1=3, n2=3, beta1=1.0, beta2=2.0)
+        results = [
+            SimReport(coverage=coverage, expected_length=length,
+                      mc_se_coverage=0.0,
+                      config=SimConfig(**cell, **{**TINY, name: value}))
+            for coverage, length, value in ((0.9, 1.111, first),
+                                            (0.8, 2.222, second))]
+        lines = render_table(results).splitlines()
+        assert lines[1].split() == lines[5].split() == [
+            "n1,n2", f"1,{name}={first}", f"1,{name}={second}"]
+        assert lines[2].split() == ["3,3", "0.900", "0.800"]
+        assert lines[6].split() == ["3,3", "1.111", "2.222"]
+
+    def test_a_seed_is_printed_in_full(self):
+        cell = dict(n1=3, n2=3, beta1=1.0, beta2=2.0, m=200, reps=40)
+        results = [CellError(config=SimConfig(**cell, seed=seed), error="x")
+                   for seed in (0, 2 ** 64 - 1)]
+        lines = render_table(results).splitlines()
+        assert lines[1] == ("n1,n2   " + "1,seed=0".rjust(28)
+                            + "1,seed=18446744073709551615".rjust(28))
+        assert lines[2] == "3,3     " + "ERR".rjust(28) * 2
