@@ -8,6 +8,8 @@ a coverage simulation harness for the ratio interval.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BracketError,
     DegenerateDataError,
@@ -62,49 +64,8 @@ from .weibull import (
     weibull_cdf,
 )
 
-__all__ = [
-    "BracketError",
-    "CellError",
-    "DegenerateDataError",
-    "FloatRangeError",
-    "InsufficientDrawsError",
-    "IntervalEstimate",
-    "InvalidDataError",
-    "PivotalDraws",
-    "PooledFit",
-    "RecordSeries",
-    "SimConfig",
-    "SimReport",
-    "SingularInformationError",
-    "TestResult",
-    "WeibullFit",
-    "WeibullParams",
-    "WeibullRecordsError",
-    "__version__",
-    "am_gm_ratio",
-    "cell_tag",
-    "default_table_grid",
-    "exponential_records",
-    "extract_upper_records",
-    "mle_records",
-    "observed_information",
-    "p_value_one_sided",
-    "p_value_two_sided",
-    "percentile_interval",
-    "percentile_ranks",
-    "pivotal_equation",
-    "pooled_loglik",
-    "pooled_mle",
-    "record_loglik",
-    "render_table",
-    "report_row",
-    "run_cell",
-    "run_grid",
-    "sample_pivotal",
-    "sample_shape_pivot",
-    "se_from_hessian",
-    "shape_mle",
-    "solve_shape_pivot",
-    "weibull_cdf",
-    "weibull_records",
-]
+# Every name the imports above bind, apart from the submodules that
+# importing them binds too.
+__all__ = sorted(["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)])

@@ -45,6 +45,16 @@ _U01_SCALE = 2.0 ** -53
 _U_MAX = 1.0 - 2.0 ** -53
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer, not a bool.
+
+    Otherwise it raises ``InvalidDataError`` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidDataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_seed(value, name: str = "seed") -> int:
     """``value`` as an int, if it is a Python or numpy integer in [0, 2**64).
 
@@ -54,9 +64,7 @@ def check_seed(value, name: str = "seed") -> int:
     other types, and integers outside the range, raise
     ``InvalidDataError``.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidDataError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
+    value = _integer(value, name)
     if not 0 <= value < 2 ** 64:
         raise InvalidDataError(f"{name} must be in [0, 2**64), got {value}")
     return value

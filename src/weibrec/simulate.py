@@ -63,7 +63,8 @@ from numpy.typing import NDArray
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
 from .gpq import (_START_NODES, _WORK_ROWS, _bracket, _candidates, _polish,
                   _prep_log_records, _start_table, percentile_ranks)
-from .rng import check_seed, derive_seed, derive_seed_array, exp_record_matrix
+from .rng import (_integer, check_seed, derive_seed, derive_seed_array,
+                  exp_record_matrix)
 
 # Elements in a batch's largest array: its (reps, m) per-draw arrays, its
 # (k, reps, 128) start-table buffer or its (k, span) Newton buffer.  Each
@@ -100,11 +101,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in CELL_SETTINGS[:2] + RUN_SETTINGS[:2]:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise InvalidDataError(
-                    f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidDataError("record indices n1, n2 must be at least 1")
         for name in CELL_SETTINGS[2:] + RUN_SETTINGS[2:3]:
