@@ -3,9 +3,15 @@
 Usage: PYTHONPATH=src python3 tools/report_digest.py
 
 It takes no options.  It imports whichever ``weibrec`` is on
-``PYTHONPATH`` and prints that package's path, then the digests, one a
-line, so ``PYTHONPATH=<other checkout>/src`` hashes another tree's
-outputs with the same inputs.  Every output is run in this process.
+``PYTHONPATH`` and prints that package's path, then the numpy version and
+the fingerprint of its transcendental kernels (see
+:func:`kernel_fingerprint`), then the digests, one a line, so
+``PYTHONPATH=<other checkout>/src`` hashes another tree's outputs with
+the same inputs.  Every output is run in this process.  The digests
+hold for one fingerprint: on x86-64 with numpy 2.4.6 the default AVX-512
+path prints ``a4bac923...`` and
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` gives the
+AVX2 path, ``cb35a43d...``, with other digests.
 
 The first digest covers 165 outputs of the Monte Carlo paths:
 
@@ -45,6 +51,8 @@ import itertools
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import weibrec
 from weibrec import cli, simulate
@@ -87,6 +95,23 @@ INLINE = ("a:1,3,2,5;b:2,1,4", "a:0.5,1.5,4.5;b:1,2,3;c:2,4,8",
 TABLE_CELLS = (("3,3,0.5,2.0", "3,3,1.0,2.0", "7,7,0.5,2.0", "7,7,1.0,2.0"),
                ("3,7,1.0,2.0,1.5,0.5", "3,7,3.0,2.0,1.5,0.5",
                 "14,3,2.0,2.0,1.5,0.5"))
+
+
+def kernel_fingerprint():
+    """SHA-256 of ``np.log``, ``np.log1p``, ``np.expm1`` and ``np.exp`` on
+    a fixed probe, 4096 points in (0, 1], as little-endian float64.
+
+    numpy picks these kernels by CPU when it is imported, and
+    ``NPY_DISABLE_CPU_FEATURES`` can switch the faster ones off.  The
+    kernels of two paths differ in the last bit of some results, and so
+    do the reports built on them, so two trees' digests compare only
+    under one fingerprint.
+    """
+    probe = np.arange(1, 4097) / 4096.0
+    digest = hashlib.sha256()
+    for kernel in (np.log, np.log1p, np.expm1, np.exp):
+        digest.update(kernel(probe).astype("<f8").tobytes())
+    return digest.hexdigest()
 
 
 def command_lines():
@@ -175,6 +200,7 @@ def print_digest(outputs):
 
 def main():
     print(weibrec.__file__)
+    print(f"numpy {np.__version__}, kernel fingerprint {kernel_fingerprint()}")
     print_digest(itertools.chain(map(run, command_lines()), cell_reports()))
     print_digest(other_outputs())
 
