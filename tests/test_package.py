@@ -16,9 +16,3 @@ def test_all_names_only_what_the_submodules_define():
             module = getattr(value, "__module__", None) or ""
             assert module.startswith("weibrec."), name
 
-
-def test_star_import_binds_all():
-    namespace = {}
-    exec("from weibrec import *", namespace)
-    del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(weibrec.__all__)
