@@ -81,6 +81,7 @@ and none per value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,8 +135,6 @@ class PivotalDraws:
     copy, reporting as the original does, bit for bit; ``==`` is identity.
     """
 
-    __slots__ = ("kind", "m", "seed", "below", "above", "_tables", "_values")
-
     def __init__(self, values, kind: str, m: int, seed: int):
         if kind not in _ESTIMAND_FOR_KIND:
             raise InvalidDataError(f"unknown draw kind {kind!r}")
@@ -146,42 +145,32 @@ class PivotalDraws:
             raise InvalidDataError("draws must be finite")
         if kind == "ratio" and np.any(arr <= 0.0):
             raise InvalidDataError("ratio draws must be strictly positive")
-        self._set(kind, m, seed, arr, arr, None, arr)
+        self.__setstate__(dict(kind=kind, m=m, seed=seed, below=arr, above=arr,
+                               _tables=None, values=arr))
 
-    @classmethod
-    def _from_slots(cls, *slots):
-        """Draws with every slot given, in ``__slots__`` order."""
-        draws = object.__new__(cls)
-        draws._set(*slots)
-        return draws
+    def __setstate__(self, state: dict):
+        """Store ``state`` past the read-only guard, its arrays read-only.
 
-    def _set(self, *slots):
-        """Set every slot, in ``__slots__`` order, past the read-only guard;
-        arrays become read-only."""
-        for name, value in zip(self.__slots__, slots):
+        The constructors set their state here, and pickle and copy restore
+        theirs here too.
+        """
+        for value in state.values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        self.__dict__.update(state)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PivotalDraws is read-only: cannot set {name!r}")
 
-    def __reduce__(self):
-        # Rebuilt through _from_slots, since the guard above refuses the
-        # default restore of each slot.
-        return self._from_slots, tuple(getattr(self, n) for n in self.__slots__)
-
     def __repr__(self):
         return f"PivotalDraws(kind={self.kind!r}, m={self.m}, seed={self.seed})"
 
-    @property
+    @functools.cached_property
     def values(self) -> NDArray[np.float64]:
         """Every draw, solved on first read for sampled draws."""
-        if self._values is None:
-            values = self._solve(np.arange(self.m))
-            values.flags.writeable = False
-            object.__setattr__(self, "_values", values)
-        return self._values
+        values = self._solve(np.arange(self.m))
+        values.flags.writeable = False
+        return values
 
     def _solve(self, idx: NDArray[np.intp]) -> NDArray[np.float64]:
         """The exact draws ``idx``: their targets re-drawn and polished in
@@ -207,8 +196,8 @@ class PivotalDraws:
         """
         if pi0 is not None and not math.isfinite(pi0):
             raise InvalidDataError(f"pi0 must be finite, got {pi0}")
-        if self._values is not None:
-            return self._values.copy()
+        if "values" in self.__dict__:
+            return self.values.copy()
         idx = np.flatnonzero(_candidates(self.below, self.above, ranks, pi0))
         exact = self._solve(idx)
         # Copied only now, so the copy and the solve's buffers never coexist.
@@ -869,7 +858,10 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
         except BracketError as exc:
             rep = start + (exc.replicate or 0)
             raise BracketError(f"replicate {rep}, {exc}", replicate=rep) from exc
-    return PivotalDraws._from_slots(kind, m, seed, below, above, tables, None)
+    draws = object.__new__(PivotalDraws)
+    draws.__setstate__(dict(kind=kind, m=m, seed=seed, below=below, above=above,
+                            _tables=tables))
+    return draws
 
 
 def sample_pivotal(series1: RecordSeries, series2: RecordSeries, kind: str,
