@@ -303,6 +303,8 @@ def cmd_simulate(ns: argparse.Namespace) -> tuple[dict, str]:
     seed = _resolve_seed(ns.seed)
     threads = _resolve_threads(ns.threads)
     defaults = dict(m=ns.m, reps=ns.reps, gamma=ns.gamma, seed=seed)
+    # The flags' own errors, which name no cell.
+    SimConfig(1, 1, 1.0, 1.0, **defaults)
     if ns.grid:
         cells = default_table_grid(**defaults)
     elif ns.cell:

@@ -1010,10 +1010,43 @@ class TestCellErrorsNameTheCell:
         code, out, err = run_cli(
             command + ["--M", "3", "--gamma", "0.9", "--seed", "1"], capsys)
         assert (code, out) == (2, "")
-        cell = "--cell '3,3,1,2': " if command[0] == "simulate" else ""
-        assert err == (f"error: {cell}the lower rank 2 exceeds the upper "
-                       f"rank 1 (m = 3, gamma = 0.9); increase the draw "
-                       f"count or decrease gamma\n")
+        assert err == ("error: the lower rank 2 exceeds the upper rank 1 "
+                       "(m = 3, gamma = 0.9); increase the draw count or "
+                       "decrease gamma\n")
+
+    FLAG_ERRORS = pytest.mark.parametrize("flag, message", [
+        (["--N", "0"], "reps must be at least 1"),
+        (["--gamma", "nan"], "gamma must be in (0, 1)"),
+    ], ids=["reps", "gamma"])
+
+    @FLAG_ERRORS
+    def test_flag_errors_name_no_cell(self, flag, message, capsys):
+        code, out, err = run_cli(["simulate", "--cell", "3,3,1,2", "--M", "40",
+                                  "--seed", "1", *flag], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @FLAG_ERRORS
+    def test_flag_errors_name_no_config_cell(self, flag, message, tmp_path,
+                                             capsys):
+        # Refused though the cell sets its own reps and gamma: the request
+        # itself is invalid.
+        cfg = tmp_path / "cells.json"
+        cfg.write_text('[{"n1": 3, "n2": 3, "beta1": 1, "beta2": 2, '
+                       '"reps": 2, "gamma": 0.1}]')
+        code, out, err = run_cli(["simulate", "--config", str(cfg), "--M",
+                                  "40", "--seed", "1", *flag], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_a_config_cells_own_setting_names_the_cell(self, tmp_path, capsys):
+        cfg = tmp_path / "cells.json"
+        cfg.write_text('[{"n1": 3, "n2": 3, "beta1": 1, "beta2": 2, "reps": 0}]')
+        code, out, err = run_cli(["simulate", "--config", str(cfg), "--M",
+                                  "40", "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {str(cfg)!r}: cells[0]: reps must be at "
+                       f"least 1\n")
 
 
 class TestTooLargeRequests:
