@@ -161,12 +161,6 @@ def cell_tag(config: SimConfig) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _polish_span(config: SimConfig) -> int:
-    """Draws a polish span solves: its (k, span) Newton buffer and gathered
-    records keep to ``_ELEMENT_BUDGET``, for k the larger record count."""
-    return max(1, _ELEMENT_BUDGET // (max(config.n1, config.n2) + 1))
-
-
 def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
                 work: NDArray[np.float64]) -> tuple[int, NDArray[np.float64]]:
     """Coverage count and unit-shape widths of replicates [start, stop).
@@ -190,15 +184,15 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     spans move no bit.  Every other draw keeps its lower bound, and the
     sort reads the same two ratios as a full solve would, bit for bit.
 
-    ``work`` is the worker's ``(_WORK_ROWS, length)`` workspace, every row
-    as long as the batch's largest array, and every batch-sized array
-    lives in it: the start-table buffers, the per-draw arrays of
-    ``gpq._bracket``, the sorted copies of ``gpq._candidates`` and the
-    polish's gathered records and Newton buffers.  It is passed whole,
-    and ``gpq`` chooses the rows (see ``gpq._WORK_ROWS``).  Each row is
-    written before it is read, so what an earlier batch left in it moves
-    no bit.  Once ``_candidates`` has returned, only the targets and the
-    lower bounds that the polish writes over are live.
+    ``work`` is the worker's ``(_WORK_ROWS, length)`` workspace, every
+    row at least as long as the batch's largest array, and every
+    batch-sized array lives in it: the start-table buffers, the per-draw
+    arrays of ``gpq._bracket``, the sorted copies of ``gpq._candidates``
+    and the polish's gathered records and Newton buffers.  It is passed
+    whole, and ``gpq`` chooses the rows (see ``gpq._WORK_ROWS``).  Each
+    row is written before it is read, so what an earlier batch left in it
+    moves no bit.  Once ``_candidates`` has returned, only the targets and
+    the lower bounds that the polish writes over are live.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
@@ -223,7 +217,7 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     # Every other draw keeps its lower bound, which leaves both ranks'
     # values as the full solve has them.
     ratio = below
-    span = _polish_span(config)
+    span = max(1, _ELEMENT_BUDGET // (max(config.n1, config.n2) + 1))
     for i in range(0, rows.size, span):
         r, c = rows[i:i + span], cols[i:i + span]
         ratio[r, c] = _polish("ratio", tables, r[:, None],
@@ -261,7 +255,8 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     batch = max(1, min(config.reps, _ELEMENT_BUDGET // per_rep))
     starts = range(0, config.reps, batch)
     workers = max(1, min(threads or 1, len(starts)))
-    length = max(batch * per_rep, k_max * _polish_span(config))
+    # A batch's arrays and a polish span's (k, span) buffer each fit a row.
+    length = max(per_rep, _ELEMENT_BUDGET)
     # Allocated on this thread, not on each worker's first batch: blocks
     # that pool threads allocate stay in their malloc arenas once freed,
     # which raised the benchmark's sim-slice peak RSS by 15-20%.
