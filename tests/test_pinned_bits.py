@@ -15,12 +15,16 @@ bit between paths.  The literals in the tests are those of numpy 2.4.6's
 AVX-512 path on x86-64; ``_PATHS`` holds, for each kernel fingerprint
 that ``tools/report_digest.py`` computes, the literals that differ on that
 path.  A process whose fingerprint is not in ``_PATHS`` fails every test
-here, naming its fingerprint.
+here, naming its fingerprint.  The last tests run
+``tools/report_digest.py`` in this process and hold both of its digests,
+which cover every report, error and help text it runs, to their
+literals.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +37,16 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = str(ROOT / "data" / "insulating_fluid.csv")
 
 
-def _kernel_fingerprint():
+def _load_report_digest():
     spec = importlib.util.spec_from_file_location(
         "report_digest", ROOT / "tools" / "report_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    return tool.kernel_fingerprint()
+    return tool
 
 
-KERNELS = _kernel_fingerprint()
+REPORT_DIGEST = _load_report_digest()
+KERNELS = REPORT_DIGEST.kernel_fingerprint()
 # numpy 2.4.6 on x86-64: the default AVX-512 path, and the AVX2 path that
 # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" selects.
 AVX512 = "a4bac923656e06d1a5baf010f6f111cb449dc0fd44d1a82b0fddce69179a9245"
@@ -68,6 +73,10 @@ _PATHS = {
             "96347685c037df2ab8a6909657ca41ad57cace6b0e55beee49387f5dfb754c3a",
         "967c726787324eb0edee518896f30e507afa0ec04bb1fa4ac67e3d0b96bd0abf":
             "3092cdbf1cd91b6e53cb13715127da59b73a0045418317de4f4b5ad18d5b6b1a",
+        "ba5fce623fa9c98b5e5de91e02c3dabf0273879d649df26a967ac8c02c994bc4":
+            "0fa5f5a67556c6cd23d4cfa47f2518ec53a7b1dc49f806850567f10df60ad0df",
+        "f48d541902f615e6e20ec6055b6a199452d95e269185dbaaa609a229e27565b0":
+            "4cd7d1590d009e501eed5f351c7959ad8e16032a623e4efc9dc217bf87e85355",
     },
 }
 
@@ -172,3 +181,25 @@ def test_exp_record_matrix_at_the_word_that_maps_to_one(monkeypatch):
     want = ["0x1.25e4f7b2737fap+5", "0x1.25e4f7b2737fap+6", "0x1.b8d7738bad3f7p+6"]
     assert [[float(v).hex() for v in row] for row in rows] == [
         [_pinned(w)] * 4 for w in want]
+
+
+def test_report_digests():
+    # Every output of tools/report_digest.py, byte for byte: the Monte
+    # Carlo reports, then the other commands' reports, errors and help.
+    pinned = [
+        (_pinned("ba5fce623fa9c98b5e5de91e02c3dabf0273879d649df26a967ac8c02c994bc4"),
+         165),
+        (_pinned("f48d541902f615e6e20ec6055b6a199452d95e269185dbaaa609a229e27565b0"),
+         284),
+    ]
+    assert list(REPORT_DIGEST.digests()) == pinned
+
+
+def test_report_digest_leaves_columns_as_it_was(monkeypatch):
+    # The help text is hashed at 80 columns, and no later test's help text
+    # may read that width.
+    monkeypatch.delenv("COLUMNS", raising=False)
+    monkeypatch.setattr(REPORT_DIGEST, "other_command_lines",
+                        lambda tmp: [["--help"]])
+    assert len(list(REPORT_DIGEST.other_outputs())) == 1
+    assert "COLUMNS" not in os.environ

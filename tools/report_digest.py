@@ -7,7 +7,10 @@ It takes no options.  It imports whichever ``weibrec`` is on
 the fingerprint of its transcendental kernels (see
 :func:`kernel_fingerprint`), then the digests, one a line, so
 ``PYTHONPATH=<other checkout>/src`` hashes another tree's outputs with
-the same inputs.  Every output is run in this process.  The digests
+the same inputs.  Every output is run in this process, and a caller
+that loads this file, as the tests do, reads the digests from
+:func:`digests`, which leaves the process's environment as it was.
+The digests
 hold for one fingerprint: on x86-64 with numpy 2.4.6 the default AVX-512
 path prints ``a4bac923...`` and
 ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` gives the
@@ -51,6 +54,7 @@ import itertools
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -179,9 +183,10 @@ def cell_reports():
 
 
 def other_outputs():
-    # Help text wraps at the terminal's width, which COLUMNS overrides.
-    os.environ["COLUMNS"] = "80"
-    with tempfile.TemporaryDirectory() as tmp:
+    # Help text wraps at the terminal's width, which COLUMNS overrides; the
+    # caller's environment is restored once the outputs are read.
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            tempfile.TemporaryDirectory() as tmp:
         for name, text in FILES.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8",
                       errors="surrogateescape") as fh:
@@ -190,19 +195,22 @@ def other_outputs():
             yield run(argv, tmp)
 
 
-def print_digest(outputs):
-    digest = hashlib.sha256()
-    count = 0
-    for count, output in enumerate(outputs, 1):
-        digest.update(output.encode())
-    print(f"{digest.hexdigest()}  ({count} outputs)")
+def digests():
+    """Each digest, with the number of outputs it covers."""
+    first = itertools.chain(map(run, command_lines()), cell_reports())
+    for outputs in (first, other_outputs()):
+        digest = hashlib.sha256()
+        count = 0
+        for count, output in enumerate(outputs, 1):
+            digest.update(output.encode())
+        yield digest.hexdigest(), count
 
 
 def main():
     print(weibrec.__file__)
     print(f"numpy {np.__version__}, kernel fingerprint {kernel_fingerprint()}")
-    print_digest(itertools.chain(map(run, command_lines()), cell_reports()))
-    print_digest(other_outputs())
+    for digest, count in digests():
+        print(f"{digest}  ({count} outputs)")
 
 
 if __name__ == "__main__":
