@@ -146,7 +146,7 @@ class PivotalDraws:
         if kind == "ratio" and np.any(arr <= 0.0):
             raise InvalidDataError("ratio draws must be strictly positive")
         self.__setstate__(dict(kind=kind, m=m, seed=seed, below=arr, above=arr,
-                               _tables=None, values=arr))
+                               values=arr))
 
     def __setstate__(self, state: dict):
         """Store ``state`` past the read-only guard, its arrays read-only.

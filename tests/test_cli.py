@@ -946,8 +946,10 @@ class TestRejectedRequests:
          "cells[0] is missing keys ['n1']"),
         ('[{"n1": 2, "n2": 2, "beta1": 1.0, "beta2": 2.0, "gamma": "x"}]',
          "cells[0]: gamma must be a number, got 'x'"),
+        ('[{"n1": 3, "n2": 3, "beta1": 1, "beta2": 2, "reps": 0}]',
+         "cells[0]: reps must be at least 1"),
     ], ids=["invalid-json", "not-an-object", "unknown-key", "missing-key",
-            "gamma-not-a-number"])
+            "gamma-not-a-number", "reps-zero"])
     def test_bad_config(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "cells.json"
         cfg.write_text(text)
@@ -988,7 +990,8 @@ class TestRejectedRequests:
 
 class TestCellErrorsNameTheCell:
     """A ``--cell`` error names its cell, as a config error names
-    ``cells[i]``; interval ranks out of order are refused before a draw."""
+    ``cells[i]``, and a run-setting flag's error names none; interval
+    ranks out of order are refused before a draw."""
 
     @pytest.mark.parametrize("cell, message", [
         ("0,3,1.0,2.0", "record indices n1, n2 must be at least 1"),
@@ -1014,39 +1017,20 @@ class TestCellErrorsNameTheCell:
                        "(m = 3, gamma = 0.9); increase the draw count or "
                        "decrease gamma\n")
 
-    FLAG_ERRORS = pytest.mark.parametrize("flag, message", [
+    @pytest.mark.parametrize("flag, message", [
         (["--N", "0"], "reps must be at least 1"),
         (["--gamma", "nan"], "gamma must be in (0, 1)"),
     ], ids=["reps", "gamma"])
-
-    @FLAG_ERRORS
-    def test_flag_errors_name_no_cell(self, flag, message, capsys):
-        code, out, err = run_cli(["simulate", "--cell", "3,3,1,2", "--M", "40",
-                                  "--seed", "1", *flag], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
-
-    @FLAG_ERRORS
-    def test_flag_errors_name_no_config_cell(self, flag, message, tmp_path,
-                                             capsys):
-        # Refused though the cell sets its own reps and gamma: the request
-        # itself is invalid.
+    def test_flag_errors_name_no_cell(self, flag, message, tmp_path, capsys):
+        # Refused too when the config cell sets its own reps and gamma: the
+        # request itself is invalid.
         cfg = tmp_path / "cells.json"
         cfg.write_text('[{"n1": 3, "n2": 3, "beta1": 1, "beta2": 2, '
                        '"reps": 2, "gamma": 0.1}]')
-        code, out, err = run_cli(["simulate", "--config", str(cfg), "--M",
-                                  "40", "--seed", "1", *flag], capsys)
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
-
-    def test_a_config_cells_own_setting_names_the_cell(self, tmp_path, capsys):
-        cfg = tmp_path / "cells.json"
-        cfg.write_text('[{"n1": 3, "n2": 3, "beta1": 1, "beta2": 2, "reps": 0}]')
-        code, out, err = run_cli(["simulate", "--config", str(cfg), "--M",
-                                  "40", "--seed", "1"], capsys)
-        assert (code, out) == (2, "")
-        assert err == (f"error: {str(cfg)!r}: cells[0]: reps must be at "
-                       f"least 1\n")
+        for cells in (["--cell", "3,3,1,2"], ["--config", str(cfg)]):
+            code, out, err = run_cli(["simulate", *cells, "--M", "40",
+                                      "--seed", "1", *flag], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestTooLargeRequests:
