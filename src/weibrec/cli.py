@@ -303,7 +303,7 @@ def cmd_simulate(ns: argparse.Namespace) -> tuple[dict, str]:
     seed = _resolve_seed(ns.seed)
     threads = _resolve_threads(ns.threads)
     defaults = dict(m=ns.m, reps=ns.reps, gamma=ns.gamma, seed=seed)
-    # The flags' own errors, which name no cell.
+    # The flags are checked once, before any cell, so their errors name none.
     SimConfig(1, 1, 1.0, 1.0, **defaults)
     if ns.grid:
         cells = default_table_grid(**defaults)
