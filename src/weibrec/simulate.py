@@ -16,10 +16,11 @@ alone, and the widths are summed once, exactly rounded, so neither the
 batch size nor the thread count can move a cell's report.
 
 This module holds the package's only thread fan-out: :func:`run_cell`
-maps its batches of whole replicates over ``threads`` threads, where
-they pay (1.3-1.5x the serial rate at 2 threads on a 2-vCPU Xeon), and
-takes their results, or the first failing batch's error, in batch order.  The
-pivot sampler in :mod:`weibrec.gpq` runs on the calling thread.
+splits its batches of whole replicates into one contiguous run per
+thread, where threads pay (1.3-1.5x the serial rate at 2 threads on a
+2-vCPU Xeon), and takes their results, or the first failing batch's
+error, in batch order.  The pivot sampler in :mod:`weibrec.gpq` runs on
+the calling thread.
 
 A replicate's interval reads only two order statistics of its m pivot
 ratios.  A batch takes the bracket-and-polish path of the command-line
@@ -35,8 +36,9 @@ polish solves its draws in spans whose (k, span) Newton buffer keeps to
 the same count.  At m = 2000 every cell of the study runs 32 replicates
 a batch, arrays large enough that a second thread gains on them.  Each
 worker keeps every such array of its batches in one workspace of
-``gpq._WORK_ROWS`` (seven) rows, allocated once per cell and taken on
-its first batch, so no batch faults in fresh pages for them.  Both
+``gpq._WORK_ROWS`` (seven) rows, allocated once per cell and handed to
+the worker with its run of batches, so no batch faults in fresh pages
+for them.  Both
 populations' targets are drawn before any root is bracketed, so the
 draws' scratch rows serve the brackets too.
 
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -237,17 +238,18 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     values or 128 start-table values per record of each replicate, within
     ``_ELEMENT_BUDGET`` elements.
 
-    The batches are one ``map`` over their start indices: the built-in
-    ``map`` on the calling thread, which starts no thread, when
-    ``threads`` is None or 1 or the cell has one batch, and otherwise a
-    ``ThreadPoolExecutor`` of at most one worker a batch.  Each worker
-    runs its batches on its own workspace (see :func:`_batch_sums`): one
-    float64 block a worker, allocated here before the map, taken by the
-    worker on its first batch and freed when the cell returns, so that no
-    batch allocates, and faults in, fresh pages for its arrays.  Results
-    come back in batch order, and so does an error: the first failing
-    batch's is raised, as a serial run raises it, though batches already
-    queued on other workers may still run before it is.
+    The cell's B batches are split into W = min(threads, B) contiguous
+    runs, and worker w runs batches B w // W to B (w + 1) // W, in
+    order, on its own workspace (see :func:`_batch_sums`): one float64
+    block a worker, allocated here before any batch runs, passed to the
+    worker with its run and freed when the cell returns, so that no
+    batch allocates, and faults in, fresh pages for its arrays.  One
+    worker runs on the calling thread, which starts no thread; more are a
+    ``ThreadPoolExecutor`` ``map`` over the runs and their blocks.
+    Results come back in batch order, and so does an error: a run stops
+    at its first failing batch, and the earliest failing run's error is
+    raised, as a serial run raises it, though later runs may still finish
+    their batches before it is.
     """
     base_seed = derive_seed(config.seed, cell_tag(config))
     k_max = max(config.n1, config.n2) + 1
@@ -261,20 +263,20 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     # that pool threads allocate stay in their malloc arenas once freed,
     # which raised the benchmark's sim-slice peak RSS by 15-20%.
     blocks = [np.empty((_WORK_ROWS, length)) for _ in range(workers)]
-    local = threading.local()
+    # Worker w runs the w-th of `workers` contiguous runs of batches.
+    runs = [starts[len(starts) * w // workers:len(starts) * (w + 1) // workers]
+            for w in range(workers)]
 
-    def run(start):
-        if not hasattr(local, "work"):
-            # list.pop is atomic, so each worker takes a block of its own.
-            local.work = blocks.pop()
-        return _batch_sums(config, base_seed, start,
-                           min(start + batch, config.reps), local.work)
+    def run(run_starts, work):
+        return [_batch_sums(config, base_seed, start,
+                            min(start + batch, config.reps), work)
+                for start in run_starts]
 
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            sums = list(pool.map(run, starts))
+            sums = [s for part in pool.map(run, runs, blocks) for s in part]
     else:
-        sums = list(map(run, starts))
+        sums = run(starts, blocks[0])
     covered = sum(c for c, _ in sums)
     # One exactly rounded sum over every replicate, whatever the batches.
     width_sum = math.fsum(np.concatenate([w for _, w in sums]))
