@@ -36,8 +36,8 @@ from .gpq import (p_value_one_sided, p_value_two_sided, percentile_interval,
                   percentile_ranks, sample_pivotal)
 from .records import RecordSeries
 from .rng import check_seed
-from .simulate import (CELL_SETTINGS, SimConfig, default_table_grid,
-                       render_table, report_row, run_grid)
+from .simulate import (CELL_SETTINGS, SimConfig, check_threads,
+                       default_table_grid, render_table, report_row, run_grid)
 from .weibull import mle_records, pooled_mle, shape_mle
 
 SCHEMA = "weibrec-report/1"
@@ -55,9 +55,7 @@ def _resolve_threads(value: int | None) -> int | None:
             raise InvalidDataError(
                 f"{THREADS_ENV} must be an integer, got {env!r}"
             ) from None
-    if value < 1:
-        raise InvalidDataError("thread count must be at least 1")
-    return value
+    return check_threads(value)
 
 
 def _resolve_seed(seed: int | None) -> int:

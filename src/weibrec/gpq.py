@@ -94,7 +94,7 @@ from .errors import BracketError, InsufficientDrawsError, InvalidDataError
 from .records import RecordSeries, _record_sum, log_to_max
 # exp_record_matrix is not called here, but perfbench/tracer.py wraps it
 # at this import site.
-from .rng import check_seed, exp_record_matrix, uniforms  # noqa: F401
+from .rng import _integer, check_seed, exp_record_matrix, uniforms  # noqa: F401
 
 # Draws per span when bracketing, and when polishing draws.  A polish span
 # holds a (k, span) Newton buffer; at M = 1e5 an interval or p-value
@@ -138,6 +138,7 @@ class PivotalDraws:
     def __init__(self, values, kind: str, m: int, seed: int):
         if kind not in _ESTIMAND_FOR_KIND:
             raise InvalidDataError(f"unknown draw kind {kind!r}")
+        m, seed = _integer(m, "m"), check_seed(seed)
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size != m or m < 1:
             raise InvalidDataError("draws must be a 1-d array of length m >= 1")
@@ -842,7 +843,7 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     draw count below 1, a seed outside [0, 2**64) or an invalid series
     raises ``InvalidDataError``.
     """
-    seed = check_seed(seed)
+    seed, m = check_seed(seed), _integer(m, "m")
     if m < 1:
         raise InvalidDataError("m must be at least 1")
     _check_series(*series)
@@ -904,6 +905,7 @@ def percentile_ranks(m: int, gamma: float) -> tuple[int, int]:
     times 100000 gives the integral rank 2500 and 0.050000001 times
     10**6 the rank 25001.
     """
+    m = _integer(m, "m")
     if not 0.0 < gamma < 1.0:
         raise InvalidDataError("gamma must be in (0, 1)")
     half = Fraction(repr(float(gamma))) * m / 2

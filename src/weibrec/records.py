@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import InvalidDataError
-from .rng import check_seed, exp_record_matrix
+from .rng import _integer, check_seed, exp_record_matrix
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def exponential_records(n: int, seed: int, stream_id: int = 0) -> RecordSeries:
     independent standard exponentials, so the records are partial sums.
     ``seed`` and ``stream_id`` are integers in [0, 2**64).
     """
-    if n < 0:
+    if _integer(n, "n") < 0:
         raise InvalidDataError("n must be non-negative")
     return RecordSeries(exp_record_matrix(
         check_seed(seed), check_seed(stream_id, "stream_id"), n + 1)[:, 0])

@@ -229,6 +229,18 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     return covered, upper - lower
 
 
+def check_threads(threads) -> int | None:
+    """``threads`` as a thread count: None, or an integer of at least 1.
+
+    Anything else raises ``InvalidDataError``.
+    """
+    if threads is None:
+        return None
+    if _integer(threads, "thread count") < 1:
+        raise InvalidDataError("thread count must be at least 1")
+    return int(threads)
+
+
 def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     """Estimate coverage and expected interval length for one cell.
 
@@ -256,7 +268,7 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     per_rep = max(config.m, _START_NODES.size * k_max)
     batch = max(1, min(config.reps, _ELEMENT_BUDGET // per_rep))
     starts = range(0, config.reps, batch)
-    workers = max(1, min(threads or 1, len(starts)))
+    workers = min(check_threads(threads) or 1, len(starts))
     # A batch's arrays and a polish span's (k, span) buffer each fit a row.
     length = max(per_rep, _ELEMENT_BUDGET)
     # Allocated on this thread, not on each worker's first batch: blocks
@@ -294,6 +306,7 @@ def run_grid(grid: list[SimConfig],
     """Run every cell, in order; a failing cell is reported, not fatal."""
     if not grid:
         raise InvalidDataError("grid must contain at least one cell")
+    check_threads(threads)
     out: list[SimReport | CellError] = []
     for config in grid:
         try:

@@ -823,6 +823,22 @@ class TestSamplePivotal:
         with pytest.raises(InvalidDataError):
             sample_pivotal(records34, one, "ratio", 10, seed=0)
 
+    @pytest.mark.parametrize("m", [1e5, 10.0, True, "10"])
+    def test_draw_count_must_be_an_integer(self, records34, records36, m):
+        with pytest.raises(InvalidDataError,
+                           match="^m must be an integer, got "):
+            sample_pivotal(records34, records36, "ratio", m, seed=0)
+        with pytest.raises(InvalidDataError,
+                           match="^m must be an integer, got "):
+            sample_shape_pivot(records34, m, seed=0)
+
+    def test_numpy_draw_count_is_the_same_count(self, records34, records36):
+        draws = sample_pivotal(records34, records36, "ratio", np.int64(50), 3)
+        assert type(draws.m) is int
+        np.testing.assert_array_equal(
+            draws.values,
+            sample_pivotal(records34, records36, "ratio", 50, 3).values)
+
     def test_bracket_failure_reports_replicate(self, tie_stream):
         # replicate 17 of population 2 reads stream 2 * 17 + 1
         tie_stream(35)
@@ -1072,6 +1088,24 @@ class TestPivotalDraws:
         with pytest.raises(ValueError):
             draws.values[0] = 0.0
 
+    @pytest.mark.parametrize("m, seed, message", [
+        (10.0, 0, r"^m must be an integer, got 10\.0$"),
+        (True, 0, "^m must be an integer, got True$"),
+        (10, -1, r"^seed must be in \[0, 2\*\*64\), got -1$"),
+        (10, 1.5, r"^seed must be an integer, got 1\.5$"),
+        (10, True, "^seed must be an integer, got True$"),
+        (10, 2 ** 64, rf"^seed must be in \[0, 2\*\*64\), got {2 ** 64}$"),
+    ])
+    def test_rejects_counts_and_seeds_that_are_not_in_domain(self, m, seed,
+                                                             message):
+        with pytest.raises(InvalidDataError, match=message):
+            PivotalDraws(np.ones(10), "ratio", m, seed)
+
+    def test_numpy_count_and_seed_are_stored_as_ints(self):
+        draws = PivotalDraws(np.ones(10), "ratio", np.int64(10), np.uint64(3))
+        assert repr(draws) == "PivotalDraws(kind='ratio', m=10, seed=3)"
+        assert (type(draws.m), type(draws.seed)) == (int, int)
+
     def test_rejects_two_dimensional_values(self):
         with pytest.raises(InvalidDataError) as err:
             PivotalDraws(values=np.ones((2, 2)), kind="ratio", m=4, seed=0)
@@ -1178,6 +1212,17 @@ class TestPercentileInterval:
         with pytest.raises(InsufficientDrawsError,
                            match=r"lower rank \d+ exceeds the upper rank \d+"):
             percentile_ranks(m, gamma)
+
+    @pytest.mark.parametrize("m", [10.5, 10.0, np.float64(100.0), True])
+    def test_draw_count_must_be_an_integer(self, m):
+        with pytest.raises(InvalidDataError,
+                           match="^m must be an integer, got "):
+            percentile_ranks(m, 0.2)
+
+    def test_numpy_draw_count_gives_int_ranks(self):
+        ranks = percentile_ranks(np.int64(100), 0.05)
+        assert ranks == (3, 97)
+        assert [type(r) for r in ranks] == [int, int]
 
     def test_equal_ranks(self):
         # gamma m / 2 = 1.2: ceil gives 2, and floor(4 - 1.2) gives 2.

@@ -165,6 +165,20 @@ class TestGeneration:
                                np.abs(grid - (ranks - 1.0 / draws))))
         assert ks < 1.628 / np.sqrt(draws)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, "3"])
+    def test_record_index_must_be_an_integer(self, n):
+        with pytest.raises(InvalidDataError,
+                           match="^n must be an integer, got "):
+            exponential_records(n, seed=0)
+        with pytest.raises(InvalidDataError,
+                           match="^n must be an integer, got "):
+            weibull_records(n, 1.0, 1.0, seed=0)
+
+    def test_numpy_record_index_is_the_same_index(self):
+        np.testing.assert_array_equal(
+            weibull_records(np.int64(4), 1.0, 2.0, seed=5).values,
+            weibull_records(4, 1.0, 2.0, seed=5).values)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidDataError):
             weibull_records(3, -1.0, 2.0, seed=0)
