@@ -46,8 +46,9 @@ a full solve, bit for bit.  :func:`sample_pivotal` keeps only the
 bounds, and its candidates re-draw their targets when polished, in
 spans of ``_CHUNK`` draws.  ``PivotalDraws.values`` is still the full
 solve, made on its first read.  This module runs on the calling thread;
-the coverage simulator is the only caller that spreads work over threads, a batch of whole
-replicates to each (see :mod:`weibrec.simulate`).
+the coverage simulator is the only caller that spreads work over
+threads, one contiguous run of batches of whole replicates to each (see
+:mod:`weibrec.simulate`).
 
 Every bracket runs in a workspace, one float64 block of ``_WORK_ROWS``
 rows: :func:`_sample` allocates one per call, ``simulate.run_cell`` one
