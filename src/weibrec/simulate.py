@@ -38,9 +38,8 @@ a batch, arrays large enough that a second thread gains on them.  Each
 worker keeps every such array of its batches in one workspace of
 ``gpq._WORK_ROWS`` (seven) rows, allocated once per cell and handed to
 the worker with its run of batches, so no batch faults in fresh pages
-for them.  Both
-populations' targets are drawn before any root is bracketed, so the
-draws' scratch rows serve the brackets too.
+for them.  Both populations' targets are drawn before any root is
+bracketed, so the draws' scratch rows serve the brackets too.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -275,7 +274,6 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     # that pool threads allocate stay in their malloc arenas once freed,
     # which raised the benchmark's sim-slice peak RSS by 15-20%.
     blocks = [np.empty((_WORK_ROWS, length)) for _ in range(workers)]
-    # Worker w runs the w-th of `workers` contiguous runs of batches.
     runs = [starts[len(starts) * w // workers:len(starts) * (w + 1) // workers]
             for w in range(workers)]
 
@@ -303,7 +301,11 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
 
 def run_grid(grid: list[SimConfig],
              threads: int | None = None) -> list[SimReport | CellError]:
-    """Run every cell, in order; a failing cell is reported, not fatal."""
+    """Run every cell, in order; a failing cell is reported, not fatal.
+
+    A thread count that :func:`check_threads` refuses raises before any
+    cell runs.
+    """
     if not grid:
         raise InvalidDataError("grid must contain at least one cell")
     check_threads(threads)

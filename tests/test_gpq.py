@@ -1219,11 +1219,6 @@ class TestPercentileInterval:
                            match="^m must be an integer, got "):
             percentile_ranks(m, 0.2)
 
-    def test_numpy_draw_count_gives_int_ranks(self):
-        ranks = percentile_ranks(np.int64(100), 0.05)
-        assert ranks == (3, 97)
-        assert [type(r) for r in ranks] == [int, int]
-
     def test_equal_ranks(self):
         # gamma m / 2 = 1.2: ceil gives 2, and floor(4 - 1.2) gives 2.
         assert percentile_ranks(4, 0.6) == (2, 2)

@@ -174,11 +174,6 @@ class TestGeneration:
                            match="^n must be an integer, got "):
             weibull_records(n, 1.0, 1.0, seed=0)
 
-    def test_numpy_record_index_is_the_same_index(self):
-        np.testing.assert_array_equal(
-            weibull_records(np.int64(4), 1.0, 2.0, seed=5).values,
-            weibull_records(4, 1.0, 2.0, seed=5).values)
-
     def test_invalid_parameters(self):
         with pytest.raises(InvalidDataError):
             weibull_records(3, -1.0, 2.0, seed=0)

@@ -4,7 +4,6 @@ on the calling thread whatever thread count it is given."""
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from weibrec import (InvalidDataError, SimConfig, cli, p_value_two_sided,
@@ -132,7 +131,3 @@ def test_cell_and_grid_refuse_a_bad_thread_count(threads, message, started):
     with pytest.raises(InvalidDataError, match=message):
         run_grid([CELL, CELL], threads=threads)
     assert started == []
-
-
-def test_numpy_thread_count_is_the_same_count():
-    assert run_cell(CELL, threads=np.int64(2)) == run_cell(CELL, threads=2)
