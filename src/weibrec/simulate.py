@@ -229,15 +229,13 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
 
 
 def check_threads(threads) -> int | None:
-    """``threads`` as a thread count: None, or an integer of at least 1.
+    """``threads``, if it is None or an integer of at least 1.
 
     Anything else raises ``InvalidDataError``.
     """
-    if threads is None:
-        return None
-    if _integer(threads, "thread count") < 1:
+    if threads is not None and _integer(threads, "thread count") < 1:
         raise InvalidDataError("thread count must be at least 1")
-    return int(threads)
+    return threads
 
 
 def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
