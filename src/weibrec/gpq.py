@@ -45,10 +45,13 @@ threshold, and :func:`_polish` solves just those, giving the values of
 a full solve, bit for bit.  :func:`sample_pivotal` keeps only the
 bounds, and its candidates re-draw their targets when polished, in
 spans of ``_CHUNK`` draws.  ``PivotalDraws.values`` is still the full
-solve, made on its first read.  This module runs on the calling thread;
-the coverage simulator is the only caller that spreads work over
-threads, one contiguous run of batches of whole replicates to each (see
-:mod:`weibrec.simulate`).
+solve, made on its first read.  :func:`_settle_batch` is
+``simulate.run_cell``'s driver: it runs the three stages on a batch of
+replicates and polishes at the targets that the bracket kept, in spans
+that keep to the simulator's element budget.  This module runs on the
+calling thread; the coverage simulator is the only caller that spreads
+work over threads, one contiguous run of batches of whole replicates to
+each (see :mod:`weibrec.simulate`).
 
 Every bracket runs in a workspace, one float64 block of ``_WORK_ROWS``
 rows: :func:`_sample` allocates one per call, ``simulate.run_cell`` one
@@ -177,6 +180,11 @@ class PivotalDraws:
     def _solve(self, idx: NDArray[np.intp]) -> NDArray[np.float64]:
         """The exact draws ``idx``: their targets re-drawn and polished in
         ``_CHUNK`` spans, so that no M-sized target array is held."""
+        # Not _settle_batch's loop: that polishes at the targets its
+        # bracket kept, and these are re-drawn.  Keeping them cost peak
+        # memory and sharing run_cell's spans cost time, so the two loops
+        # stay apart until tighter brackets (ROADMAP item 2) cut the
+        # polished share.
         out = np.empty(idx.size)
         for start in range(0, idx.size, _CHUNK):
             span = idx[start:start + _CHUNK]
@@ -828,6 +836,33 @@ def _candidates(below, above, ranks=(), pi0=None,
     for j in range(len(ranks)):
         polish |= (above >= lows[..., j, None]) & (below <= highs[..., j, None])
     return polish
+
+
+def _settle_batch(kind: str, tables, seeds, m: int, ranks, budget: int,
+                  work) -> NDArray[np.float64]:
+    """The ``(seeds, m)`` draws of ``kind``, exact where they can hold one
+    of the zero-based ``ranks`` of their row, and each other draw its
+    lower bound, which leaves every rank's value as a full solve has it.
+
+    This is ``simulate.run_cell``'s driver.  :func:`_bracket` bounds
+    every draw of every seed, with ``tables`` and ``work`` as there, and
+    :func:`_candidates` picks the draws to polish.  :func:`_polish`
+    solves them at the targets that the bracket kept in workspace rows 4
+    and 5, in spans of ``budget // k`` draws for k the largest record
+    count, so that the ``(k, span)`` Newton buffer and the gathered
+    records keep to ``budget`` elements.  Each root depends only on its
+    own series and target, so the spans move no bit.  The result is
+    written over the lower bounds in row 6.  A ``BracketError`` is
+    :func:`_bracket`'s.
+    """
+    below, above, targets = _bracket(kind, tables, seeds, np.arange(m), work)
+    rows, cols = np.nonzero(_candidates(below, above, ranks, work=work))
+    span = max(1, budget // max(len(table.d) for table in tables))
+    for i in range(0, rows.size, span):
+        r, c = rows[i:i + span], cols[i:i + span]
+        below[r, c] = _polish(kind, tables, r[:, None],
+                              [t[r, c, None] for t in targets], work)[:, 0]
+    return below
 
 
 def _sample(kind: str, series: list[RecordSeries], m: int,

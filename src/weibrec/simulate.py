@@ -23,23 +23,19 @@ error, in batch order.  The pivot sampler in :mod:`weibrec.gpq` runs on
 the calling thread.
 
 A replicate's interval reads only two order statistics of its m pivot
-ratios.  A batch takes the bracket-and-polish path of the command-line
-intervals: ``gpq._bracket`` bounds every ratio, and ``gpq._polish``
-solves only the draws whose bounds can reach either rank, about a tenth
-of them (see :func:`_batch_sums`).  A batch is sized by its largest
-array, which holds at most ``_ELEMENT_BUDGET`` (2**16) elements: the
-per-draw arrays (targets, root brackets, ratio bounds) of m elements a
-replicate, or the start-table buffer of 128 k, for k the larger record
-count, which is the larger only for k > 15.  The pivot targets are
-drawn one uniform at a time, so no other array grows with k, and the
-polish solves its draws in spans whose (k, span) Newton buffer keeps to
-the same count.  At m = 2000 every cell of the study runs 32 replicates
-a batch, arrays large enough that a second thread gains on them.  Each
-worker keeps every such array of its batches in one workspace of
-``gpq._WORK_ROWS`` (seven) rows, allocated once per cell and handed to
-the worker with its run of batches, so no batch faults in fresh pages
-for them.  Both populations' targets are drawn before any root is
-bracketed, so the draws' scratch rows serve the brackets too.
+ratios.  A batch takes them from ``gpq._settle_batch``, which bounds
+every ratio and solves only the draws whose bounds can reach either
+rank, about a tenth of them (see :func:`_batch_sums`).  A batch is sized
+by its largest array, which holds at most ``_ELEMENT_BUDGET`` (2**16)
+elements: the per-draw arrays of m elements a replicate, or the
+start-table buffer of 128 k, for k the larger record count, which is
+the larger only for k > 15.  ``_settle_batch`` keeps every other array
+within the same count.  At m = 2000 every cell of the study runs 32
+replicates a batch, arrays large enough that a second thread gains on
+them.  Each worker keeps every such array of its batches in one
+workspace of ``gpq._WORK_ROWS`` (seven) rows, allocated once per cell
+and handed to the worker with its run of batches, so no batch faults in
+fresh pages for them.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -61,8 +57,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_START_NODES, _WORK_ROWS, _bracket, _candidates, _polish,
-                  _prep_log_records, _start_table, percentile_ranks)
+from .gpq import (_START_NODES, _WORK_ROWS, _prep_log_records, _settle_batch,
+                  _start_table, percentile_ranks)
 from .rng import (_integer, check_seed, derive_seed, derive_seed_array,
                   exp_record_matrix)
 
@@ -174,25 +170,17 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     Neither alpha nor beta enters the solve, which therefore cannot
     overflow at extreme shapes.
 
-    Only the draws that can hold rank lo or rank hi are polished:
-    ``gpq._bracket`` bounds each ratio, ``gpq._candidates`` picks the
-    draws whose bounds can reach either rank, and ``gpq._polish`` solves
-    them at the targets that ``_bracket`` returned, in spans of
-    ``_ELEMENT_BUDGET // k`` draws for k the larger record count, so that
-    the (k, span) Newton buffer and the gathered records keep to the
-    budget.  Each root depends only on its own series and target, so the
-    spans move no bit.  Every other draw keeps its lower bound, and the
-    sort reads the same two ratios as a full solve would, bit for bit.
+    The ratios come from ``gpq._settle_batch``, with ``_ELEMENT_BUDGET``
+    as its budget: exact where a draw can hold rank lo or rank hi, and
+    each other draw's lower bound, so the sort reads the same two ratios
+    as a full solve would, bit for bit.
 
     ``work`` is the worker's ``(_WORK_ROWS, length)`` workspace, every
     row at least as long as the batch's largest array, and every
-    batch-sized array lives in it: the start-table buffers, the per-draw
-    arrays of ``gpq._bracket``, the sorted copies of ``gpq._candidates``
-    and the polish's gathered records and Newton buffers.  It is passed
-    whole, and ``gpq`` chooses the rows (see ``gpq._WORK_ROWS``).  Each
-    row is written before it is read, so what an earlier batch left in it
-    moves no bit.  Once ``_candidates`` has returned, only the targets and
-    the lower bounds that the polish writes over are live.
+    batch-sized array lives in it: the start-table buffers, and the
+    arrays of ``_settle_batch``.  It is passed whole, and ``gpq`` chooses
+    the rows (see ``gpq._WORK_ROWS``).  Each row is written before it is
+    read, so what an earlier batch left in it moves no bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
@@ -204,24 +192,14 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
                   exp_record_matrix(data_seeds, pop, n + 1)), work)
               for pop, n in enumerate((config.n1, config.n2))]
     try:
-        below, above, targets = _bracket(
-            "ratio", tables, pivot_seeds, np.arange(config.m), work)
+        ratio = _settle_batch("ratio", tables, pivot_seeds, config.m, ranks,
+                              _ELEMENT_BUDGET, work)
     except BracketError as exc:
         rep, draw = divmod(exc.replicate or 0, config.m)
         raise BracketError(
             f"outer replicate {start + rep}, pivotal draw {draw}, {exc}",
             replicate=start + rep,
         ) from exc
-    rows, cols = np.nonzero(_candidates(below, above, ranks, work=work))
-
-    # Every other draw keeps its lower bound, which leaves both ranks'
-    # values as the full solve has them.
-    ratio = below
-    span = max(1, _ELEMENT_BUDGET // (max(config.n1, config.n2) + 1))
-    for i in range(0, rows.size, span):
-        r, c = rows[i:i + span], cols[i:i + span]
-        ratio[r, c] = _polish("ratio", tables, r[:, None],
-                              [t[r, c, None] for t in targets], work)[:, 0]
     ratio.sort(axis=1)
     lower, upper = ratio[:, ranks].T
     covered = int(np.count_nonzero((lower < 1.0) & (1.0 < upper)))

@@ -115,14 +115,14 @@ def test_run_cell_order_statistics_are_near_exact(monkeypatch):
     # _batch_sums sorts the ratio bounds that _bracket returns in place,
     # with the draws that can reach either rank polished.
     held = []
-    real = simulate._bracket
+    real = gpq._bracket
 
     def keep(*args):
         below, above, targets = real(*args)
         held.append(below)
         return below, above, targets
 
-    monkeypatch.setattr(simulate, "_bracket", keep)
+    monkeypatch.setattr(gpq, "_bracket", keep)
     report = run_cell(config)
     [ratios] = held
 

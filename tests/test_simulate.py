@@ -552,6 +552,16 @@ class TestRunGrid:
         [result] = run_grid([config])
         assert isinstance(result, SimReport), result
 
+    def test_close_two_record_draw_is_answered(self):
+        # This cell failed while targets were drawn as exponential records:
+        # replicate 1's pivotal draw 171 of population 2 was a near-tied
+        # pair whose target rounded to 0.  Drawn from one uniform, that
+        # target is 2.2e-4 on both SIMD paths.
+        config = SimConfig(n1=1, n2=1, beta1=1e307, beta2=2.0, m=172, reps=2,
+                           gamma=0.125, seed=893)
+        [result] = run_grid([config])
+        assert isinstance(result, SimReport), result
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidDataError):
             run_grid([])

@@ -50,8 +50,8 @@ def poison_draw_scratch(patch, calls):
 
 def poison_after_selection(patch, calls):
     """Fill the rows that are dead once selection is done with NaN as soon
-    as ``_candidates`` returns in ``_batch_sums``."""
-    real = simulate._candidates
+    as ``_candidates`` returns in ``gpq._settle_batch``."""
+    real = gpq._candidates
 
     def spy(below, above, ranks=(), pi0=None, work=None):
         got = real(below, above, ranks, pi0, work)
@@ -59,7 +59,7 @@ def poison_after_selection(patch, calls):
         calls.append(None)
         return got
 
-    patch.setattr(simulate, "_candidates", spy)
+    patch.setattr(gpq, "_candidates", spy)
 
 
 def test_targets_are_drawn_before_any_root_is_bracketed(monkeypatch,
