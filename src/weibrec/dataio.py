@@ -16,6 +16,10 @@ pre-extracted record values:
   ``values`` and ``records`` is an error;
 * inline: ``label:v1,v2,...;label2:...`` directly on the command line.
 
+A file named ``*.json`` is JSON.  Any other file is CSV, unless its text
+starts with a bracket: it is then read as JSON, and as CSV where it is
+not valid JSON, since a wide CSV's first label may start with one.
+
 Every population's label is a non-empty string, stripped of surrounding
 whitespace in every format, and a CSV row has no more cells than its
 header.  Parse failures carry row/column (or label/index) diagnostics; a
@@ -45,17 +49,24 @@ from .records import RecordSeries, extract_upper_records
 Populations = list[tuple[str, NDArray[np.float64]]]
 
 
-def _parse_number(text: str, where: str, positive: bool = False) -> float:
+def _parse_number(text: str, positive: bool, where: str, *args) -> float:
+    """``text`` as a finite float, and above zero if ``positive``.
+
+    An error names its place, ``where.format(*args)``, which is built
+    only then: labels go in ``args``, so a brace in one is never read as
+    a field.
+    """
     try:
         value = float(text)
     except ValueError:
-        raise InvalidDataError(f"{where}: not a number: {text!r}") from None
-    if not np.isfinite(value):
-        raise InvalidDataError(f"{where}: value must be finite, got {text!r}")
-    if positive and value <= 0.0:
         raise InvalidDataError(
-            f"{where}: observations must be positive, got {text!r}"
-        )
+            f"{where.format(*args)}: not a number: {text!r}") from None
+    if not np.isfinite(value):
+        raise InvalidDataError(
+            f"{where.format(*args)}: value must be finite, got {text!r}")
+    if positive and value <= 0.0:
+        raise InvalidDataError(f"{where.format(*args)}: observations must "
+                               f"be positive, got {text!r}")
     return value
 
 
@@ -96,8 +107,8 @@ def _parse_wide_csv(header: list[str], rows) -> Populations:
             cell = cell.strip()
             if not cell:
                 continue
-            where = f"row {i}, column {header[j]!r}"
-            columns[j].append(_parse_number(cell, where, positive=True))
+            columns[j].append(_parse_number(cell, True, "row {}, column {!r}",
+                                            i, header[j]))
     return _finish([
         (label, np.asarray(col, dtype=np.float64))
         for label, col in zip(header, columns)
@@ -128,10 +139,10 @@ def _parse_long_csv(header: list[str], rows, kind: str) -> Populations:
         label = row[idx["population"]].strip()
         if not label:
             raise InvalidDataError(f"row {i}, column 'population': empty label")
-        value = _parse_number(row[idx["value"]].strip(),
-                              f"row {i}, column 'value'", positive=True)
-        order = _parse_number(row[idx["order"]].strip(),
-                              f"row {i}, column 'order'") if has_order \
+        value = _parse_number(row[idx["value"]].strip(), True,
+                              "row {}, column 'value'", i)
+        order = _parse_number(row[idx["order"]].strip(), False,
+                              "row {}, column 'order'", i) if has_order \
             else float(len(by_label.get(label, [])))
         by_label.setdefault(label, []).append((order, value))
     pops: Populations = []
@@ -286,8 +297,7 @@ def _parse_inline(text: str) -> Populations:
             label, body = f"pop{i}", part
         label = label.strip()
         values = [
-            _parse_number(tok.strip(), f"inline population {label!r}",
-                          positive=True)
+            _parse_number(tok.strip(), True, "inline population {!r}", label)
             for tok in body.split(",") if tok.strip()
         ]
         pops.append((label, np.asarray(values, dtype=np.float64)))
@@ -305,10 +315,19 @@ def load_populations(source: str, kind: str = "raw") -> Populations:
         raise InvalidDataError(f"unknown data kind {kind!r}")
     if os.path.exists(source):
         text = read_text(source)
-        if (source.lower().endswith(".json")
-                or text.lstrip().startswith(("{", "["))):
+        if source.lower().endswith(".json"):
             return _json_populations(parse_json(text, repr(source)))
-        return _parse_csv(text, kind)
+        if not text.lstrip().startswith(("{", "[")):
+            return _parse_csv(text, kind)
+        # A wide CSV's first label may start with a bracket too.
+        try:
+            doc = parse_json(text, repr(source))
+        except InvalidDataError as exc:
+            try:
+                return _parse_csv(text, kind)
+            except InvalidDataError as csv_exc:
+                raise InvalidDataError(f"{exc}, and as CSV: {csv_exc}") from None
+        return _json_populations(doc)
     if any(ch in source for ch in ":;,"):
         try:
             return _parse_inline(source)

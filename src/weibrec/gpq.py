@@ -46,17 +46,20 @@ a full solve, bit for bit.  :func:`sample_pivotal` keeps only the
 bounds, and its candidates re-draw their targets when polished, in
 spans of ``_CHUNK`` draws.  ``PivotalDraws.values`` is still the full
 solve, made on its first read.  :func:`_settle_batch` is
-``simulate.run_cell``'s driver: it runs the three stages on a batch of
-replicates and polishes at the targets that the bracket kept, in spans
-that keep to the simulator's element budget.  This module runs on the
-calling thread; the coverage simulator is the only caller that spreads
-work over threads, one contiguous run of batches of whole replicates to
-each (see :mod:`weibrec.simulate`).
+``simulate.run_cell``'s driver: given a batch of replicates' data
+series, it builds their start tables, runs the three stages, polishes
+at the targets that the bracket kept, in spans that keep to the
+simulator's element budget, and returns each replicate's interval ends.
+:func:`_batch_shape` sizes that batch and its workspace.  This module
+runs on the calling thread; the coverage simulator is the only caller
+that spreads work over threads, one contiguous run of batches of whole
+replicates to each (see :mod:`weibrec.simulate`).
 
 Every bracket runs in a workspace, one float64 block of ``_WORK_ROWS``
 rows: :func:`_sample` allocates one per call, ``simulate.run_cell`` one
-per worker, and :func:`_carve` turns a block and a row number into an
-array.  Only this module names rows (see ``_WORK_ROWS``).
+per worker in the shape that :func:`_batch_shape` gives, and
+:func:`_carve` turns a block and a row number into an array.  Only this
+module names rows or sizes them (see ``_WORK_ROWS``).
 :func:`_bracket` draws every population's targets before it brackets
 any root, so the draws' scratch rows are free again for the brackets
 and seven rows hold a batch.  The start table, the polish and the rank
@@ -735,7 +738,8 @@ def _combine(kind: str, roots, out=None):
 #   3: each target draw's log sums; population 1's start, then the draws'
 #      upper bounds.
 #   4, 5: population 1's and population 2's targets, read by the polish.
-#   6: population 1's lower bound, then the draws' lower bounds.
+#   6: population 1's lower bound, then the draws' lower bounds, which
+#      _settle_batch settles and sorts.
 # Rows 0 to 3 are dead between the last target draw and the first bracket,
 # and again once _candidates has returned: the polish writes rows 0 and 2
 # before it reads them, and reads no other row but 4 to 6.
@@ -838,23 +842,44 @@ def _candidates(below, above, ranks=(), pi0=None,
     return polish
 
 
-def _settle_batch(kind: str, tables, seeds, m: int, ranks, budget: int,
-                  work) -> NDArray[np.float64]:
-    """The ``(seeds, m)`` draws of ``kind``, exact where they can hold one
-    of the zero-based ``ranks`` of their row, and each other draw its
-    lower bound, which leaves every rank's value as a full solve has it.
+def _batch_shape(m: int, k: int, budget: int) -> tuple[int, tuple[int, int]]:
+    """Replicates a :func:`_settle_batch` batch holds, and its workspace shape.
 
-    This is ``simulate.run_cell``'s driver.  :func:`_bracket` bounds
-    every draw of every seed, with ``tables`` and ``work`` as there, and
-    :func:`_candidates` picks the draws to polish.  :func:`_polish`
-    solves them at the targets that the bracket kept in workspace rows 4
-    and 5, in spans of ``budget // k`` draws for k the largest record
-    count, so that the ``(k, span)`` Newton buffer and the gathered
-    records keep to ``budget`` elements.  Each root depends only on its
-    own series and target, so the spans move no bit.  The result is
-    written over the lower bounds in row 6.  A ``BracketError`` is
-    :func:`_bracket`'s.
+    A replicate's largest array is its ``m`` per-draw values or its
+    ``len(_START_NODES) * k`` start-table values, for ``k`` the larger
+    record count, so a batch holds as many replicates as keep that within
+    ``budget`` elements, and at least one.  Each of the ``_WORK_ROWS``
+    rows holds the batch's largest array and a polish span's ``(k,
+    budget // k)`` buffer.
     """
+    per_rep = max(m, _START_NODES.size * k)
+    return max(1, budget // per_rep), (_WORK_ROWS, max(per_rep, budget))
+
+
+def _settle_batch(kind: str, records, seeds, m: int, gamma: float,
+                  budget: int, work) -> NDArray[np.float64]:
+    """``(lower, upper)``: each seed's ends of the equal-tail ``gamma``
+    interval of its ``m`` draws of ``kind``, as a full solve has them.
+
+    This is ``simulate.run_cell``'s driver, on a batch and a workspace
+    that :func:`_batch_shape` sizes.  ``records`` holds each population's
+    record-major ``(k, seeds)`` data series, series ``i`` going with seed
+    ``i``, and each population's start table is built in workspace row
+    0.  :func:`_bracket` bounds every draw, with ``work`` as there, and
+    :func:`_candidates` picks the draws that can hold either rank of
+    :func:`percentile_ranks`.  :func:`_polish` solves them at the targets
+    that the bracket kept in rows 4 and 5, in spans of ``budget // k``
+    draws for k the largest record count, so that the ``(k, span)``
+    Newton buffer and the gathered records keep to ``budget`` elements.
+    Each root depends only on its own series and target, so the spans
+    move no bit.  The solved draws are written over the lower bounds in
+    row 6, and every other draw keeps its lower bound, which leaves each
+    rank's value as a full solve has it; the row is then sorted in place
+    and read at the two ranks.  A ``BracketError`` is :func:`_bracket`'s.
+    """
+    tables = [_start_table(*_prep_log_records(values), work)
+              for values in records]
+    ranks = [rank - 1 for rank in percentile_ranks(m, gamma)]
     below, above, targets = _bracket(kind, tables, seeds, np.arange(m), work)
     rows, cols = np.nonzero(_candidates(below, above, ranks, work=work))
     span = max(1, budget // max(len(table.d) for table in tables))
@@ -862,7 +887,8 @@ def _settle_batch(kind: str, tables, seeds, m: int, ranks, budget: int,
         r, c = rows[i:i + span], cols[i:i + span]
         below[r, c] = _polish(kind, tables, r[:, None],
                               [t[r, c, None] for t in targets], work)[:, 0]
-    return below
+    below.sort(axis=1)
+    return below[:, ranks].T
 
 
 def _sample(kind: str, series: list[RecordSeries], m: int,

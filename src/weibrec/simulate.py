@@ -25,17 +25,14 @@ the calling thread.
 A replicate's interval reads only two order statistics of its m pivot
 ratios.  A batch takes them from ``gpq._settle_batch``, which bounds
 every ratio and solves only the draws whose bounds can reach either
-rank, about a tenth of them (see :func:`_batch_sums`).  A batch is sized
-by its largest array, which holds at most ``_ELEMENT_BUDGET`` (2**16)
-elements: the per-draw arrays of m elements a replicate, or the
-start-table buffer of 128 k, for k the larger record count, which is
-the larger only for k > 15.  ``_settle_batch`` keeps every other array
-within the same count.  At m = 2000 every cell of the study runs 32
-replicates a batch, arrays large enough that a second thread gains on
-them.  Each worker keeps every such array of its batches in one
-workspace of ``gpq._WORK_ROWS`` (seven) rows, allocated once per cell
-and handed to the worker with its run of batches, so no batch faults in
-fresh pages for them.
+rank, about a tenth of them (see :func:`_batch_sums`).
+``gpq._batch_shape`` sizes a batch by its largest array, which holds at
+most ``_ELEMENT_BUDGET`` (2**16) elements, and sizes the workspace that
+holds every such array of a worker's batches.  At m = 2000 every cell
+of the study runs 32 replicates a batch, arrays large enough that a
+second thread gains on them.  Each worker's workspace is allocated once
+per cell and handed to the worker with its run of batches, so no batch
+faults in fresh pages for its arrays.
 
 The pivots are solved in unit shape (see :func:`_batch_sums`), so
 coverage depends only on (n1, n2, m, reps, gamma) and the random
@@ -57,18 +54,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
-from .gpq import (_START_NODES, _WORK_ROWS, _prep_log_records, _settle_batch,
-                  _start_table, percentile_ranks)
+from .gpq import _batch_shape, _settle_batch, percentile_ranks
 from .rng import (_integer, check_seed, derive_seed, derive_seed_array,
                   exp_record_matrix)
 
-# Elements in a batch's largest array: its (reps, m) per-draw arrays, its
-# (k, reps, 128) start-table buffer or its (k, span) Newton buffer.  Each
-# is one row of its worker's workspace, so the budget also sets the row
-# length.  On a 2-vCPU Xeon, two threads ran a uint64 shift-xor-multiply
-# pass at 0.56x the serial speed on 2**13 elements, 1.5x on 2**16 and 1.9x
-# on 2**18; a budget of 2**17 raised the benchmark's sim-slice peak RSS by
-# a fifth.
+# Elements in a batch's largest array, which also sets the length of its
+# worker's workspace rows (see gpq._batch_shape).  On a 2-vCPU Xeon, two
+# threads ran a uint64 shift-xor-multiply pass at 0.56x the serial speed on
+# 2**13 elements, 1.5x on 2**16 and 1.9x on 2**18; a budget of 2**17 raised
+# the benchmark's sim-slice peak RSS by a fifth.
 _ELEMENT_BUDGET = 2 ** 16
 
 # A cell's population settings, in the order its stream tag joins them:
@@ -170,38 +164,30 @@ def _batch_sums(config: SimConfig, base_seed: int, start: int, stop: int,
     Neither alpha nor beta enters the solve, which therefore cannot
     overflow at extreme shapes.
 
-    The ratios come from ``gpq._settle_batch``, with ``_ELEMENT_BUDGET``
-    as its budget: exact where a draw can hold rank lo or rank hi, and
-    each other draw's lower bound, so the sort reads the same two ratios
-    as a full solve would, bit for bit.
+    The interval ends come from ``gpq._settle_batch``, with
+    ``_ELEMENT_BUDGET`` as its budget, and are those of a full solve,
+    bit for bit.  This function keeps the seeds, the data draw and the
+    scoring.
 
-    ``work`` is the worker's ``(_WORK_ROWS, length)`` workspace, every
-    row at least as long as the batch's largest array, and every
-    batch-sized array lives in it: the start-table buffers, and the
-    arrays of ``_settle_batch``.  It is passed whole, and ``gpq`` chooses
-    the rows (see ``gpq._WORK_ROWS``).  Each row is written before it is
-    read, so what an earlier batch left in it moves no bit.
+    ``work`` is the worker's workspace, in the shape of
+    ``gpq._batch_shape``, and every batch-sized array lives in it.  It is
+    passed whole, and ``gpq`` chooses the rows.  Each row is written
+    before it is read, so what an earlier batch left in it moves no bit.
     """
     rep_seeds = derive_seed_array(base_seed, np.arange(start, stop, dtype=np.uint64))
     data_seeds = derive_seed_array(rep_seeds, 1)
     pivot_seeds = derive_seed_array(rep_seeds, 2)
-    lo_rank, hi_rank = percentile_ranks(config.m, config.gamma)
-    ranks = [lo_rank - 1, hi_rank - 1]
-
-    tables = [_start_table(*_prep_log_records(
-                  exp_record_matrix(data_seeds, pop, n + 1)), work)
-              for pop, n in enumerate((config.n1, config.n2))]
+    records = [exp_record_matrix(data_seeds, pop, n + 1)
+               for pop, n in enumerate((config.n1, config.n2))]
     try:
-        ratio = _settle_batch("ratio", tables, pivot_seeds, config.m, ranks,
-                              _ELEMENT_BUDGET, work)
+        lower, upper = _settle_batch("ratio", records, pivot_seeds, config.m,
+                                     config.gamma, _ELEMENT_BUDGET, work)
     except BracketError as exc:
         rep, draw = divmod(exc.replicate or 0, config.m)
         raise BracketError(
             f"outer replicate {start + rep}, pivotal draw {draw}, {exc}",
             replicate=start + rep,
         ) from exc
-    ratio.sort(axis=1)
-    lower, upper = ratio[:, ranks].T
     covered = int(np.count_nonzero((lower < 1.0) & (1.0 < upper)))
     return covered, upper - lower
 
@@ -220,10 +206,9 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     """Estimate coverage and expected interval length for one cell.
 
     Its batches of replicates run on ``threads`` workers (None or 1: the
-    calling thread); the report is the same for every count.  A batch
-    holds as many replicates as keep its largest array, m per-draw
-    values or 128 start-table values per record of each replicate, within
-    ``_ELEMENT_BUDGET`` elements.
+    calling thread); the report is the same for every count.
+    ``gpq._batch_shape`` sizes a batch, and its workspace, to keep its
+    largest array within ``_ELEMENT_BUDGET`` elements.
 
     The cell's B batches are split into W = min(threads, B) contiguous
     runs, and worker w runs batches B w // W to B (w + 1) // W, in
@@ -239,17 +224,14 @@ def run_cell(config: SimConfig, threads: int | None = None) -> SimReport:
     their batches before it is.
     """
     base_seed = derive_seed(config.seed, cell_tag(config))
-    k_max = max(config.n1, config.n2) + 1
-    per_rep = max(config.m, _START_NODES.size * k_max)
-    batch = max(1, min(config.reps, _ELEMENT_BUDGET // per_rep))
+    batch, shape = _batch_shape(config.m, max(config.n1, config.n2) + 1,
+                                _ELEMENT_BUDGET)
     starts = range(0, config.reps, batch)
     workers = min(check_threads(threads) or 1, len(starts))
-    # A batch's arrays and a polish span's (k, span) buffer each fit a row.
-    length = max(per_rep, _ELEMENT_BUDGET)
     # Allocated on this thread, not on each worker's first batch: blocks
     # that pool threads allocate stay in their malloc arenas once freed,
     # which raised the benchmark's sim-slice peak RSS by 15-20%.
-    blocks = [np.empty((_WORK_ROWS, length)) for _ in range(workers)]
+    blocks = [np.empty(shape) for _ in range(workers)]
     runs = [starts[len(starts) * w // workers:len(starts) * (w + 1) // workers]
             for w in range(workers)]
 

@@ -428,6 +428,54 @@ class TestJsonErrorsNameTheFile:
             f"error: {str(path)!r}: invalid JSON: {reason}\n")
 
 
+class TestBracketedCsvHeader:
+    """A file not named ``.json`` that starts with a bracket is read as
+    JSON, and as CSV where it is not JSON, so a wide CSV's first label
+    may start with a bracket."""
+
+    @pytest.mark.parametrize("text, pops", [
+        ("[34kV],[36kV]\n0.96,1.97\n4.15,0.59\n8.01,2.58\n",
+         [("[34kV]", [0.96, 4.15, 8.01]), ("[36kV]", [1.97, 0.59, 2.58])]),
+        ("{a},b\n1,2\n3,1\n", [("{a}", [1.0, 3.0]), ("b", [2.0, 1.0])]),
+    ], ids=["square", "brace"])
+    def test_loads_as_wide_csv(self, tmp_path, text, pops):
+        path = tmp_path / "fluid.csv"
+        path.write_text(text)
+        got = load_populations(str(path))
+        assert [(label, v.tolist()) for label, v in got] == pops
+
+    def test_error_names_both_readings(self, tmp_path, capsys):
+        path = tmp_path / "pops.csv"
+        path.write_text("[a],b\n1,x\n")
+        assert _mle_error(str(path), capsys) == (
+            f"error: {str(path)!r}: invalid JSON: Expecting value: line 1 "
+            f"column 2 (char 1), and as CSV: row 2, column 'b': not a "
+            f"number: 'x'\n")
+
+
+@pytest.mark.parametrize("source, message", [
+    ("population,value,order\na,1,x\n",
+     "row 2, column 'order': not a number: 'x'"),
+    ("population,value,order\na,1,inf\n",
+     "row 2, column 'order': value must be finite, got 'inf'"),
+    ("a,b\n1,-2\n", "row 2, column 'b': observations must be positive, "
+                     "got '-2'"),
+    ("a,{0}\n1,x\n", "row 2, column '{0}': not a number: 'x'"),
+    ("{x}:1,-2;b:1,2", "'{x}:1,-2;b:1,2' is not an existing file, and as "
+                       "inline data: inline population '{x}': observations "
+                       "must be positive, got '-2'"),
+], ids=["order-not-a-number", "order-infinite", "wide-negative",
+        "braced-label", "braced-inline-label"])
+def test_number_errors_name_their_place(tmp_path, source, message):
+    if "\n" in source:
+        path = tmp_path / "pops.csv"
+        path.write_text(source)
+        source = str(path)
+    with pytest.raises(InvalidDataError) as info:
+        load_populations(source)
+    assert str(info.value) == message
+
+
 def _simulate(path, capsys) -> tuple[int, str, str]:
     """``simulate --config path`` on tiny cells: its exit code, stdout and
     stderr."""

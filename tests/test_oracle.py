@@ -112,7 +112,7 @@ def test_insulating_draws_are_near_exact(kind, insulating_roots, records34,
 
 def test_run_cell_order_statistics_are_near_exact(monkeypatch):
     config = SimConfig(n1=3, n2=7, beta1=1.0, beta2=2.0, m=200, reps=1, seed=5)
-    # _batch_sums sorts the ratio bounds that _bracket returns in place,
+    # gpq._settle_batch sorts the ratio bounds that _bracket returns in place,
     # with the draws that can reach either rank polished.
     held = []
     real = gpq._bracket

@@ -275,13 +275,13 @@ class TestRunCell:
     def test_start_table_buffer_stays_within_budget(self, monkeypatch):
         # At k = 41 the (k, reps, 128) buffer of the start table outgrows
         # the (reps, m) arrays, so it sets the batch size.
-        real, buffers = simulate._start_table, []
+        real, buffers = gpq._start_table, []
 
         def spy(d, gap, work=None):
             buffers.append(d.size * gpq._START_NODES.size)
             return real(d, gap, work)
 
-        monkeypatch.setattr(simulate, "_start_table", spy)
+        monkeypatch.setattr(gpq, "_start_table", spy)
         run_cell(SimConfig(n1=40, n2=40, beta1=1.0, beta2=2.0, m=200,
                            reps=30, seed=2))
         assert len(buffers) > 2
