@@ -39,17 +39,23 @@ bound, the table node below the root less a slack for float error, and
 An interval reads two order statistics of the draws and a p-value one
 tail count, so neither needs every root.  One path serves the
 command-line draws and the coverage simulator: :func:`_bracket` draws
-the targets and bounds each ratio or difference, :func:`_candidates`
-picks the draws whose bounds can reach the ranks or straddle the
-threshold, and :func:`_polish` solves just those, giving the values of
-a full solve, bit for bit.  :func:`sample_pivotal` keeps only the
-bounds, and its candidates re-draw their targets when polished, in
-spans of ``_CHUNK`` draws.  ``PivotalDraws.values`` is still the full
-solve, made on its first read.  :func:`_settle_batch` is
-``simulate.run_cell``'s driver: given a batch of replicates' data
-series, it builds their start tables, runs the three stages, polishes
-at the targets that the bracket kept, in spans that keep to the
-simulator's element budget, and returns each replicate's interval ends.
+the targets and bounds each ratio or difference, keeping each root's
+start, :func:`_candidates` picks the draws whose bounds can reach the
+ranks or straddle the threshold, and :func:`_newton` descends just
+those from their kept starts, giving the values of a full solve, bit
+for bit.  :func:`sample_pivotal` keeps only the bounds, and its
+candidates are bracketed again when polished, in spans of ``_CHUNK``
+draws, which draws their targets and finds their starts again.
+``PivotalDraws.values`` is still the full solve, made on its first
+read.  :func:`_settle_batch` is ``simulate.run_cell``'s driver: given
+a batch of replicates' data series, it builds their start tables,
+brackets and selects, descends at the targets and from the starts that
+the bracket kept, in spans that keep to the simulator's element
+budget, and returns each replicate's interval ends.  So each polished
+root descends from the start its bracket found, and the two polish
+loops differ only in where their targets and starts come from.
+:func:`_solve_roots`, which brackets and descends in fresh arrays,
+serves only :func:`solve_shape_pivot` and the tests.
 :func:`_batch_shape` sizes that batch and its workspace.  This module
 runs on the calling thread; the coverage simulator is the only caller
 that spreads work over threads, one contiguous run of batches of whole
@@ -62,9 +68,10 @@ per worker in the shape that :func:`_batch_shape` gives, and
 module names rows or sizes them (see ``_WORK_ROWS``).
 :func:`_bracket` draws every population's targets before it brackets
 any root, so the draws' scratch rows are free again for the brackets
-and seven rows hold a batch.  The start table, the polish and the rank
-sort take the whole block, or None for fresh arrays where theirs are
-not chunk-sized, as on the command-line path.
+and seven rows hold a batch.  The start table, ``run_cell``'s polish
+and the rank sort take the whole block; the command-line polish
+brackets in a block of its own, and its Newton buffer, which is not
+chunk-sized, is fresh.
 
 Record arrays are record-major in every signature here and in memory:
 the records are the leading axis, so an observed ``d`` is ``(k,
@@ -74,13 +81,16 @@ lower bounds and roots are ``(series, draws)``.  Every sum over
 records adds them in index order (see ``records._record_sum``, which
 the shape MLE shares), so each value is independent of the batch it is
 computed in.  The start table, each Newton pass and :func:`am_gm_ratio`
-evaluate log W through the one function ``_log_w``.  Every log
-W_exp(1) comes from ``_exp_log_am_gm``, which takes one record at a
-time.  A simulated target is log W at beta = 1 of ``(1, U_1, ...,
-U_{k-1})``, ``k - 1`` uniforms of its stream, which has the law of the
-target of ``k`` exponential records (see ``_exp_targets``); the
-uniforms are reduced as they are drawn, so no array has a record axis,
-and the leading 1 is counted, not drawn or logged.
+evaluate log W through the one function ``_log_w``.  Every target
+log W_exp(1) of a root solve comes from ``_exp_log_am_gm``, which
+takes one record at a time; :func:`pivotal_equation` evaluates both of
+its sides through :func:`am_gm_ratio`, and so through ``_log_w``, which
+is why equal series give exactly 0 there.  A simulated target is log W
+at beta = 1 of ``(1, U_1, ..., U_{k-1})``, ``k - 1`` uniforms of its
+stream, which has the law of the target of ``k`` exponential records
+(see ``_exp_targets``); the uniforms are reduced as they are drawn, so
+no array has a record axis, and the leading 1 is counted, not drawn or
+logged.
 The draw updates one array in place and the reduction adds it into its
 sums in place, so a batch of targets allocates a few arrays per call
 and none per value.
@@ -101,7 +111,8 @@ from .errors import BracketError, InsufficientDrawsError, InvalidDataError
 from .records import RecordSeries, _record_sum, log_to_max
 # exp_record_matrix is not called here, but perfbench/tracer.py wraps it
 # at this import site.
-from .rng import _integer, check_seed, exp_record_matrix, uniforms  # noqa: F401
+from .rng import (_integer, _real, check_seed, exp_record_matrix,  # noqa: F401
+                  uniforms)
 
 # Draws per span when bracketing, and when polishing draws.  A polish span
 # holds a (k, span) Newton buffer; at M = 1e5 an interval or p-value
@@ -181,24 +192,34 @@ class PivotalDraws:
         return values
 
     def _solve(self, idx: NDArray[np.intp]) -> NDArray[np.float64]:
-        """The exact draws ``idx``: their targets re-drawn and polished in
-        ``_CHUNK`` spans, so that no M-sized target array is held."""
-        # Not _settle_batch's loop: that polishes at the targets its
-        # bracket kept, and these are re-drawn.  Keeping them cost peak
-        # memory and sharing run_cell's spans cost time, so the two loops
-        # stay apart until tighter brackets (ROADMAP item 2) cut the
-        # polished share.
+        """The exact draws ``idx``, in ``_CHUNK`` spans, so that no
+        M-sized target array is held.
+
+        Each span is bracketed again by the sampler's own :func:`_bracket`,
+        in one ``(_WORK_ROWS, min(idx.size, _CHUNK))`` workspace, and each
+        root descends by :func:`_newton` from the start that it returns,
+        in a fresh ``(k, 1, span)`` Newton buffer.
+        """
+        # Not _settle_batch's loop: that descends at the targets and from
+        # the starts its bracket kept, and these are found again.  Keeping
+        # them cost peak memory and sharing run_cell's spans cost time, so
+        # the two loops stay apart until tighter brackets (ROADMAP item 2)
+        # cut the polished share.
         out = np.empty(idx.size)
+        work = np.empty((_WORK_ROWS, min(idx.size, _CHUNK)))
         for start in range(0, idx.size, _CHUNK):
-            span = idx[start:start + _CHUNK]
-            targets = [_pivot_targets([[self.seed]], span, p, len(table.d))
-                       for p, table in enumerate(self._tables)]
-            out[start:start + _CHUNK] = _polish(
-                self.kind, self._tables, None, targets)
+            _, _, targets, starts = _bracket(
+                self.kind, self._tables, np.asarray([self.seed]),
+                idx[start:start + _CHUNK], work)
+            out[start:start + _CHUNK] = _combine(self.kind, [
+                _newton(table.d[..., None], table.gap[:, None], target, beta)
+                for table, target, beta in zip(self._tables, targets, starts)
+            ])[0]
         return out
 
-    def _settled(self, ranks=(), pi0=None) -> NDArray[np.float64]:
-        """The draws, exact where they can reach ``ranks`` or straddle ``pi0``.
+    def _settled(self, ranks=None, pi0=None) -> NDArray[np.float64]:
+        """The draws, exact where they can reach ``ranks`` or, without
+        ranks, straddle ``pi0``, which must then be a finite number.
 
         Each other draw holds its lower bound, which lies on the same
         side of each rank's value, and of ``pi0``, as the draw itself:
@@ -207,7 +228,7 @@ class PivotalDraws:
         :attr:`values` are known (explicit draws, or sampled draws after
         a read), the result is a copy of them, and no draw is selected.
         """
-        if pi0 is not None and not math.isfinite(pi0):
+        if ranks is None and not math.isfinite(_real(pi0, "pi0")):
             raise InvalidDataError(f"pi0 must be finite, got {pi0}")
         if "values" in self.__dict__:
             return self.values.copy()
@@ -296,7 +317,7 @@ def am_gm_ratio(series: RecordSeries, beta: float) -> float:
     tends to 0, and invariant to rescaling the records.  Evaluated as
     in the root solve (:func:`_log_am_gm`).
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
+    if not (_real(beta, "beta") > 0.0 and math.isfinite(beta)):
         raise InvalidDataError("beta must be positive and finite")
     _check_series(series)
     with np.errstate(over="ignore"):
@@ -424,12 +445,12 @@ def _start_table(d, gap, work=None) -> _StartTable:
         lo, below.astype(np.min_scalar_type(h.shape[1])))
 
 
-def _node_index(table: _StartTable, target, rows=None, out=None,
+def _node_index(table: _StartTable, target, out=None,
                 scratch=(None, None)) -> NDArray[np.integer]:
     """How many entries of each row of ``table.h`` lie below each target.
 
-    ``target`` is positive, and target row ``i`` reads series ``rows[i,
-    0]`` (series ``i`` if ``rows`` is None).  The result is
+    ``target`` is positive, and target row ``i`` reads series ``i``.  The
+    result is
     ``np.searchsorted`` of each target in its series' ``h``, found from
     the index of :func:`_start_table` in a few passes over the whole
     batch: the count below the target's bin, plus one for each of the
@@ -444,11 +465,11 @@ def _node_index(table: _StartTable, target, rows=None, out=None,
     in their int64 view, and the entries read.  ``out`` and ``scratch``
     are float arrays like ``target``, or None for fresh ones.
     """
-    rows = np.arange(len(table.h))[:, None] if rows is None else rows
+    rows = np.arange(len(table.h))[:, None]
     width = table.bins.shape[1]
     x = np.right_shift(target.view(np.int64), _BIN_SHIFT,
                        out=_view(scratch[0], np.int64))
-    x -= table.bin_lo[rows, 0]
+    x -= table.bin_lo
     np.clip(x, 0, width - 1, out=x)
     x += rows * width
     j = table.bins.take(x)
@@ -516,14 +537,14 @@ def _require_roots(target, gap) -> None:
     )
 
 
-def _bracket_roots(table: _StartTable, target, rows=None, out=(None, None),
+def _bracket_roots(table: _StartTable, target, out=(None, None),
                    scratch=(None,) * 3):
     """Start and certified lower bound of each root of log W_obs = target.
 
     ``table`` holds each observed series' ``d = log(r / max r)``, ``(k,
     series)``, its ``gap``, ``(series,)``, and its start table (see
-    :func:`_start_table`); target row ``i`` reads series ``rows[i, 0]``,
-    as in :func:`_node_index`.  Returns ``(start, lower)`` like
+    :func:`_start_table`); target row ``i`` reads series ``i``, as in
+    :func:`_node_index`.  Returns ``(start, lower)`` like
     ``target``, into the arrays ``out``; the three ``scratch`` arrays
     hold the lookup's counts, its flat indices and then ``target + log
     k``, and its entries.  Each is fresh where None.
@@ -566,10 +587,10 @@ def _bracket_roots(table: _StartTable, target, rows=None, out=(None, None),
     from :func:`_certified_target` on.  The same bound puts the exact
     root below ``start * (1 + _SLACK)``.
     """
-    gap = table.gap[:, None] if rows is None else table.gap[rows]
+    gap = table.gap[:, None]
     k = len(table.d)
     _require_roots(target, gap)
-    j = _node_index(table, target, rows, scratch[0], scratch[1:])
+    j = _node_index(table, target, scratch[0], scratch[1:])
     start = _gather(_NODES_ABOVE, j, out[0])
     np.minimum(start, np.add(target, math.log(k), out=scratch[1]), out=start)
     lower = _gather(_NODES_BELOW, j, out[1])
@@ -617,23 +638,17 @@ def _newton(d, gap, target, beta, buf=None) -> NDArray[np.float64]:
             return beta
 
 
-def _solve_roots(table: _StartTable, target, rows=None,
-                 work=None) -> NDArray[np.float64]:
+def _solve_roots(table: _StartTable, target) -> NDArray[np.float64]:
     """Roots of log W_obs(beta) = target, of the shape of ``target``.
 
-    Arguments as in :func:`_bracket_roots`; each root is polished by
-    :func:`_newton` from its start, which is bracketed in fresh arrays.
-    The records gathered for the rows and the Newton buffer, ``(k,) +
-    rows.shape`` and ``(k,) + target.shape``, are rows 0 and 2 of the
-    workspace ``work``, or fresh without one (see :func:`_carve`).
+    Target row ``i`` reads series ``i`` of ``table``, as in
+    :func:`_bracket_roots`, which brackets each start in fresh arrays;
+    :func:`_newton` descends from it in a fresh ``(k,) + target.shape``
+    buffer.  Only :func:`solve_shape_pivot` and the tests call it: the
+    samplers descend from the starts that :func:`_bracket` returns.
     """
-    rows = np.arange(len(table.gap))[:, None] if rows is None else rows
-    start, _ = _bracket_roots(table, target, rows)
-    k = len(table.d)
-    d = np.take(table.d, rows, axis=1, out=_carve(work, 0, (k,) + rows.shape),
-                mode="clip")
-    return _newton(d, table.gap[rows], target, start,
-                   _carve(work, 2, (k,) + target.shape))
+    start, _ = _bracket_roots(table, target)
+    return _newton(table.d[..., None], table.gap[:, None], target, start)
 
 
 def solve_shape_pivot(observed: RecordSeries, exp_records: RecordSeries) -> float:
@@ -718,37 +733,40 @@ def _pivot_targets(seed, draws, population: int, k: int,
 def _combine(kind: str, roots, out=None):
     """The draw from its populations' roots: U1 / U2, U1 - U2 or U1.
 
-    A ratio or difference goes into ``out`` if given; U1 is ``roots[0]``.
+    U1 is ``roots[0]``.  The draw goes into ``out``, or a fresh array if
+    None, so U1 alone is copied and never aliased.
     """
     if kind in _TWO_POPULATION:
         return _TWO_POPULATION[kind](roots[0], roots[1], out=out)
-    return roots[0]
+    return np.positive(roots[0], out=out)
 
 
 # Rows of a workspace: the most per-draw arrays that _bracket holds at once.
 # _BRACKET_ROWS[p] is the rows of population p's target, start and lower
 # bound.  Each row's tenants, in the order a batch writes them:
 #   0: the start-table buffer; each target draw's base keys; each bracket's
-#      counts; the sorted lower bounds of _candidates; the polish's records.
+#      counts; the sorted lower, then upper, bounds of _candidates; the
+#      polish's gathered records.
 #   1: each target draw's words, then its uniforms' logs; each bracket's
-#      flat indices, then target + log k; population 2's lower bound.
+#      flat indices, then target + log k; population 2's lower bound, then
+#      the draws' upper bounds; the polish's Newton buffer.
 #   2: each target draw's mixed words and uniforms; each bracket's entries;
-#      population 2's start; the sorted upper bounds of _candidates; the
-#      polish's Newton buffer.
-#   3: each target draw's log sums; population 1's start, then the draws'
-#      upper bounds.
+#      population 2's start, read by the polish.
+#   3: each target draw's log sums; population 1's start, read by the
+#      polish.
 #   4, 5: population 1's and population 2's targets, read by the polish.
 #   6: population 1's lower bound, then the draws' lower bounds, which
 #      _settle_batch settles and sorts.
-# Rows 0 to 3 are dead between the last target draw and the first bracket,
-# and again once _candidates has returned: the polish writes rows 0 and 2
-# before it reads them, and reads no other row but 4 to 6.
+# Rows 0 to 3 are dead between the last target draw and the first bracket.
+# Rows 0 and 1 are dead again once _candidates has returned: the polish
+# writes them before it reads them, and reads no other row but 2 to 6.
 _WORK_ROWS = 7
 _BRACKET_ROWS = ((4, 3, 6), (5, 2, 1))
 
 
 def _bracket(kind: str, tables, seeds, draws, work):
-    """``(below, above, targets)`` of ``draws``, each ``(seeds, draws)``.
+    """``(below, above, targets, starts)`` of ``draws``, each ``(seeds,
+    draws)``; ``targets`` and ``starts`` hold one array per population.
 
     ``tables`` holds one :func:`_start_table` per population, and row
     ``i`` is series ``i`` of each and seed ``i``: draw ``j`` of row ``i``
@@ -761,8 +779,10 @@ def _bracket(kind: str, tables, seeds, draws, work):
     rows that the draws used as scratch.
     ``work`` is a workspace, ``(_WORK_ROWS, length)`` with ``length`` at
     least ``seeds.size * draws.size``, and every per-draw array lives in
-    its rows (see ``_BRACKET_ROWS``).  ``below`` and ``above`` are written
-    over population 1's lower bound and start.
+    its rows (see ``_BRACKET_ROWS``).  ``below`` is written over
+    population 1's lower bound, and ``above`` into row 1, over population
+    2's, so that every root's start is kept for :func:`_newton` to
+    descend from.
     """
     work = [_carve(work, row, (len(seeds), len(draws)))
             for row in range(_WORK_ROWS)]
@@ -774,42 +794,29 @@ def _bracket(kind: str, tables, seeds, draws, work):
         _, s, lo = _BRACKET_ROWS[p]
         try:
             brackets.append(_bracket_roots(
-                table, target, None, (work[s], work[lo]), work[:3]))
+                table, target, (work[s], work[lo]), work[:3]))
         except BracketError as exc:
             raise BracketError(f"population {p + 1}: {exc}",
                                replicate=exc.replicate) from exc
-    highs, lows = zip(*brackets)
+    starts, lows = zip(*brackets)
     # Each float root lies in its bracket, and float division and
     # subtraction are monotone in each argument, so U1 / U2 lies in [low1 /
     # high2, high1 / low2] and U1 - U2 in [low1 - high2, high1 - low2].  An
     # uncertified (NaN) low root makes the draw's bounds [-inf, inf]; the
-    # mask is taken before the bounds overwrite population 1's brackets.
+    # mask is taken before the bounds overwrite the lower bounds.
     uncertified = np.logical_or.reduce([np.isnan(low) for low in lows])
-    below = _combine(kind, [lows[0], *highs[1:]], out=lows[0])
-    above = _combine(kind, [highs[0], *lows[1:]], out=highs[0])
+    below = _combine(kind, [lows[0], *starts[1:]], out=lows[0])
+    above = _combine(kind, [starts[0], *lows[1:]], out=work[1])
     np.copyto(below, -np.inf, where=uncertified)
     np.copyto(above, np.inf, where=uncertified)
-    return below, above, targets
+    return below, above, targets, starts
 
 
-def _polish(kind: str, tables, rows, targets,
-            work=None) -> NDArray[np.float64]:
-    """The exact draws of ``kind`` at ``targets``, one array per population.
-
-    ``tables`` is as in :func:`_bracket`, and target row ``i`` reads
-    series ``rows[i, 0]`` of each table, or series ``i`` where ``rows`` is
-    None; each root depends only on its series and target.
-    Each population's solve reuses rows 0 and 2 of the workspace
-    ``work``, or fresh arrays without one (see :func:`_solve_roots`)."""
-    return _combine(kind, [_solve_roots(table, target, rows, work)
-                           for table, target in zip(tables, targets)])
-
-
-def _at_ranks(bound, ranks, work, row) -> NDArray[np.float64]:
+def _at_ranks(bound, ranks, work) -> NDArray[np.float64]:
     """The values at zero-based ``ranks`` of ``bound`` sorted along its
-    last axis.  The sorted copy is row ``row`` of the workspace ``work``,
-    or fresh without one and freed on return (see :func:`_carve`)."""
-    copy = _carve(work, row, bound.shape)
+    last axis.  The sorted copy is row 0 of the workspace ``work``, or
+    fresh without one and freed on return (see :func:`_carve`)."""
+    copy = _carve(work, 0, bound.shape)
     np.copyto(copy, bound)
     copy.sort(axis=-1)
     return copy[..., ranks]
@@ -829,13 +836,12 @@ def _candidates(below, above, ranks=(), pi0=None,
     them.  So setting every other draw to any value inside its bounds
     leaves the rank-r values, and the counts on either side of ``pi0``,
     as the exact draws have them.  The sorted copies of ``below`` and
-    ``above`` are rows 0 and 2 of the workspace ``work``, or fresh without
+    then ``above`` are row 0 of the workspace ``work``, or fresh without
     one (see :func:`_at_ranks`).
     """
     if pi0 is not None:
         return (below <= pi0) & (pi0 <= above)
-    lows, highs = (_at_ranks(bound, ranks, work, row)
-                   for bound, row in ((below, 0), (above, 2)))
+    lows, highs = (_at_ranks(bound, ranks, work) for bound in (below, above))
     polish = np.zeros(below.shape, dtype=bool)
     for j in range(len(ranks)):
         polish |= (above >= lows[..., j, None]) & (below <= highs[..., j, None])
@@ -867,12 +873,14 @@ def _settle_batch(kind: str, records, seeds, m: int, gamma: float,
     ``i``, and each population's start table is built in workspace row
     0.  :func:`_bracket` bounds every draw, with ``work`` as there, and
     :func:`_candidates` picks the draws that can hold either rank of
-    :func:`percentile_ranks`.  :func:`_polish` solves them at the targets
-    that the bracket kept in rows 4 and 5, in spans of ``budget // k``
-    draws for k the largest record count, so that the ``(k, span)``
-    Newton buffer and the gathered records keep to ``budget`` elements.
-    Each root depends only on its own series and target, so the spans
-    move no bit.  The solved draws are written over the lower bounds in
+    :func:`percentile_ranks`.  :func:`_newton` descends each of them from
+    the start that the bracket kept in row 3 or 2, at the target that it
+    kept in row 4 or 5, in spans of ``budget // k`` draws for k the
+    largest record count.  A span's records, gathered from its series in
+    row 0, and its Newton buffer in row 1, each ``(k, span)``, keep to
+    ``budget`` elements.  A start depends only on its series and target,
+    and Newton runs the same passes from it, so neither the spans nor the
+    batch move a bit.  The solved draws are written over the lower bounds in
     row 6, and every other draw keeps its lower bound, which leaves each
     rank's value as a full solve has it; the row is then sorted in place
     and read at the two ranks.  A ``BracketError`` is :func:`_bracket`'s.
@@ -880,13 +888,20 @@ def _settle_batch(kind: str, records, seeds, m: int, gamma: float,
     tables = [_start_table(*_prep_log_records(values), work)
               for values in records]
     ranks = [rank - 1 for rank in percentile_ranks(m, gamma)]
-    below, above, targets = _bracket(kind, tables, seeds, np.arange(m), work)
+    below, above, targets, starts = _bracket(kind, tables, seeds,
+                                             np.arange(m), work)
     rows, cols = np.nonzero(_candidates(below, above, ranks, work=work))
     span = max(1, budget // max(len(table.d) for table in tables))
     for i in range(0, rows.size, span):
         r, c = rows[i:i + span], cols[i:i + span]
-        below[r, c] = _polish(kind, tables, r[:, None],
-                              [t[r, c, None] for t in targets], work)[:, 0]
+        roots = []
+        for table, target, start in zip(tables, targets, starts):
+            shape = (len(table.d), r.size)
+            d = np.take(table.d, r, axis=1, out=_carve(work, 0, shape),
+                        mode="clip")
+            roots.append(_newton(d, table.gap[r], target[r, c], start[r, c],
+                                 _carve(work, 1, shape)))
+        below[r, c] = _combine(kind, roots)
     below.sort(axis=1)
     return below[:, ranks].T
 
@@ -901,7 +916,7 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     call, and copied out into the two preallocated bound arrays.  A
     chunk's targets live in the workspace only until its bounds are
     copied out: only the bounds and the tables are kept, and a polished
-    draw re-draws its targets (see :meth:`PivotalDraws._solve`).  A
+    draw is bracketed again (see :meth:`PivotalDraws._solve`).  A
     draw count below 1, a seed outside [0, 2**64) or an invalid series
     raises ``InvalidDataError``.
     """
@@ -915,7 +930,7 @@ def _sample(kind: str, series: list[RecordSeries], m: int,
     work = np.empty((_WORK_ROWS, min(m, _CHUNK)))
     for start in range(0, m, _CHUNK):
         try:
-            below[start:start + _CHUNK], above[start:start + _CHUNK], _ = _bracket(
+            below[start:start + _CHUNK], above[start:start + _CHUNK], *_ = _bracket(
                 kind, tables, np.asarray([seed]),
                 np.arange(start, min(start + _CHUNK, m)), work)
         except BracketError as exc:
@@ -968,7 +983,7 @@ def percentile_ranks(m: int, gamma: float) -> tuple[int, int]:
     10**6 the rank 25001.
     """
     m = _integer(m, "m")
-    if not 0.0 < gamma < 1.0:
+    if not 0.0 < _real(gamma, "gamma") < 1.0:
         raise InvalidDataError("gamma must be in (0, 1)")
     half = Fraction(repr(float(gamma))) * m / 2
     if half < 1:

@@ -9,7 +9,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .errors import InvalidDataError
-from .rng import _integer, check_seed, exp_record_matrix
+from .rng import _integer, _real, check_seed, exp_record_matrix
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def weibull_records(n: int, alpha: float, beta: float, seed: int,
     naming both.
     """
     for name, value in (("alpha", alpha), ("beta", beta)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not (math.isfinite(_real(value, name)) and value > 0.0):
             raise InvalidDataError(
                 f"{name} must be positive and finite, got {value}")
     s = exponential_records(n, seed, stream_id).values

@@ -55,6 +55,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str):
+    """``value`` as it is, if it is a Python or numpy real number, not a bool.
+
+    Otherwise it raises ``InvalidDataError`` naming ``name``, so that a
+    string or None is refused as the other invalid values are, and not
+    with a bare ``TypeError`` from the comparison that would check it.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise InvalidDataError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def check_seed(value, name: str = "seed") -> int:
     """``value`` as an int, if it is a Python or numpy integer in [0, 2**64).
 

@@ -55,7 +55,7 @@ from numpy.typing import NDArray
 
 from .errors import BracketError, InvalidDataError, WeibullRecordsError
 from .gpq import _batch_shape, _settle_batch, percentile_ranks
-from .rng import (_integer, check_seed, derive_seed, derive_seed_array,
+from .rng import (_integer, _real, check_seed, derive_seed, derive_seed_array,
                   exp_record_matrix)
 
 # Elements in a batch's largest array, which also sets the length of its
@@ -95,10 +95,7 @@ class SimConfig:
         if self.n1 < 1 or self.n2 < 1:
             raise InvalidDataError("record indices n1, n2 must be at least 1")
         for name in CELL_SETTINGS[2:] + RUN_SETTINGS[2:3]:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(
-                    v, (int, float, np.integer, np.floating)):
-                raise InvalidDataError(f"{name} must be a number, got {v!r}")
+            _real(getattr(self, name), name)
         for name in CELL_SETTINGS[2:]:
             v = getattr(self, name)
             # Stored as float, so that 2 and 2.0 are one cell and one tag.

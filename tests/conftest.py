@@ -16,15 +16,12 @@ def record_criterion(name: str, passed: bool, detail: str) -> None:
     _criteria.append((name, passed, detail))
 
 
-def searchsorted_index(table, target, rows=None, out=None, scratch=None):
+def searchsorted_index(table, target, out=None, scratch=None):
     """Reference start lookup for ``gpq._node_index``: one binary search
     of its series' start table per row of targets, the row's targets as
-    one key vector.  Target row ``i`` reads series ``rows[i, 0]``, or
-    series ``i`` without ``rows``.  The workspace rows ``out`` and
-    ``scratch`` are accepted and not used."""
-    series = range(len(target)) if rows is None else rows[:, 0]
-    return np.array([np.searchsorted(table.h[i], row)
-                     for i, row in zip(series, target)])
+    one key vector.  Target row ``i`` reads series ``i``.  The workspace
+    rows ``out`` and ``scratch`` are accepted and not used."""
+    return np.array([np.searchsorted(h, row) for h, row in zip(table.h, target)])
 
 
 def target_rows(seed, stream_ids, k: int):

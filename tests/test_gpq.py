@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 
 import mpmath
@@ -127,6 +128,15 @@ class TestAmGmRatio:
             am_gm_ratio(tiny_series, 0.0)
         with pytest.raises(InvalidDataError):
             am_gm_ratio(RecordSeries(np.array([2.0])), 1.0)
+
+    @pytest.mark.parametrize("beta", ["1", None, True, [1.0]])
+    def test_rejects_a_shape_that_is_not_a_number(self, tiny_series, beta):
+        message = f"^beta must be a number, got {re.escape(repr(beta))}$"
+        with pytest.raises(InvalidDataError, match=message):
+            am_gm_ratio(tiny_series, beta)
+        with pytest.raises(InvalidDataError, match=message):
+            pivotal_equation(tiny_series,
+                             exponential_records(tiny_series.n, seed=1), beta)
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan])
     def test_rejects_a_shape_that_is_not_finite(self, tiny_series, beta):
@@ -577,26 +587,30 @@ class TestBracket:
            rows=st.lists(st.integers(0, 3), min_size=1, max_size=8),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_row_gather_equals_own_series(self, k, series, rows, seed):
-        # Target row i read through rows[i] is bracketed and solved, bit
-        # for bit, as against a table of its series alone.
-        rows = np.array(rows)[:, None] % series
+        # The polish of run_cell's candidates: records gathered for the
+        # rows, with the start and the target that the batch's bracket
+        # kept, descend onto each series' own root, bit for bit.
+        rows = np.array(rows) % series
         gen = np.random.default_rng(seed)
         values = (np.cumsum(gen.uniform(0.01, 3.0, (k, series)), axis=0)
                   * 10.0 ** gen.uniform(-9.0, 9.0, series))
         table = gpq._start_table(*gpq._prep_log_records(values))
-        ids = np.arange(rows.size * 40, dtype=np.uint64).reshape(-1, 40)
+        ids = np.arange(series * 40, dtype=np.uint64).reshape(-1, 40)
         # Scaled down to below the certified range and up past the table.
         target = (gpq._exp_targets(seed, ids, k)
                   * 10.0 ** gen.uniform(-20.0, 2.0, ids.shape))
-        start, lower = gpq._bracket_roots(table, target, rows)
-        roots = gpq._solve_roots(table, target, rows)
-        for i, r in enumerate(rows[:, 0]):
-            own = gpq._start_table(*gpq._prep_log_records(values[:, [r]]))
-            want_start, want_lower = gpq._bracket_roots(own, target[i:i + 1])
-            assert start[i].tobytes() == want_start[0].tobytes()
-            assert lower[i].tobytes() == want_lower[0].tobytes()
-            assert (roots[i].tobytes()
-                    == gpq._solve_roots(own, target[i:i + 1])[0].tobytes())
+        start, lower = gpq._bracket_roots(table, target)
+        r, c = np.repeat(rows, 40), np.tile(np.arange(40), rows.size)
+        d = np.take(table.d, r, axis=1, out=np.full((k, r.size), np.nan),
+                    mode="clip")
+        roots = gpq._newton(d, table.gap[r], target[r, c], start[r, c])
+        for i, row in enumerate(rows):
+            own = gpq._start_table(*gpq._prep_log_records(values[:, [row]]))
+            want_start, want_lower = gpq._bracket_roots(own, target[[row]])
+            assert start[row].tobytes() == want_start[0].tobytes()
+            assert lower[row].tobytes() == want_lower[0].tobytes()
+            assert (roots[40 * i:40 * (i + 1)].tobytes()
+                    == gpq._solve_roots(own, target[[row]])[0].tobytes())
 
     def test_zero_gap_has_no_root(self):
         # Two records that tie in float give the log gap -0.0: no beta
@@ -701,16 +715,17 @@ class TestStartLookup:
         first = np.where(reached.any(axis=1), reached.argmax(axis=1),
                          h.shape[1])
         np.testing.assert_array_equal(gpq._node_index(table, target), first)
-        # Each key alone, then every key in one permuted batch.
-        rows = np.broadcast_to(np.arange(len(h))[:, None], target.shape)
-        rows, keys = rows.reshape(-1, 1), target.reshape(-1, 1)
-        want = first.ravel()
-        alone = [gpq._node_index(table, keys[i:i + 1], rows[i:i + 1])[0, 0]
-                 for i in range(len(keys))]
-        np.testing.assert_array_equal(alone, want)
-        perm = np.random.default_rng(3).permutation(len(keys))
+        # Each key alone in a one-row table of its row, then every key of
+        # the batch permuted within its row.
+        for i, row in enumerate(h):
+            own = self._table(monkeypatch, row[None].copy())
+            alone = [gpq._node_index(own, key.reshape(1, 1))[0, 0]
+                     for key in target[i]]
+            np.testing.assert_array_equal(alone, first[i])
+        perm = np.random.default_rng(3).random(target.shape).argsort(axis=1)
         np.testing.assert_array_equal(
-            gpq._node_index(table, keys[perm], rows[perm])[:, 0], want[perm])
+            gpq._node_index(table, np.take_along_axis(target, perm, 1)),
+            np.take_along_axis(first, perm, 1))
 
     @pytest.mark.parametrize("k", (2, 4, 15, 1000))
     def test_one_node_per_bin(self, k):
@@ -1175,6 +1190,18 @@ class TestPivotalDraws:
         with pytest.raises(InvalidDataError, match="pi0 must be finite"):
             p_value_one_sided(draws, math.inf)
 
+    @pytest.mark.parametrize("sampled", [True, False])
+    @pytest.mark.parametrize("pi0", ["1", None, True])
+    def test_hypothesis_must_be_a_number(self, records34, records36, sampled,
+                                         pi0):
+        draws = (sample_pivotal(records34, records36, "ratio", 50, seed=11)
+                 if sampled else
+                 PivotalDraws(np.arange(1.0, 51.0), "ratio", 50, seed=0))
+        message = f"^pi0 must be a number, got {re.escape(repr(pi0))}$"
+        for p_value in (p_value_one_sided, p_value_two_sided):
+            with pytest.raises(InvalidDataError, match=message):
+                p_value(draws, pi0)
+
     def test_repr_names_kind_count_and_seed(self):
         draws = sample_pivotal(RecordSeries([1.0, 2.0, 5.0]),
                                RecordSeries([1.0, 3.0, 4.0]), "ratio", 10, 3)
@@ -1218,6 +1245,16 @@ class TestPercentileInterval:
         with pytest.raises(InvalidDataError,
                            match="^m must be an integer, got "):
             percentile_ranks(m, 0.2)
+
+    @pytest.mark.parametrize("gamma", ["0.1", None, False, 1j])
+    def test_level_must_be_a_number(self, gamma):
+        with pytest.raises(InvalidDataError,
+                           match=f"^gamma must be a number, got "
+                                 f"{re.escape(repr(gamma))}$"):
+            percentile_ranks(10, gamma)
+
+    def test_numpy_levels_are_numbers(self):
+        assert percentile_ranks(100, np.float64(0.1)) == (5, 95)
 
     def test_equal_ranks(self):
         # gamma m / 2 = 1.2: ceil gives 2, and floor(4 - 1.2) gives 2.

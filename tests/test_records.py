@@ -1,5 +1,7 @@
 """Record extraction, series validation, and record generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,16 @@ class TestGeneration:
         with pytest.raises(InvalidDataError,
                            match="^n must be an integer, got "):
             weibull_records(n, 1.0, 1.0, seed=0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", ["1", None, True, [2.0]])
+    def test_parameters_must_be_numbers(self, name, value):
+        kwargs = dict(alpha=1.0, beta=2.0)
+        kwargs[name] = value
+        with pytest.raises(InvalidDataError,
+                           match=f"^{name} must be a number, got "
+                                 f"{re.escape(repr(value))}$"):
+            weibull_records(3, seed=1, **kwargs)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidDataError):

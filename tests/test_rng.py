@@ -1,5 +1,8 @@
 """Counter-based stream behavior: determinism, ranges, independence."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,19 @@ class TestSeedDomain:
             exponential_records(4, **kwargs)
         with pytest.raises(InvalidDataError, match=message):
             weibull_records(4, 2.0, 1.5, **kwargs)
+
+    @pytest.mark.parametrize("value", [2, 2.5, np.float32(2.5), np.int8(2),
+                                       math.inf, math.nan])
+    def test_real_passes_numbers_as_they_are(self, value):
+        assert rng._real(value, "x") is value
+
+    @pytest.mark.parametrize("value", ["2.5", None, True, np.False_, 1j,
+                                       [2.5], np.array(2.5)])
+    def test_real_refuses_what_is_not_a_number(self, value):
+        with pytest.raises(InvalidDataError,
+                           match=f"^x must be a number, got "
+                                 f"{re.escape(repr(value))}$"):
+            rng._real(value, "x")
 
     def test_python_and_numpy_integers_in_range_are_one_seed(self):
         for seed, same in ((2 ** 64 - 1, np.uint64(2 ** 64 - 1)),

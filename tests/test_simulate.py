@@ -414,6 +414,43 @@ class TestPolishSelection:
             assert got[0] == want[0]
             assert got[1].tobytes() == want[1].tobytes()
 
+    def test_brackets_each_batch_once(self, monkeypatch):
+        # Each polished root descends from the start that its batch's
+        # bracket kept, so a batch brackets each population once, however
+        # many polish spans it runs: here, with the budget of 150 elements
+        # above, two or more.
+        real_roots, real_newton = gpq._bracket_roots, gpq._newton
+        real_sums = simulate._batch_sums
+        events, batches = [], []
+
+        def bracket_roots(*args):
+            events.append("bracket")
+            return real_roots(*args)
+
+        def newton(*args):
+            events.append("newton")
+            return real_newton(*args)
+
+        def sums(config, base_seed, start, stop, work):
+            first = len(events)
+            got = real_sums(config, base_seed, start, stop, work)
+            batches.append(events[first:])
+            return got
+
+        config = SimConfig(n1=14, n2=9, beta1=1.0, beta2=2.0, m=200, reps=4,
+                           seed=6)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_ELEMENT_BUDGET", 150)
+            patch.setattr(gpq, "_bracket_roots", bracket_roots)
+            patch.setattr(gpq, "_newton", newton)
+            patch.setattr(simulate, "_batch_sums", sums)
+            run_cell(config, threads=1)
+        assert len(batches) == config.reps
+        for batch in batches:
+            assert batch[:2] == ["bracket"] * 2
+            assert batch.count("bracket") == 2
+            assert batch.count("newton") >= 2 * 2
+
     def test_polishes_under_a_quarter_of_draws(self, monkeypatch):
         # Measured at 9% for this cell; a bracket that certified nothing
         # would polish every draw.

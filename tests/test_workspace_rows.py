@@ -19,15 +19,17 @@ import weibrec.simulate as simulate
 from weibrec import cli, gpq
 from weibrec.simulate import SimConfig, run_cell
 from weibrec.gpq import (p_value_one_sided, p_value_two_sided,
-                         percentile_interval, sample_pivotal,
-                         sample_shape_pivot)
+                         percentile_interval, percentile_ranks,
+                         sample_pivotal, sample_shape_pivot)
 
 REPO_DATA = Path(__file__).resolve().parent.parent / "data" / "insulating_fluid.csv"
 
 # The rows that the comment beside gpq._WORK_ROWS lists as dead once
-# _candidates has returned: the polish writes rows 0 and 2 before it
-# reads them and otherwise reads only rows 4 to 6.
-DEAD_ONCE_SELECTED = (0, 1, 2, 3)
+# _candidates has returned: the polish writes rows 0 and 1 before it
+# reads them and otherwise reads only rows 2 to 6.  Rows 2 and 3 hold the
+# starts that it descends from.
+DEAD_ONCE_SELECTED = (0, 1)
+KEPT_STARTS = (2, 3)
 
 
 def poison_draw_scratch(patch, calls):
@@ -48,14 +50,15 @@ def poison_draw_scratch(patch, calls):
     patch.setattr(gpq, "_pivot_targets", spy)
 
 
-def poison_after_selection(patch, calls):
-    """Fill the rows that are dead once selection is done with NaN as soon
-    as ``_candidates`` returns in ``gpq._settle_batch``."""
+def poison_after_selection(patch, calls, rows=DEAD_ONCE_SELECTED):
+    """Fill ``rows``, by default those that are dead once selection is
+    done, with NaN as soon as ``_candidates`` returns in
+    ``gpq._settle_batch``."""
     real = gpq._candidates
 
     def spy(below, above, ranks=(), pi0=None, work=None):
         got = real(below, above, ranks, pi0, work)
-        work[list(DEAD_ONCE_SELECTED)] = np.nan
+        work[list(rows)] = np.nan
         calls.append(None)
         return got
 
@@ -88,6 +91,18 @@ def report(draws):
                               p_value_two_sided(draws, pi0).p_value)]
 
 
+def polish_spans(draws, chunk):
+    """The spans that :func:`report` polishes: its interval's candidates
+    and, twice, those straddling its ``pi0``, ``chunk`` draws a span.
+    Each span brackets its draws again, re-drawing their targets."""
+    ranks = [rank - 1 for rank in percentile_ranks(draws.m, 0.05)]
+    pi0 = float(np.median(draws.below))
+    ci, tails = (np.count_nonzero(gpq._candidates(draws.below, draws.above,
+                                                  *selection))
+                 for selection in ((ranks,), ((), pi0)))
+    return -(-ci // chunk) + 2 * -(-tails // chunk)
+
+
 @pytest.mark.parametrize("m", [300, 9001])
 @pytest.mark.parametrize("chunk", [64, 8192])
 @pytest.mark.parametrize("kind", ["ratio", "difference", "single-shape"])
@@ -102,14 +117,16 @@ def test_dead_draw_scratch_moves_no_cli_bit(kind, chunk, m, records34,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpq, "_CHUNK", chunk)
         want = sample()
+        want_report = report(want)
         poison_draw_scratch(patch, calls)
         got = sample()
-        want_report, got_report = report(want), report(got)
+        got_report = report(got)
+        spans = -(-m // chunk) + polish_spans(want, chunk)
     assert got.below.tobytes() == want.below.tobytes()
     assert got.above.tobytes() == want.above.tobytes()
     assert got_report == want_report
     pops = 1 if kind == "single-shape" else 2
-    assert calls == list(range(pops)) * -(-m // chunk)
+    assert calls == list(range(pops)) * spans
 
 
 def cli_stdout(argv):
@@ -132,7 +149,9 @@ def test_dead_draw_scratch_moves_no_cli_report(command):
         got = cli_stdout(argv)
     assert want[0] == 0
     assert got == want
-    assert calls == [0, 1] * 3
+    # Three bracket spans at M = 2e4, then one polish span, which brackets
+    # its candidates again.
+    assert calls == [0, 1] * 4
 
 
 def cell_report(config, threads):
@@ -160,3 +179,16 @@ def test_dead_rows_move_no_run_cell_bit(k1, k2, threads, budget, point,
     # Each batch draws both populations' targets; two workers interleave.
     assert calls and (point == "selection"
                       or calls.count(0) == calls.count(1) == len(calls) / 2)
+
+
+def test_kept_starts_are_live_after_selection(monkeypatch):
+    # The polish descends from the starts that the bracket kept in rows 2
+    # and 3, so NaN written there once the draws are selected moves the
+    # report: the rows that the plan keeps are read.
+    config = SimConfig(n1=4, n2=4, beta1=1.0, beta2=2.0, m=300, reps=60,
+                       seed=505)
+    want = cell_report(config, 1)
+    calls = []
+    poison_after_selection(monkeypatch, calls, KEPT_STARTS)
+    assert cell_report(config, 1) != want
+    assert calls
